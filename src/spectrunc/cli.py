@@ -11,12 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
-from .cayley import ResourceCapError, ball, group_from_key, growth_report, word_length
+from .cayley import ResourceCapError, ball, group_from_key, growth_report
 from .groupalg import (
     fejer_kernel,
     format_algebra_element,
@@ -31,13 +28,9 @@ from .truncation import (
     reconstruct,
 )
 from .groupalg import spectral_norm
-from .harness import ExperimentConfig, export_report, run_convergence, CSV_HEADER
+from .harness import ExperimentConfig, _fmt12, export_report, run_convergence
 from .qmetric import SearchParams, SolverParams, epsilon_full, epsilon_truncated, gh_bound
 from .qmetric import lip_distance, vector_state
-
-
-def _fmt12(v: float) -> str:
-    return format(float(v), ".12g")
 
 
 def _parse_coords(text: str) -> tuple:
@@ -226,31 +219,7 @@ def _cmd_converge(args) -> int:
         raise ValueError("a lambda range is required (--lambdas or config lambda_range)")
     config = ExperimentConfig.from_mapping(merged)
     report = run_convergence(config)
-    if config.output:
-        export_report(report, config.output, format=config.format, gnuplot=args.gnuplot)
-    else:
-        if config.format == "json":
-            from dataclasses import asdict
-
-            payload = {"metadata": report.metadata, "rows": [asdict(r) for r in report.rows]}
-            print(json.dumps(payload, indent=2))
-        else:
-            print(CSV_HEADER)
-            for row in report.rows:
-                if row.skipped:
-                    continue
-                print(
-                    ",".join(
-                        [
-                            str(row.lam),
-                            str(row.ball_size),
-                            _fmt12(row.folner_eps),
-                            _fmt12(row.eps_full),
-                            _fmt12(row.eps_trunc),
-                            _fmt12(row.gh_bound),
-                        ]
-                    )
-                )
+    export_report(report, config.output or sys.stdout, format=config.format, gnuplot=args.gnuplot)
     return 0
 
 

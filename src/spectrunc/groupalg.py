@@ -22,7 +22,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .cayley import Ball, DEFAULT_BALL_CAP, ball, ball_overlap, word_length
+from .cayley import ball, word_length
 
 __all__ = [
     "AlgebraElement",
@@ -184,30 +184,53 @@ def sobolev_norm(f: AlgebraElement, s) -> float:
     return math.sqrt(total)
 
 
-@lru_cache(maxsize=None)
-def symbol_positions(group, radius: int):
-    """Matrix positions of each symbol value inside a ball compression.
+def _balls(group, radius: int, cap: Optional[int]):
+    """The radius ball under the element cap, and its double ball.
 
-    For the ball of the given radius, maps z to the index arrays (rows, cols)
-    with x_rows * x_cols^{-1} = z.  Each z occupies at most one entry per row
-    and per column, a partial permutation pattern.
+    Every element of the double ball is x y^{-1} for some x, y in the ball,
+    so the double ball is no larger than the n x n index map it fills; the
+    cap bounds the ball, and the map bounds the double ball.
     """
-    b = ball(group, radius)
+    b = ball(group, radius, cap=cap)
+    return b, ball(group, 2 * radius, cap=len(b) ** 2)
+
+
+@lru_cache(maxsize=None)
+def _index_map(b, double) -> np.ndarray:
+    group = b.group
+    mul, pos = group.multiply, double.index
     inverses = [group.inverse(y) for y in b.elements]
-    raw: dict = {}
+    idx = np.empty((len(b), len(b)), dtype=np.int32)
     for i, x in enumerate(b.elements):
-        mul = group.multiply
-        for j, yinv in enumerate(inverses):
-            z = mul(x, yinv)
-            if z in raw:
-                raw[z][0].append(i)
-                raw[z][1].append(j)
-            else:
-                raw[z] = ([i], [j])
-    return {
-        z: (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp))
-        for z, (rows, cols) in raw.items()
-    }
+        idx[i] = [pos[mul(x, yinv)] for yinv in inverses]
+    idx.setflags(write=False)
+    return idx
+
+
+def symbol_positions(group, radius: int, cap: Optional[int] = None) -> np.ndarray:
+    """Index map of a ball compression: where each entry reads the symbol.
+
+    Entry (i, j) is the position of x_i x_j^{-1} in the BFS order of the
+    double ball, so the compression of a symbol vector s over the double
+    ball is ``s[idx]``.  The read-only int32 map is cached per ball; the
+    element cap applies to the radius ball and is checked on every call.
+    """
+    return _index_map(*_balls(group, radius, cap))
+
+
+# Hit and miss counts of the map cache, read as on any lru_cache'd function.
+symbol_positions.cache_info = _index_map.cache_info
+
+
+def _symbol_vector(group, radius: int, items, cap: Optional[int] = None) -> np.ndarray:
+    """Symbol values over the double ball's order; terms outside it are dropped."""
+    _, double = _balls(group, radius, cap)
+    vec = np.zeros(len(double), dtype=complex)
+    for z, v in items:
+        i = double.index.get(z)
+        if i is not None:
+            vec[i] = complex(v)
+    return vec
 
 
 def compress_rep(f: AlgebraElement, radius: int, cap: Optional[int] = None) -> np.ndarray:
@@ -215,15 +238,8 @@ def compress_rep(f: AlgebraElement, radius: int, cap: Optional[int] = None) -> n
 
     Entry (x, y) is f(x y^{-1}) with respect to the ball's element order.
     """
-    b = ball(f.group, radius, cap=cap)
-    pos = symbol_positions(f.group, radius)
-    n = len(b)
-    M = np.zeros((n, n), dtype=complex)
-    for z, v in f.items():
-        rc = pos.get(z)
-        if rc is not None:
-            M[rc[0], rc[1]] = complex(v)
-    return M
+    idx = symbol_positions(f.group, radius, cap=cap)
+    return _symbol_vector(f.group, radius, f.items(), cap=cap)[idx]
 
 
 def _power_norm(M: np.ndarray, iters: int = 500, tol: float = 1e-13) -> float:
@@ -401,21 +417,23 @@ _FEJER_CACHE: dict = {}
 
 
 def fejer_kernel(group, lam: int, cap: Optional[int] = None) -> FejerKernel:
-    """Exact overlap kernel of the radius-lam ball, cached per (group, lam)."""
+    """Exact overlap kernel of the radius-lam ball, cached per (group, lam).
+
+    #(B ∩ zB) counts the entries of the ball's index map that read z, so
+    the kernel is one bincount of the map.  The element cap applies to the
+    double ball and is checked before the cache lookup.
+    """
     if lam < 1:
         raise ValueError(f"truncation radius must be at least 1, got {lam}")
+    double = ball(group, 2 * lam, cap=cap)
     cached = _FEJER_CACHE.get((group, lam))
     if cached is not None:
         return cached
-    b = ball(group, lam, cap=cap)
-    double = ball(group, 2 * lam, cap=cap)
-    size = len(b)
-    values = {}
-    for x in double.elements:
-        values[x] = Fraction(ball_overlap(group, x, lam, cap=cap), size)
-    eps = max(
-        Fraction(size - ball_overlap(group, g, lam, cap=cap), size) for g in group.generators
-    )
+    idx = symbol_positions(group, lam, cap=cap)
+    size = len(idx)
+    counts = np.bincount(idx.ravel(), minlength=len(double)).tolist()
+    values = {x: Fraction(c, size) for x, c in zip(double.elements, counts)}
+    eps = max(Fraction(size - counts[double.index[g]], size) for g in group.generators)
     kern = FejerKernel(group=group, radius=lam, values=values, folner_epsilon=eps)
     _FEJER_CACHE[(group, lam)] = kern
     return kern

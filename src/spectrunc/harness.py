@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, TextIO, Union
 
-from .cayley import ResourceCapError, ball, group_from_key, growth_report
+from .cayley import DEFAULT_BALL_CAP, ResourceCapError, ball, group_from_key, growth_report
 from .groupalg import fejer_kernel
 from .qmetric import SearchParams, epsilon_full, epsilon_truncated, gh_bound
 
@@ -117,7 +118,8 @@ def choose_s(group, cap: Optional[int] = None) -> int:
 
     Balls are enumerated until they pass a few thousand elements, the growth
     degree is fitted on the larger half of that range and rounded, and the
-    returned order is one more than half the degree, rounded up.
+    returned order is one more than half the degree, rounded up.  Raises
+    ResourceCapError when the cap leaves fewer than two radii to fit.
     """
     lam_max = 2
     try:
@@ -134,6 +136,11 @@ def choose_s(group, cap: Optional[int] = None) -> int:
             if lam_max <= 2:
                 raise
             lam_max -= 1
+    if math.isnan(report.fitted_degree):
+        raise ResourceCapError(
+            f"growth fit in {group.name} needs balls of radius {lam_max + 1} and more, "
+            f"over the cap of {DEFAULT_BALL_CAP if cap is None else cap} elements"
+        )
     degree = max(1, round(report.fitted_degree))
     return degree // 2 + (degree % 2) + 1 if degree % 2 else degree // 2 + 1
 
@@ -149,10 +156,12 @@ def _compute_row(config: ExperimentConfig, group, s: int, lam: int) -> Convergen
         ef = epsilon_full(
             group, lam, s,
             SearchParams(seed=_derived_seed(config.seed, lam, "eps-full"), **base),
+            cap=config.ball_cap,
         )
         et = epsilon_truncated(
             group, lam, s,
             SearchParams(seed=_derived_seed(config.seed, lam, "eps-trunc"), **base),
+            cap=config.ball_cap,
         )
         return ConvergenceRow(
             lam=lam,
@@ -216,16 +225,15 @@ def _gnuplot_script(csv_path: str) -> str:
 
 def export_report(
     report: ConvergenceReport,
-    path: Union[str, Path],
+    path: Union[str, Path, TextIO],
     format: str = "csv",
     gnuplot: bool = False,
 ) -> None:
     """Write a report as CSV (12 significant digits) or a JSON mirror.
 
-    With ``gnuplot=True`` a plot script named after the CSV is written next
-    to it.
+    ``path`` is a file path or an open text stream.  With ``gnuplot=True``
+    and a path, a plot script named after the CSV is written next to it.
     """
-    path = Path(path)
     if format == "csv":
         lines = [CSV_HEADER]
         for row in report.rows:
@@ -243,17 +251,22 @@ def export_report(
                     ]
                 )
             )
-        path.write_text("\n".join(lines) + "\n")
-        if gnuplot:
-            path.with_suffix(".gp").write_text(_gnuplot_script(str(path)))
     elif format == "json":
         payload = {
             "metadata": report.metadata,
             "rows": [asdict(row) for row in report.rows],
         }
-        path.write_text(json.dumps(payload, indent=2) + "\n")
+        lines = [json.dumps(payload, indent=2)]
     else:
         raise ValueError(f"unknown export format {format!r}")
+    text = "\n".join(lines) + "\n"
+    if hasattr(path, "write"):
+        path.write(text)
+        return
+    path = Path(path)
+    path.write_text(text)
+    if gnuplot and format == "csv":
+        path.with_suffix(".gp").write_text(_gnuplot_script(str(path)))
 
 
 def load_report(path: Union[str, Path]) -> ConvergenceReport:

@@ -19,7 +19,6 @@ from itertools import product
 from typing import Mapping, Optional
 
 import numpy as np
-from scipy import optimize
 
 from .cayley import ball, word_length
 from .groupalg import (
@@ -30,13 +29,13 @@ from .groupalg import (
     fejer_kernel,
     opnorm,
     spectral_norm,
+    symbol_positions,
 )
 from .truncation import (
     ToeplitzOperator,
     compress,
     materialize,
     reconstruct,
-    truncated_derivative,
     truncated_lipnorm,
 )
 
@@ -223,12 +222,40 @@ def _selfadjoint_basis(group, lam: int) -> list[dict]:
     return basis
 
 
-def _basis_matrices(group, lam: int, s: int, basis: list[dict]) -> np.ndarray:
-    mats = [
-        materialize(truncated_derivative(ToeplitzOperator(group, lam, sym), s))
-        for sym in basis
-    ]
-    return np.array(mats)
+class _Pencil:
+    """Matrix pencil x -> sum_k x_k M_k of compressions to one ball.
+
+    Row k of ``coef`` is the symbol of M_k over the leading positions of a
+    double ball in BFS order, which every larger double ball shares.  Entry
+    (i, j) of M(x) is (x @ coef)[idx[i, j]], and zero where the index map
+    points past the symbol.
+    """
+
+    def __init__(self, idx: np.ndarray, coef: np.ndarray):
+        self.coef = coef
+        self.idx = np.minimum(idx, coef.shape[1])
+        self._flat = self.idx.ravel()
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return np.append(x @ self.coef, 0)[self.idx]
+
+    def grad(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Re(u^H M_k v) for every k, from u-bar v summed per symbol position."""
+        w = np.outer(u.conj(), v).ravel()
+        slots = self.coef.shape[1] + 1
+        g = np.bincount(self._flat, w.real, slots) + 1j * np.bincount(self._flat, w.imag, slots)
+        return (self.coef @ g[:-1]).real
+
+
+def _selfadjoint_pencil(group, lam: int, s: int, basis: list[dict], lip_scale: float) -> _Pencil:
+    """Pencil of the s-th truncated derivatives of the self-adjoint basis."""
+    double = ball(group, 2 * lam)
+    coef = np.zeros((len(basis), len(double)), dtype=complex)
+    for k, sym in enumerate(basis):
+        for z, v in sym.items():
+            i = double.index[z]
+            coef[k, i] = complex(v * double.lengths[i] ** s)
+    return _Pencil(symbol_positions(group, lam), coef * lip_scale)
 
 
 def _top_singular(M: np.ndarray, hermitian: bool):
@@ -243,8 +270,8 @@ def _top_singular(M: np.ndarray, hermitian: bool):
     return float(S[0]), U[:, 0], Vh[0].conj()
 
 
-def _ratio_ascent(c: np.ndarray, mats: np.ndarray, params: SolverParams, hermitian: bool):
-    """Maximize c.x over the unit ball of x -> ||sum_k x_k mats_k||.
+def _ratio_ascent(c: np.ndarray, pencil: _Pencil, params: SolverParams, hermitian: bool):
+    """Maximize c.x over the unit ball of x -> ||pencil(x)||.
 
     Works on the scale-invariant ratio c.x / ||M(x)||; every iterate yields a
     feasible point after rescaling, so the best value seen is a valid lower
@@ -264,10 +291,9 @@ def _ratio_ascent(c: np.ndarray, mats: np.ndarray, params: SolverParams, hermiti
     starts = starts[: max(params.starts, 2)]
 
     def ratio_and_grad(x):
-        M = np.tensordot(x, mats, axes=1)
-        sigma, u, v = _top_singular(M, hermitian)
+        sigma, u, v = _top_singular(pencil(x), hermitian)
         val = float(c @ x) / sigma
-        grad_sigma = np.real(np.einsum("i,kij,j->k", u.conj(), mats, v))
+        grad_sigma = pencil.grad(u, v)
         grad = c / sigma - (float(c @ x) / sigma**2) * grad_sigma
         return val, grad
 
@@ -336,9 +362,9 @@ def lip_distance(
     zero = ToeplitzOperator(group, lam, {})
     if np.linalg.norm(c) == 0:
         return DistanceResult(value=0.0, witness=zero, status="converged")
-    mats = _basis_matrices(group, lam, s, basis) * lip_scale
-    best_val, best_x, status = _ratio_ascent(c, mats, params, hermitian=True)
-    norm_at_best = spectral_norm(np.tensordot(best_x, mats, axes=1))
+    pencil = _selfadjoint_pencil(group, lam, s, basis, lip_scale)
+    best_val, best_x, status = _ratio_ascent(c, pencil, params, hermitian=True)
+    norm_at_best = spectral_norm(pencil(best_x))
     scaled = best_x / norm_at_best
     witness_symbol: dict = {}
     for xk, sym in zip(scaled, basis):
@@ -389,10 +415,10 @@ def brute_distance(
     )
     if np.linalg.norm(c) == 0:
         return 0.0
-    mats = _basis_matrices(group, lam, s, basis) * lip_scale
+    pencil = _selfadjoint_pencil(group, lam, s, basis, lip_scale)
 
     def value(x: np.ndarray) -> float:
-        sigma = spectral_norm(np.tensordot(x, mats, axes=1))
+        sigma = spectral_norm(pencil(x))
         if sigma == 0:
             return -math.inf
         return float(c @ x) / sigma
@@ -407,6 +433,8 @@ def brute_distance(
         x = _sphere_point(angles)
         candidates.append((value(x), x))
     candidates.sort(key=lambda t: t[0], reverse=True)
+
+    from scipy import optimize
 
     best = candidates[0][0]
     for val, x0 in candidates[:8]:
@@ -505,14 +533,14 @@ class SearchParams:
     opnorm_rmax: Optional[int] = None
 
 
-def _two_norm_ascent(num_mats, den_mats, params: SearchParams):
+def _two_norm_ascent(num: _Pencil, den: _Pencil, params: SearchParams):
     """Multi-start ascent on the ratio of two matrix-pencil norms."""
-    m = len(num_mats)
+    m = len(num.coef)
     rng = np.random.default_rng(params.seed)
 
     def ratio(x):
-        N = spectral_norm(np.tensordot(x, num_mats, axes=1))
-        D = spectral_norm(np.tensordot(x, den_mats, axes=1))
+        N = spectral_norm(num(x))
+        D = spectral_norm(den(x))
         return N / D if D > 0 else 0.0
 
     best_val = 0.0
@@ -524,15 +552,11 @@ def _two_norm_ascent(num_mats, den_mats, params: SearchParams):
         local_x = x.copy()
         stall = 0
         for t in range(params.max_iters):
-            Nmat = np.tensordot(x, num_mats, axes=1)
-            Dmat = np.tensordot(x, den_mats, axes=1)
-            sn, un, vn = _top_singular(Nmat, hermitian=False)
-            sd, ud, vd = _top_singular(Dmat, hermitian=False)
+            sn, un, vn = _top_singular(num(x), hermitian=False)
+            sd, ud, vd = _top_singular(den(x), hermitian=False)
             if sd == 0 or sn == 0:
                 break
-            gn = np.real(np.einsum("i,kij,j->k", un.conj(), num_mats, vn))
-            gd = np.real(np.einsum("i,kij,j->k", ud.conj(), den_mats, vd))
-            grad = gn / sn - gd / sd
+            grad = num.grad(un, vn) / sn - den.grad(ud, vd) / sd
             norm_grad = np.linalg.norm(grad)
             if norm_grad < 1e-14:
                 break
@@ -554,10 +578,31 @@ def _two_norm_ascent(num_mats, den_mats, params: SearchParams):
     return best_val, best_x
 
 
-def _param_elements(group, lam: int):
-    double = ball(group, 2 * lam)
-    ident = group.identity()
-    return [z for z in double.elements if z != ident]
+def _param_pencil(idx: np.ndarray, weights: np.ndarray) -> _Pencil:
+    """Pencil over (re, im) pairs of a symbol on the double ball minus the identity."""
+    m = len(weights)
+    k = np.arange(m)
+    coef = np.zeros((2 * m, m + 1), dtype=complex)
+    coef[2 * k, k + 1] = weights
+    coef[2 * k + 1, k + 1] = 1j * weights
+    return _Pencil(idx, coef)
+
+
+def _epsilon_pencils(group, lam: int, s: int, radius: int, cap: Optional[int]):
+    """Basis floor and the numerator and denominator pencils of an epsilon search.
+
+    The numerator weights a symbol on the radius-lam double ball by one
+    minus the kernel, the denominator by word length to the s-th power; both
+    are compressed to the ball of ``radius``.  The floor is the best ratio
+    over single basis directions, max (1 - K(z)) / len(z)^s.
+    """
+    kern = fejer_kernel(group, lam, cap=cap)
+    double = ball(group, 2 * lam, cap=cap)
+    wnum = np.array([float(1 - kern.values[z]) for z in double.elements[1:]])
+    wden = np.array([float(length**s) for length in double.lengths[1:]])
+    idx = symbol_positions(group, radius, cap=cap)
+    floor = float(np.max(wnum / wden))
+    return floor, _param_pencil(idx, wnum), _param_pencil(idx, wden)
 
 
 def _element_from_params(group, x: np.ndarray, elems) -> AlgebraElement:
@@ -569,92 +614,49 @@ def _element_from_params(group, x: np.ndarray, elems) -> AlgebraElement:
     return AlgebraElement(group, coeffs)
 
 
-def epsilon_full(group, lam: int, s: int, search: Optional[SearchParams] = None) -> float:
+def epsilon_full(
+    group, lam: int, s: int, search: Optional[SearchParams] = None, cap: Optional[int] = None
+) -> float:
     """Empirical Lipschitz constant of the kernel defect on the full algebra.
 
     Lower-bounds the best constant in ``norm(f - kernel(f)) <= eps * Lip(f)``
     by probing every nonscalar basis direction exactly and then running
     multi-start ratio ascent over complex symbols on the double ball; the
     best candidate is re-evaluated with budgeted compression norms.
+
+    ``cap`` bounds every ball enumerated: the double ball of lam, the
+    lam + r_pad ball the pencils are compressed to, and the balls of the
+    re-evaluation (up to radius 2 lam by default).  A compression to the
+    radius-r ball also indexes the double ball of r, which is never larger
+    than the square of the capped ball.
     """
     search = search or SearchParams()
-    kern = fejer_kernel(group, lam)
-    elems = _param_elements(group, lam)
-    best = 0.0
-    for z in elems:
-        ratio = float(1 - kern.values[z]) / word_length(group, z) ** s
-        best = max(best, ratio)
-
-    radius = lam + search.r_pad
-    from .groupalg import symbol_positions
-
-    ball(group, radius)
-    pos = symbol_positions(group, radius)
-    n = len(ball(group, radius))
-    num_mats = []
-    den_mats = []
-    for z in elems:
-        rc = pos.get(z)
-        base = np.zeros((n, n), dtype=complex)
-        if rc is not None:
-            base[rc[0], rc[1]] = 1.0
-        wnum = float(1 - kern.values[z])
-        wden = float(word_length(group, z) ** s)
-        num_mats.append(wnum * base)
-        num_mats.append(1j * wnum * base)
-        den_mats.append(wden * base)
-        den_mats.append(1j * wden * base)
-    num_mats = np.array(num_mats)
-    den_mats = np.array(den_mats)
-
-    _, best_x = _two_norm_ascent(num_mats, den_mats, search)
+    best, num, den = _epsilon_pencils(group, lam, s, lam + search.r_pad, cap)
+    _, best_x = _two_norm_ascent(num, den, search)
     if best_x is not None:
-        f = _element_from_params(group, best_x, elems)
+        f = _element_from_params(group, best_x, ball(group, 2 * lam, cap=cap).elements[1:])
         if len(f) > 0:
             r_max = search.opnorm_rmax if search.opnorm_rmax is not None else 2 * lam
-            num = opnorm(f - fejer_apply(f, lam), tol=search.opnorm_tol, r_max=r_max)
-            den = opnorm(derivative(f, s), tol=search.opnorm_tol, r_max=r_max)
-            if den.estimate > 0:
-                best = max(best, num.estimate / den.estimate)
+            smooth = fejer_apply(f, lam, cap=cap)
+            defect = opnorm(f - smooth, tol=search.opnorm_tol, r_max=r_max, cap=cap)
+            lip = opnorm(derivative(f, s), tol=search.opnorm_tol, r_max=r_max, cap=cap)
+            if lip.estimate > 0:
+                best = max(best, defect.estimate / lip.estimate)
     return best
 
 
-def epsilon_truncated(group, lam: int, s: int, search: Optional[SearchParams] = None) -> float:
+def epsilon_truncated(
+    group, lam: int, s: int, search: Optional[SearchParams] = None, cap: Optional[int] = None
+) -> float:
     """Empirical Lipschitz constant of the round-trip defect on the truncation.
 
     Same search shape as :func:`epsilon_full`, but both norms are exact
-    finite matrix norms over the radius-lam ball.
+    finite matrix norms over the radius-lam ball; ``cap`` bounds that ball
+    and its double ball.
     """
     search = search or SearchParams()
-    kern = fejer_kernel(group, lam)
-    elems = _param_elements(group, lam)
-    best = 0.0
-    for z in elems:
-        ratio = float(1 - kern.values[z]) / word_length(group, z) ** s
-        best = max(best, ratio)
-
-    from .groupalg import symbol_positions
-
-    ball(group, lam)
-    pos = symbol_positions(group, lam)
-    n = len(ball(group, lam))
-    num_mats = []
-    den_mats = []
-    for z in elems:
-        rc = pos.get(z)
-        base = np.zeros((n, n), dtype=complex)
-        if rc is not None:
-            base[rc[0], rc[1]] = 1.0
-        wnum = float(1 - kern.values[z])
-        wden = float(word_length(group, z) ** s)
-        num_mats.append(wnum * base)
-        num_mats.append(1j * wnum * base)
-        den_mats.append(wden * base)
-        den_mats.append(1j * wden * base)
-    num_mats = np.array(num_mats)
-    den_mats = np.array(den_mats)
-
-    val, best_x = _two_norm_ascent(num_mats, den_mats, search)
+    best, num, den = _epsilon_pencils(group, lam, s, lam, cap)
+    val, best_x = _two_norm_ascent(num, den, search)
     if best_x is not None:
         best = max(best, val)
     return best

@@ -24,6 +24,7 @@ from .groupalg import (
     symbol_positions,
     _parse_value,
     _format_value,
+    _symbol_vector,
 )
 
 __all__ = [
@@ -152,14 +153,8 @@ def identity_operator(group, lam: int) -> ToeplitzOperator:
 
 def materialize(T: ToeplitzOperator) -> np.ndarray:
     """Dense matrix of the truncated operator over the ball's element order."""
-    b = ball(T.group, T.radius)
-    pos = symbol_positions(T.group, T.radius)
-    M = np.zeros((len(b), len(b)), dtype=complex)
-    for z, v in T.items():
-        rc = pos.get(z)
-        if rc is not None:
-            M[rc[0], rc[1]] = complex(v)
-    return M
+    idx = symbol_positions(T.group, T.radius)
+    return _symbol_vector(T.group, T.radius, T.items())[idx]
 
 
 def truncated_derivative(T: ToeplitzOperator, s: int = 1) -> ToeplitzOperator:

@@ -258,6 +258,41 @@ def test_converge_keyvalue_config_with_output(capsys, tmp_path):
     assert (tmp_path / "rows.gp").exists()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_converge_stdout_matches_output_file(capsys, tmp_path, fmt):
+    argv = ["converge", "--group", "z:1", "--lambdas", "1,2", "--trials", "1", "--format", fmt]
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    dest = tmp_path / f"rows.{fmt}"
+    code, _, _ = _run(capsys, *argv, "--output", str(dest))
+    assert code == 0
+    assert out == dest.read_text()
+
+
+def test_converge_skips_a_row_whose_pencil_ball_is_over_the_cap(capsys, tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("ball_cap = 6\ns = 2\ntrials = 1\n")
+    code, out, _ = _run(
+        capsys, "converge", "--group", "z:1", "--lambdas", "1", "--config", str(cfg),
+        "--format", "json",
+    )
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert row["skipped"]
+    assert "radius 3" in row["reason"] and "cap of 6" in row["reason"]
+
+
+def test_converge_auto_s_under_a_tight_cap_exits_3(capsys, tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("ball_cap = 6\n")
+    code, out, err = _run(
+        capsys, "converge", "--group", "z:1", "--lambdas", "1", "--config", str(cfg),
+    )
+    assert code == 3
+    assert out == ""
+    assert "resource cap" in err and "cap of 6" in err
+
+
 def test_converge_rejects_unknown_config_key(capsys, tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("group = z:1\nlambda_range = 1\nfrobs = 3\n")
