@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import product
 from typing import Mapping, Optional
 
 import numpy as np
@@ -228,7 +227,8 @@ class _Pencil:
     Row k of ``coef`` is the symbol of M_k over the leading positions of a
     double ball in BFS order, which every larger double ball shares.  Entry
     (i, j) of M(x) is (x @ coef)[idx[i, j]], and zero where the index map
-    points past the symbol.
+    points past the symbol.  Points and vectors may be single or stacked
+    along a leading axis.
     """
 
     def __init__(self, idx: np.ndarray, coef: np.ndarray):
@@ -237,14 +237,20 @@ class _Pencil:
         self._flat = self.idx.ravel()
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.append(x @ self.coef, 0)[self.idx]
+        sym = x @ self.coef
+        return np.concatenate([sym, np.zeros_like(sym[..., :1])], axis=-1)[..., self.idx]
 
     def grad(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Re(u^H M_k v) for every k, from u-bar v summed per symbol position."""
-        w = np.outer(u.conj(), v).ravel()
+        """Re(u^H M_k v) for every k, from u-bar v summed per symbol position.
+
+        Row b of a stack sums into its own bins, offset by b * slots.
+        """
+        w = (u.conj()[..., :, None] * v[..., None, :]).ravel()
         slots = self.coef.shape[1] + 1
-        g = np.bincount(self._flat, w.real, slots) + 1j * np.bincount(self._flat, w.imag, slots)
-        return (self.coef @ g[:-1]).real
+        rows = len(w) // len(self._flat)
+        bins = (self._flat + slots * np.arange(rows)[:, None]).ravel()
+        g = np.bincount(bins, w.real, rows * slots) + 1j * np.bincount(bins, w.imag, rows * slots)
+        return (g.reshape(*u.shape[:-1], slots)[..., :-1] @ self.coef.T).real
 
 
 def _selfadjoint_pencil(group, lam: int, s: int, basis: list[dict], lip_scale: float) -> _Pencil:
@@ -258,16 +264,34 @@ def _selfadjoint_pencil(group, lam: int, s: int, basis: list[dict], lip_scale: f
     return _Pencil(symbol_positions(group, lam), coef * lip_scale)
 
 
+# Largest stacked n x n complex array one ascent step holds: a stack of
+# points is solved in chunks of at most this many bytes per stacked array.
+_STACK_BYTES = 1 << 22
+
+
 def _top_singular(M: np.ndarray, hermitian: bool):
+    """Top singular values and pairs (u, v), Re(u^H M v) = sigma, of a (B, n, n) stack."""
+    rows = np.arange(len(M))
     if hermitian:
         w, V = np.linalg.eigh(M)
-        i = int(np.argmax(np.abs(w)))
-        sigma = abs(w[i])
-        v = V[:, i]
-        u = v if w[i] >= 0 else -v
-        return sigma, u, v
+        i = np.argmax(np.abs(w), axis=1)
+        top = w[rows, i]
+        v = V[rows, :, i]
+        return np.abs(top), np.where(top[:, None] >= 0, v, -v), v
     U, S, Vh = np.linalg.svd(M)
-    return float(S[0]), U[:, 0], Vh[0].conj()
+    return S[:, 0], U[:, :, 0], Vh[:, 0].conj()
+
+
+def _norms_and_grads(pencil: _Pencil, X: np.ndarray, hermitian: bool):
+    """||pencil(x)|| and its gradient in x for every row x of X, one solve per chunk."""
+    n = len(pencil.idx)
+    chunk = max(1, _STACK_BYTES // (16 * n * n))
+    sigma, grad = [], []
+    for lo in range(0, len(X), chunk):
+        s, u, v = _top_singular(pencil(X[lo : lo + chunk]), hermitian)
+        sigma.append(s)
+        grad.append(pencil.grad(u, v))
+    return np.concatenate(sigma), np.concatenate(grad)
 
 
 def _ratio_ascent(c: np.ndarray, pencil: _Pencil, params: SolverParams, hermitian: bool):
@@ -276,6 +300,7 @@ def _ratio_ascent(c: np.ndarray, pencil: _Pencil, params: SolverParams, hermitia
     Works on the scale-invariant ratio c.x / ||M(x)||; every iterate yields a
     feasible point after rescaling, so the best value seen is a valid lower
     bound.  The subgradient of the matrix norm comes from a top singular pair.
+    All starts advance in lockstep; a start leaves the stack when it stalls.
     """
     m = len(c)
     cnorm = float(np.linalg.norm(c))
@@ -288,48 +313,36 @@ def _ratio_ascent(c: np.ndarray, pencil: _Pencil, params: SolverParams, hermitia
             continue
         starts.append(u / un)
         starts.append(-u / un)
-    starts = starts[: max(params.starts, 2)]
+    x = np.array(starts[: max(params.starts, 2)])
 
-    def ratio_and_grad(x):
-        sigma, u, v = _top_singular(pencil(x), hermitian)
-        val = float(c @ x) / sigma
-        grad_sigma = pencil.grad(u, v)
-        grad = c / sigma - (float(c @ x) / sigma**2) * grad_sigma
-        return val, grad
-
-    best_val = -math.inf
-    best_x = None
-    best_stalled = False
-    for x0 in starts:
-        x = x0.copy()
-        local_best = -math.inf
-        local_x = x0.copy()
-        stall = 0
-        stalled = False
-        for t in range(params.max_iters):
-            val, grad = ratio_and_grad(x)
-            if val > local_best + params.tol:
-                local_best = val
-                local_x = x.copy()
-                stall = 0
-            else:
-                stall += 1
-                if stall > 40:
-                    stalled = True
-                    break
-            gn = np.linalg.norm(grad)
-            if gn < 1e-15:
-                stalled = True
-                break
-            step = params.step0 / (1.0 + params.step_decay * t)
-            x = x + step * grad / gn
-            x /= np.linalg.norm(x)
-        if local_best > best_val:
-            best_val = local_best
-            best_x = local_x
-            best_stalled = stalled
-    status = "converged" if best_stalled else "iteration-cap"
-    return best_val, best_x, status
+    best = np.full(len(x), -math.inf)
+    best_x = x.copy()
+    stall = np.zeros(len(x), dtype=int)
+    stalled = np.zeros(len(x), dtype=bool)
+    live = np.arange(len(x))
+    for t in range(params.max_iters):
+        if not live.size:
+            break
+        xl = x[live]
+        sigma, grad_sigma = _norms_and_grads(pencil, xl, hermitian)
+        cx = xl @ c
+        val = cx / sigma
+        grad = c / sigma[:, None] - (cx / sigma**2)[:, None] * grad_sigma
+        up = val > best[live] + params.tol
+        best[live[up]] = val[up]
+        best_x[live[up]] = xl[up]
+        stall[live] = np.where(up, 0, stall[live] + 1)
+        gn = np.linalg.norm(grad, axis=1)
+        stop = (stall[live] > 40) | (gn < 1e-15)
+        stalled[live[stop]] = True
+        go = ~stop
+        live = live[go]
+        step = params.step0 / (1.0 + params.step_decay * t)
+        xn = xl[go] + step * grad[go] / gn[go, None]
+        x[live] = xn / np.linalg.norm(xn, axis=1)[:, None]
+    i = int(np.argmax(best))
+    status = "converged" if stalled[i] else "iteration-cap"
+    return float(best[i]), best_x[i], status
 
 
 def lip_distance(
@@ -374,18 +387,6 @@ def lip_distance(
     return DistanceResult(value=float(c @ scaled), witness=witness, status=status)
 
 
-def _sphere_point(angles: tuple[float, ...]) -> np.ndarray:
-    """Hyperspherical coordinates to a unit vector."""
-    m = len(angles) + 1
-    x = np.ones(m)
-    for i, a in enumerate(angles):
-        sin_prod = x[i]
-        x[i] = sin_prod * math.cos(a)
-        for j in range(i + 1, m):
-            x[j] *= math.sin(a)
-    return x
-
-
 def brute_distance(
     phi: State,
     psi: State,
@@ -428,16 +429,19 @@ def brute_distance(
 
     axes = [np.linspace(0.0, math.pi, grid, endpoint=False) for _ in range(m - 2)]
     axes.append(np.linspace(0.0, 2 * math.pi, 2 * grid, endpoint=False))
-    candidates = []
-    for angles in product(*axes):
-        x = _sphere_point(angles)
-        candidates.append((value(x), x))
-    candidates.sort(key=lambda t: t[0], reverse=True)
+    angles = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m - 1)
+    ones = np.ones((len(angles), 1))
+    sines = np.concatenate([ones, np.cumprod(np.sin(angles), axis=1)], axis=1)
+    points = sines * np.concatenate([np.cos(angles), ones], axis=1)
+    sigma = np.max(np.abs(np.linalg.eigvalsh(pencil(points))), axis=1)
+    scores = np.full(len(points), -math.inf)
+    np.divide(points @ c, sigma, out=scores, where=sigma > 0)
+    order = np.argsort(-scores, kind="stable")
 
     from scipy import optimize
 
-    best = candidates[0][0]
-    for val, x0 in candidates[:8]:
+    best = float(scores[order[0]])
+    for x0 in points[order[:8]]:
         res = optimize.minimize(
             lambda x: -value(x),
             x0,
@@ -534,48 +538,45 @@ class SearchParams:
 
 
 def _two_norm_ascent(num: _Pencil, den: _Pencil, params: SearchParams):
-    """Multi-start ascent on the ratio of two matrix-pencil norms."""
+    """Multi-start ascent on the ratio of two matrix-pencil norms.
+
+    All starts advance in lockstep.  Each step scores every live iterate with
+    the top singular values whose vectors give its gradient; a start leaves
+    the stack when it stalls, a pencil vanishes or the gradient does.
+    """
     m = len(num.coef)
     rng = np.random.default_rng(params.seed)
+    x = rng.standard_normal((params.starts, m))
+    x /= np.linalg.norm(x, axis=1)[:, None]
 
-    def ratio(x):
-        N = spectral_norm(num(x))
-        D = spectral_norm(den(x))
-        return N / D if D > 0 else 0.0
-
-    best_val = 0.0
-    best_x = None
-    for _ in range(params.starts):
-        x = rng.standard_normal(m)
-        x /= np.linalg.norm(x)
-        local_best = ratio(x)
-        local_x = x.copy()
-        stall = 0
-        for t in range(params.max_iters):
-            sn, un, vn = _top_singular(num(x), hermitian=False)
-            sd, ud, vd = _top_singular(den(x), hermitian=False)
-            if sd == 0 or sn == 0:
-                break
-            grad = num.grad(un, vn) / sn - den.grad(ud, vd) / sd
-            norm_grad = np.linalg.norm(grad)
-            if norm_grad < 1e-14:
-                break
-            step = params.step0 / (1.0 + params.step_decay * t)
-            x = x + step * grad / norm_grad
-            x /= np.linalg.norm(x)
-            val = ratio(x)
-            if val > local_best * (1 + 1e-12):
-                local_best = val
-                local_x = x.copy()
-                stall = 0
-            else:
-                stall += 1
-                if stall > 30:
-                    break
-        if local_best > best_val:
-            best_val = local_best
-            best_x = local_x
-    return best_val, best_x
+    best = np.full(len(x), -math.inf)
+    best_x = x.copy()
+    stall = np.zeros(len(x), dtype=int)
+    live = np.arange(len(x))
+    for t in range(params.max_iters + 1):
+        if not live.size:
+            break
+        xl = x[live]
+        sn, gnum = _norms_and_grads(num, xl, False)
+        sd, gden = _norms_and_grads(den, xl, False)
+        val = np.divide(sn, sd, out=np.zeros_like(sn), where=sd > 0)
+        up = val > best[live] * (1 + 1e-12)
+        best[live[up]] = val[up]
+        best_x[live[up]] = xl[up]
+        stall[live] = np.where(up, 0, stall[live] + 1)
+        go = (stall[live] <= 30) & (sn > 0) & (sd > 0) & (t < params.max_iters)
+        grad = np.zeros_like(xl)
+        grad[go] = gnum[go] / sn[go, None] - gden[go] / sd[go, None]
+        gn = np.linalg.norm(grad, axis=1)
+        go &= gn >= 1e-14
+        live = live[go]
+        step = params.step0 / (1.0 + params.step_decay * t)
+        xn = xl[go] + step * grad[go] / gn[go, None]
+        x[live] = xn / np.linalg.norm(xn, axis=1)[:, None]
+    if not best.size or best.max() <= 0:
+        return 0.0, None
+    i = int(np.argmax(best))
+    return float(best[i]), best_x[i]
 
 
 def _param_pencil(idx: np.ndarray, weights: np.ndarray) -> _Pencil:

@@ -4,9 +4,12 @@ The references are the direct constructions: a dict from each group element
 to the matrix positions that read it, one dense matrix per basis direction,
 and pencil contractions with ``tensordot``/``einsum``.  The index-map path
 must give bit-equal matrices; its gradients sum in another order and must
-agree to 1e-12 relative.
+agree to 1e-12 relative.  Stacked calls, which the lockstep ascents make,
+must agree with the same references row by row, and each ascent must agree
+with a per-start reference that runs its starts one after another.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -25,12 +28,18 @@ from spectrunc import (
     random_element,
     word_length,
 )
-from spectrunc.groupalg import symbol_positions
+from spectrunc import qmetric
+from spectrunc.groupalg import spectral_norm, symbol_positions
 from spectrunc.qmetric import (
     SearchParams,
+    SolverParams,
     _epsilon_pencils,
+    _norms_and_grads,
+    _ratio_ascent,
     _selfadjoint_basis,
     _selfadjoint_pencil,
+    _top_singular,
+    _two_norm_ascent,
 )
 
 Z1 = FreeAbelian(1)
@@ -117,6 +126,165 @@ def test_selfadjoint_pencil_matches_dense_stack(group, lam):
     basis = _selfadjoint_basis(group, lam)
     pencil = _selfadjoint_pencil(group, lam, 2, basis, 1.7)
     _assert_pencil_matches(pencil, _dense_selfadjoint_stack(group, lam, 2, basis, 1.7), rng)
+
+
+def _case_pencils(group, lam):
+    """(pencil, dense stack, Hermitian) for every pencil the searches build on one case."""
+    s = 2
+    out = []
+    for radius in (lam, lam + SearchParams().r_pad):
+        _, num, den = _epsilon_pencils(group, lam, s, radius, None)
+        ref_num, ref_den = _dense_epsilon_stacks(group, lam, s, radius)
+        out += [(num, ref_num, False), (den, ref_den, False)]
+    basis = _selfadjoint_basis(group, lam)
+    dense = _dense_selfadjoint_stack(group, lam, s, basis, 1.7)
+    return out + [(_selfadjoint_pencil(group, lam, s, basis, 1.7), dense, True)]
+
+
+def _assert_rel_close(got, want, rel=1e-12):
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("group,lam", PENCIL_CASES)
+def test_stacked_pencil_and_grad_match_dense_rows(group, lam):
+    rng = np.random.default_rng(9)
+    for pencil, mats, _ in _case_pencils(group, lam):
+        m, n = mats.shape[:2]
+        X = rng.standard_normal((5, m))
+        U = np.array([_unit(rng, n) for _ in range(5)])
+        V = np.array([_unit(rng, n) for _ in range(5)])
+        stack, grads = pencil(X), pencil.grad(U, V)
+        assert stack.shape == (5, n, n) and grads.shape == (5, m)
+        for b in range(5):
+            _assert_rel_close(stack[b], np.tensordot(X[b], mats, axes=1))
+            _assert_rel_close(grads[b], np.real(np.einsum("i,kij,j->k", U[b].conj(), mats, V[b])))
+
+
+@pytest.mark.parametrize("group,lam", PENCIL_CASES)
+def test_stacked_top_singular_matches_spectral_norm(group, lam):
+    rng = np.random.default_rng(10)
+    for pencil, mats, hermitian in _case_pencils(group, lam):
+        M = pencil(rng.standard_normal((4, len(mats))))
+        sigma, u, v = _top_singular(M, hermitian)
+        for b in range(4):
+            assert abs(sigma[b] - spectral_norm(M[b])) <= 1e-12 * sigma[b]
+            assert abs(np.vdot(u[b], M[b] @ v[b]).real - sigma[b]) <= 1e-12 * sigma[b]
+            if hermitian:
+                assert np.array_equal(u[b], v[b]) or np.array_equal(u[b], -v[b])
+
+
+def test_stack_is_solved_in_chunks_under_the_byte_size(monkeypatch):
+    rng = np.random.default_rng(11)
+    pencil, _, hermitian = _case_pencils(H, 1)[-1]
+    X = rng.standard_normal((7, len(pencil.coef)))
+    whole = _norms_and_grads(pencil, X, hermitian)
+    n = len(pencil.idx)
+    solved = []
+
+    def counted(M, hermitian):
+        solved.append(len(M))
+        return _top_singular(M, hermitian)
+
+    monkeypatch.setattr(qmetric, "_STACK_BYTES", 3 * 16 * n * n)
+    monkeypatch.setattr(qmetric, "_top_singular", counted)
+    chunked = _norms_and_grads(pencil, X, hermitian)
+    assert solved == [3, 3, 1]
+    for got, want in zip(chunked, whole):
+        _assert_rel_close(got, want)
+
+
+def _reference_two_norm(num, den, params):
+    """Best value of the epsilon ascent run one start after another."""
+    rng = np.random.default_rng(params.seed)
+    best_val = 0.0
+    for _ in range(params.starts):
+        x = rng.standard_normal(len(num.coef))
+        x /= np.linalg.norm(x)
+        local_best, stall = -math.inf, 0
+        for t in range(params.max_iters + 1):
+            (sn,), un, vn = _top_singular(num(x)[None], False)
+            (sd,), ud, vd = _top_singular(den(x)[None], False)
+            val = sn / sd if sd > 0 else 0.0
+            if val > local_best * (1 + 1e-12):
+                local_best, stall = val, 0
+            else:
+                stall += 1
+                if stall > 30:
+                    break
+            if sn == 0 or sd == 0 or t == params.max_iters:
+                break
+            grad = num.grad(un[0], vn[0]) / sn - den.grad(ud[0], vd[0]) / sd
+            if np.linalg.norm(grad) < 1e-14:
+                break
+            x = x + params.step0 / (1.0 + params.step_decay * t) * grad / np.linalg.norm(grad)
+            x = x / np.linalg.norm(x)
+        best_val = max(best_val, local_best)
+    return best_val
+
+
+def _reference_ratio(c, pencil, params):
+    """The Hermitian distance ascent run one start after another."""
+    rng = np.random.default_rng(params.seed)
+    starts = [c / np.linalg.norm(c), -c / np.linalg.norm(c)]
+    while len(starts) < params.starts:
+        u = rng.standard_normal(len(c))
+        starts += [u / np.linalg.norm(u), -u / np.linalg.norm(u)]
+    best_val, best_stalled = -math.inf, False
+    for x in starts[: max(params.starts, 2)]:
+        local_best, stall, stalled = -math.inf, 0, False
+        for t in range(params.max_iters):
+            (sigma,), u, v = _top_singular(pencil(x)[None], True)
+            val = c @ x / sigma
+            grad = c / sigma - (val / sigma) * pencil.grad(u[0], v[0])
+            if val > local_best + params.tol:
+                local_best, stall = val, 0
+            else:
+                stall += 1
+                if stall > 40:
+                    stalled = True
+                    break
+            if np.linalg.norm(grad) < 1e-15:
+                stalled = True
+                break
+            x = x + params.step0 / (1.0 + params.step_decay * t) * grad / np.linalg.norm(grad)
+            x = x / np.linalg.norm(x)
+        if local_best > best_val:
+            best_val, best_stalled = local_best, stalled
+    return best_val, "converged" if best_stalled else "iteration-cap"
+
+
+@pytest.mark.parametrize("group,lam", PENCIL_CASES)
+def test_ascents_return_a_point_that_attains_their_value(group, lam):
+    # budgets long enough that some starts leave the stack while others improve
+    for seed in range(3):
+        _, num, den = _epsilon_pencils(group, lam, 2, lam, None)
+        val, x = _two_norm_ascent(num, den, SearchParams(starts=3, seed=seed))
+        assert abs(val - spectral_norm(num(x)) / spectral_norm(den(x))) <= 1e-12 * val
+        basis = _selfadjoint_basis(group, lam)
+        pencil = _selfadjoint_pencil(group, lam, 2, basis, 1.0)
+        c = np.random.default_rng(seed).standard_normal(len(basis))
+        best_val, x, _ = _ratio_ascent(c, pencil, SolverParams(starts=8, max_iters=200, seed=seed), True)
+        assert abs(c @ x / spectral_norm(pencil(x)) - best_val) <= 1e-12 * abs(best_val)
+
+
+@pytest.mark.parametrize("group,lam", PENCIL_CASES)
+def test_lockstep_ascents_match_a_per_start_reference(group, lam):
+    # lockstep and per-start runs sum in different orders, so the paths agree
+    # to rounding rather than bit for bit
+    for seed in range(3):
+        search = SearchParams(starts=4, max_iters=60, seed=seed)
+        for radius in (lam, lam + search.r_pad):
+            _, num, den = _epsilon_pencils(group, lam, 2, radius, None)
+            got, want = _two_norm_ascent(num, den, search)[0], _reference_two_norm(num, den, search)
+            assert abs(got - want) <= 1e-9 * want
+        basis = _selfadjoint_basis(group, lam)
+        pencil = _selfadjoint_pencil(group, lam, 2, basis, 1.0)
+        c = np.random.default_rng(seed).standard_normal(len(basis))
+        solver = SolverParams(starts=6, max_iters=120, seed=seed)
+        val, _, status = _ratio_ascent(c, pencil, solver, True)
+        want_val, want_status = _reference_ratio(c, pencil, solver)
+        assert abs(val - want_val) <= 1e-9 * abs(want_val)
+        assert status == want_status
 
 
 @pytest.mark.parametrize("group,lam", PENCIL_CASES)
