@@ -64,7 +64,6 @@ from .truncation import (
     truncation_defect,
 )
 from .qmetric import (
-    BridgeSpec,
     DistanceResult,
     SearchParams,
     SolverParams,

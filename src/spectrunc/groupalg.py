@@ -85,12 +85,26 @@ class AlgebraElement:
     def __len__(self) -> int:
         return len(self._coeffs)
 
+    def _new(self, coeffs: Mapping) -> "AlgebraElement":
+        """An element of the same kind and space as self with these coefficients."""
+        return AlgebraElement(self.group, coeffs)
+
+    def _mismatch(self, other: "AlgebraElement") -> Optional[str]:
+        """Why other cannot be added to or equal self, or None when it can."""
+        if type(other) is not type(self):
+            return f"cannot combine {type(self).__name__} with {type(other).__name__}"
+        if other.group != self.group:
+            return f"group mismatch: {self.group.name} vs {other.group.name}"
+        return None
+
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        _check_same_group(self, other)
+        problem = self._mismatch(other)
+        if problem:
+            raise ValueError(problem)
         out = dict(self._coeffs)
         for g, v in other._coeffs.items():
             out[g] = out.get(g, 0) + v
-        return AlgebraElement(self.group, out)
+        return self._new(out)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-1) * other
@@ -99,15 +113,15 @@ class AlgebraElement:
         return (-1) * self
 
     def __mul__(self, scalar) -> "AlgebraElement":
-        return AlgebraElement(self.group, {g: v * scalar for g, v in self._coeffs.items()})
+        return self._new({g: v * scalar for g, v in self._coeffs.items()})
 
     def __rmul__(self, scalar) -> "AlgebraElement":
-        return AlgebraElement(self.group, {g: scalar * v for g, v in self._coeffs.items()})
+        return self._new({g: scalar * v for g, v in self._coeffs.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.group == other.group and self._coeffs == other._coeffs
+        return self._mismatch(other) is None and self._coeffs == other._coeffs
 
     __hash__ = None
 
@@ -260,17 +274,21 @@ def _power_norm(M: np.ndarray, iters: int = 500, tol: float = 1e-13) -> float:
     return math.sqrt(prev)
 
 
-def spectral_norm(M: np.ndarray, power_threshold: int = 2000) -> float:
+# Matrices with a side longer than this are normed by power iteration.
+_POWER_THRESHOLD = 2000
+
+
+def spectral_norm(M: np.ndarray) -> float:
     """Largest singular value of a dense matrix.
 
     Uses a Hermitian eigensolver when possible, the normal-matrix eigensolver
-    otherwise, and power iteration above ``power_threshold``.
+    otherwise, and power iteration above ``_POWER_THRESHOLD``.
     """
     M = np.asarray(M)
     if M.size == 0:
         return 0.0
     n = max(M.shape)
-    if n > power_threshold:
+    if n > _POWER_THRESHOLD:
         return _power_norm(M)
     if M.shape[0] == M.shape[1] and np.array_equal(M, M.conj().T):
         return float(np.max(np.abs(np.linalg.eigvalsh(M))))
@@ -448,6 +466,27 @@ def fejer_apply(f: AlgebraElement, lam: int, cap: Optional[int] = None) -> Algeb
         if w:
             out[g] = w * v
     return AlgebraElement(f.group, out)
+
+
+def _quadratic_form(f: AlgebraElement, xi: Mapping) -> complex:
+    """<xi, f xi> for left convolution by f on a finitely supported vector xi.
+
+    Sums conj(xi(x)) f(z) xi(z^{-1} x) over the support of xi and of f.
+    """
+    grp = f.group
+    mul = grp.multiply
+    terms = [(grp.inverse(z), complex(fz)) for z, fz in f.items()]
+    total = 0.0 + 0.0j
+    for x, vx in xi.items():
+        if vx == 0:
+            continue
+        acc = 0.0 + 0.0j
+        for zinv, fz in terms:
+            vy = xi.get(mul(zinv, x), 0)
+            if vy != 0:
+                acc += fz * complex(vy)
+        total += complex(vx).conjugate() * acc
+    return total
 
 
 def _format_value(v, exact: bool) -> tuple[str, str]:

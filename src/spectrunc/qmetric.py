@@ -29,10 +29,10 @@ from .groupalg import (
     opnorm,
     spectral_norm,
     symbol_positions,
+    _quadratic_form,
 )
 from .truncation import (
     ToeplitzOperator,
-    compress,
     materialize,
     reconstruct,
     truncated_lipnorm,
@@ -49,7 +49,6 @@ __all__ = [
     "brute_distance",
     "bridge_norm",
     "combined_lipnorm",
-    "BridgeSpec",
     "SearchParams",
     "epsilon_full",
     "epsilon_truncated",
@@ -128,24 +127,6 @@ def _truncated_vector(state: State, lam: int) -> np.ndarray:
 
 def state_eval(state: State, a):
     """Evaluate a state on an algebra element or a truncated operator."""
-    if isinstance(a, AlgebraElement):
-        if state.lam is not None:
-            raise ValueError("a truncated state cannot evaluate a full algebra element")
-        if a.group != state.group:
-            raise ValueError("state and element live on different groups")
-        grp = state.group
-        mul, inv = grp.multiply, grp.inverse
-        xi = state.vector
-        total = 0.0 + 0.0j
-        for x, vx in xi.items():
-            acc = 0.0 + 0.0j
-            for z, az in a.items():
-                y = mul(inv(z), x)
-                vy = xi.get(y)
-                if vy is not None:
-                    acc += complex(az) * vy
-            total += vx.conjugate() * acc
-        return total
     if isinstance(a, ToeplitzOperator):
         if state.lam is None:
             raise ValueError("a full state cannot evaluate a truncated operator")
@@ -156,6 +137,12 @@ def state_eval(state: State, a):
             v = _truncated_vector(state, state.lam)
             return complex(np.vdot(v, M @ v))
         return complex(np.trace(state.rho @ M))
+    if isinstance(a, AlgebraElement):
+        if state.lam is not None:
+            raise ValueError("a truncated state cannot evaluate a full algebra element")
+        if a.group != state.group:
+            raise ValueError("state and element live on different groups")
+        return _quadratic_form(a, state.vector)
     raise TypeError(f"cannot evaluate a state on {type(a).__name__}")
 
 
@@ -345,6 +332,21 @@ def _ratio_ascent(c: np.ndarray, pencil: _Pencil, params: SolverParams, hermitia
     return float(best[i]), best_x[i], status
 
 
+def _distance_setup(phi: State, psi: State, lam: int):
+    """Group, self-adjoint basis and the state difference c_k = (phi - psi)(basis_k)."""
+    if phi.lam != lam or psi.lam != lam:
+        raise ValueError("both states must live on the radius-lam truncation")
+    if phi.group != psi.group:
+        raise ValueError("states live on different groups")
+    group = phi.group
+    basis = _selfadjoint_basis(group, lam)
+    ops = [ToeplitzOperator(group, lam, sym) for sym in basis]
+    c = np.array(
+        [(state_eval(phi, T) - state_eval(psi, T)).real for T in ops], dtype=float
+    )
+    return group, basis, c
+
+
 def lip_distance(
     phi: State,
     psi: State,
@@ -362,16 +364,7 @@ def lip_distance(
     hence is a certified lower bound of the supremum.
     """
     params = params or SolverParams()
-    if phi.lam != lam or psi.lam != lam:
-        raise ValueError("both states must live on the radius-lam truncation")
-    if phi.group != psi.group:
-        raise ValueError("states live on different groups")
-    group = phi.group
-    basis = _selfadjoint_basis(group, lam)
-    ops = [ToeplitzOperator(group, lam, sym) for sym in basis]
-    c = np.array(
-        [(state_eval(phi, T) - state_eval(psi, T)).real for T in ops], dtype=float
-    )
+    group, basis, c = _distance_setup(phi, psi, lam)
     zero = ToeplitzOperator(group, lam, {})
     if np.linalg.norm(c) == 0:
         return DistanceResult(value=0.0, witness=zero, status="converged")
@@ -401,19 +394,10 @@ def brute_distance(
     local simplex refinement of the best candidates.  Refuses instances whose
     self-adjoint symbol space has more than 4 real dimensions.
     """
-    if phi.lam != lam or psi.lam != lam:
-        raise ValueError("both states must live on the radius-lam truncation")
-    if phi.group != psi.group:
-        raise ValueError("states live on different groups")
-    group = phi.group
-    basis = _selfadjoint_basis(group, lam)
+    group, basis, c = _distance_setup(phi, psi, lam)
     m = len(basis)
     if m > 4:
         raise ValueError(f"oracle refuses dimension {m} > 4")
-    ops = [ToeplitzOperator(group, lam, sym) for sym in basis]
-    c = np.array(
-        [(state_eval(phi, T) - state_eval(psi, T)).real for T in ops], dtype=float
-    )
     if np.linalg.norm(c) == 0:
         return 0.0
     pencil = _selfadjoint_pencil(group, lam, s, basis, lip_scale)
@@ -478,24 +462,6 @@ def bridge_norm(
         worst = max(word_length(diff.group, g) for g in diff.support)
         r_max = max(4, min(worst + 2, 2 * b.radius + 2))
     return opnorm(diff, tol=tol, r_max=r_max).estimate / epsilon
-
-
-@dataclass(frozen=True)
-class BridgeSpec:
-    """A truncation radius and coupling constant, with its direction maps."""
-
-    group: object
-    lam: int
-    epsilon: float
-
-    def to_truncated(self, a: AlgebraElement) -> ToeplitzOperator:
-        return compress(a, self.lam)
-
-    def to_full(self, T: ToeplitzOperator) -> AlgebraElement:
-        return reconstruct(T)
-
-    def norm(self, a: AlgebraElement, T: ToeplitzOperator, **kw) -> float:
-        return bridge_norm(a, T, self.epsilon, **kw)
 
 
 def combined_lipnorm(

@@ -19,11 +19,17 @@ import numpy as np
 from .cayley import ball, word_length
 from .groupalg import (
     AlgebraElement,
+    convolve,
+    derivative,
+    fejer_apply,
     fejer_kernel,
+    format_algebra_element,
+    involution,
+    parse_algebra_element,
+    random_element,
     spectral_norm,
     symbol_positions,
-    _parse_value,
-    _format_value,
+    _quadratic_form,
     _symbol_vector,
 )
 
@@ -46,93 +52,52 @@ __all__ = [
 ]
 
 
-class ToeplitzOperator:
+class ToeplitzOperator(AlgebraElement):
     """Ball compression of a convolution operator, stored by its symbol.
 
-    The symbol assigns a coefficient to each element of the double ball; the
-    materialized matrix over the radius-lam ball has entry symbol(x y^{-1})
-    at position (x, y).
+    The symbol is an algebra element supported on the double ball of the
+    radius; the materialized matrix over the radius-lam ball has entry
+    symbol(x y^{-1}) at position (x, y).  Arithmetic is the algebra's, and
+    only operators on the same truncation combine or compare equal.
     """
 
-    __slots__ = ("group", "radius", "_symbol")
+    __slots__ = ("radius",)
 
     def __init__(self, group, radius: int, symbol: Mapping):
         if radius < 1:
             raise ValueError(f"truncation radius must be at least 1, got {radius}")
         double = ball(group, 2 * radius)
-        clean = {}
-        for z, v in symbol.items():
+        for z in symbol:
             group.validate(z)
             if z not in double:
                 raise ValueError(
                     f"symbol entry at {z} lies outside the double ball of radius {2 * radius}"
                 )
-            if v != 0:
-                clean[z] = v
-        self.group = group
+        super().__init__(group, symbol)
         self.radius = radius
-        self._symbol = clean
 
-    @property
-    def symbol(self) -> dict:
-        return dict(self._symbol)
-
-    def symbol_at(self, z):
-        return self._symbol.get(z, 0)
-
-    def items(self):
-        return self._symbol.items()
-
-    @property
-    def support(self):
-        return self._symbol.keys()
+    symbol = property(AlgebraElement.coeffs)
+    symbol_at = AlgebraElement.__getitem__
 
     def is_selfadjoint(self) -> bool:
-        inv = self.group.inverse
-        for z, v in self._symbol.items():
-            if self._symbol.get(inv(z), 0) != v.conjugate():
-                return False
-        return True
+        return self.coeffs() == involution(self).coeffs()
 
-    def __add__(self, other: "ToeplitzOperator") -> "ToeplitzOperator":
-        self._check_compatible(other)
-        out = dict(self._symbol)
-        for z, v in other._symbol.items():
-            out[z] = out.get(z, 0) + v
-        return ToeplitzOperator(self.group, self.radius, out)
+    def _new(self, symbol: Mapping) -> "ToeplitzOperator":
+        return ToeplitzOperator(self.group, self.radius, symbol)
 
-    def __sub__(self, other: "ToeplitzOperator") -> "ToeplitzOperator":
-        return self + (-1) * other
-
-    def __mul__(self, scalar) -> "ToeplitzOperator":
-        return ToeplitzOperator(
-            self.group, self.radius, {z: v * scalar for z, v in self._symbol.items()}
-        )
-
-    def __rmul__(self, scalar) -> "ToeplitzOperator":
-        return ToeplitzOperator(
-            self.group, self.radius, {z: scalar * v for z, v in self._symbol.items()}
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ToeplitzOperator):
-            return NotImplemented
-        return (
-            self.group == other.group
-            and self.radius == other.radius
-            and self._symbol == other._symbol
-        )
-
-    __hash__ = None
-
-    def _check_compatible(self, other: "ToeplitzOperator") -> None:
-        if self.group != other.group or self.radius != other.radius:
-            raise ValueError("operators live on different truncations")
+    def _mismatch(self, other: AlgebraElement) -> Optional[str]:
+        if (
+            type(other) is not ToeplitzOperator
+            or self.group != other.group
+            or self.radius != other.radius
+        ):
+            return "operators live on different truncations"
+        return None
 
     def __repr__(self) -> str:
         return (
             f"ToeplitzOperator({self.group.name}, radius={self.radius}, "
-            f"{len(self._symbol)} symbol terms)"
+            f"{len(self)} symbol terms)"
         )
 
 
@@ -159,15 +124,7 @@ def materialize(T: ToeplitzOperator) -> np.ndarray:
 
 def truncated_derivative(T: ToeplitzOperator, s: int = 1) -> ToeplitzOperator:
     """Symbol-wise multiplication by word length to the s-th power."""
-    if s < 1:
-        raise ValueError(f"derivative order must be a positive integer, got {s}")
-    grp = T.group
-    out = {}
-    for z, v in T.items():
-        length = word_length(grp, z)
-        if length:
-            out[z] = v * length**s
-    return ToeplitzOperator(grp, T.radius, out)
+    return ToeplitzOperator(T.group, T.radius, derivative(T, s).coeffs())
 
 
 def truncated_lipnorm(T: ToeplitzOperator, s: int = 1) -> float:
@@ -182,13 +139,7 @@ def reconstruct(T: ToeplitzOperator) -> AlgebraElement:
     element; together with ``compress`` this realizes the two unital
     completely positive maps whose composite is the kernel multiplier.
     """
-    kern = fejer_kernel(T.group, T.radius)
-    out = {}
-    for z, v in T.items():
-        w = kern.values.get(z)
-        if w:
-            out[z] = v * w
-    return AlgebraElement(T.group, out)
+    return fejer_apply(T, T.radius)
 
 
 def dirac_commutator(T: ToeplitzOperator) -> np.ndarray:
@@ -238,19 +189,7 @@ def averaging_check(T: ToeplitzOperator, xi: Mapping, pad: int) -> float:
         if np.any(u):
             lhs += np.vdot(u, M @ u)
 
-    r = reconstruct(T)
-    rhs = 0.0 + 0.0j
-    for x, vx in xi.items():
-        if vx == 0:
-            continue
-        acc = 0.0 + 0.0j
-        for z, vz in r.items():
-            y = mul(inv(z), x)
-            vy = xi.get(y, 0)
-            if vy != 0:
-                acc += complex(vz) * complex(vy)
-        rhs += complex(vx).conjugate() * acc
-    rhs *= len(b)
+    rhs = _quadratic_form(reconstruct(T), xi) * len(b)
     return abs(lhs - rhs)
 
 
@@ -306,44 +245,27 @@ def random_psd(group, lam: int, rng: np.random.Generator) -> ToeplitzOperator:
     radius-lam ball, so the product's support already fits the double ball
     and the compression is exactly positive semidefinite.
     """
-    from .groupalg import convolve, involution, random_element
-
     g = random_element(group, lam, rng)
     return compress(convolve(g, involution(g)), lam)
 
 
 def format_toeplitz(T: ToeplitzOperator, exact: bool = False) -> str:
     """Symbol file format: a ``lambda <radius>`` header, then coefficient lines."""
-    lines = [f"lambda {T.radius}"]
-    for z in sorted(T.support):
-        re, im = _format_value(T.symbol_at(z), exact)
-        coords = " ".join(str(c) for c in z)
-        lines.append(f"{re} {im} {coords}")
-    return "\n".join(lines) + "\n"
+    return f"lambda {T.radius}\n" + format_algebra_element(T, exact)
 
 
 def parse_toeplitz(text: str, group) -> ToeplitzOperator:
     """Parse the symbol file format produced by :func:`format_toeplitz`."""
-    radius = None
-    symbol: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
-        if radius is None:
-            if parts[0] != "lambda" or len(parts) != 2:
-                raise ValueError(f"line {lineno}: expected header 'lambda <radius>'")
-            radius = int(parts[1])
-            continue
-        if len(parts) < 3:
-            raise ValueError(f"line {lineno}: expected 're im coords...', got {raw!r}")
-        re = _parse_value(parts[0])
-        im = _parse_value(parts[1])
-        z = tuple(int(p) for p in parts[2:])
-        group.validate(z)
-        value = re if im == 0 else complex(re, im)
-        symbol[z] = symbol.get(z, 0) + value
-    if radius is None:
-        raise ValueError("missing 'lambda <radius>' header")
-    return ToeplitzOperator(group, radius, symbol)
+        if parts[0] != "lambda" or len(parts) != 2:
+            raise ValueError(f"line {lineno}: expected header 'lambda <radius>'")
+        radius = int(parts[1])
+        # Blank lines stand in for the header and everything above it, so
+        # errors in the coefficient lines name the file's own line numbers.
+        body = parse_algebra_element("\n" * lineno + "\n".join(lines[lineno:]), group)
+        return ToeplitzOperator(group, radius, body.coeffs())
+    raise ValueError("missing 'lambda <radius>' header")

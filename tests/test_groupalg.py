@@ -33,6 +33,7 @@ from spectrunc import (
     unit,
     word_length,
 )
+from spectrunc.groupalg import _power_norm
 
 Z1 = FreeAbelian(1)
 Z2 = FreeAbelian(2)
@@ -193,6 +194,22 @@ def test_compression_norm_is_path_graph_eigenvalue():
         got = spectral_norm(compress_rep(f, R))
         want = 2 * math.cos(math.pi / (2 * R + 2))
         assert abs(got - want) < 1e-12
+
+
+def test_power_norm_bounds_and_meets_separated_norms():
+    rng = np.random.default_rng(11)
+    assert _power_norm(np.zeros((3, 3))) == 0.0
+    for m, n in ((1, 1), (5, 5), (6, 9), (12, 4)):
+        for _ in range(5):
+            M = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+            assert _power_norm(M) <= np.linalg.norm(M, 2) + 1e-12
+            k = min(m, n)
+            U, _ = np.linalg.qr(rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k)))
+            V, _ = np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
+            sigma = np.concatenate([[4.0], rng.uniform(0.0, 2.0, k - 1)])
+            got = _power_norm(U @ np.diag(sigma) @ V.conj().T)
+            assert got <= 4.0 + 1e-12
+            assert abs(got - 4.0) <= 1e-9
 
 
 def test_opnorm_of_point_mass_is_one():

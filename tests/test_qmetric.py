@@ -1,14 +1,12 @@
 """State spaces, the seminorm-induced distance, and epsilon searches."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from spectrunc import (
     AlgebraElement,
-    BridgeSpec,
     FreeAbelian,
     Heisenberg,
     SearchParams,
@@ -250,14 +248,6 @@ def test_bridge_norm_scaling_example():
     assert bridge_norm(a, zero, epsilon=0.5) == pytest.approx(2.0, abs=1e-9)
     with pytest.raises(ValueError):
         bridge_norm(a, zero, epsilon=0.0)
-
-
-def test_bridge_spec_maps():
-    spec = BridgeSpec(Z1, 2, epsilon=0.2)
-    f = delta(Z1, (1,), Fraction(1))
-    T = spec.to_truncated(f)
-    assert spec.to_full(T) == fejer_apply(f, 2)
-    assert spec.norm(spec.to_full(T), T) == 0.0
 
 
 def test_combined_lipnorm_example():

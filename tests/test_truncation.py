@@ -93,6 +93,23 @@ def test_operator_arithmetic():
         S + compress(delta(Z2, (1, 0)), 2)
 
 
+def test_operators_never_mix_with_plain_elements():
+    f = delta(Z1, (1,))
+    T = compress(f, 1)
+    assert T != f and f != T
+    assert T == ToeplitzOperator(Z1, 1, f.coeffs())
+    with pytest.raises(ValueError):
+        f + T
+    with pytest.raises(ValueError):
+        T + f
+    with pytest.raises(ValueError):
+        f - T
+    for U in (-T, 2 * T, T * 2, T - T):
+        assert isinstance(U, ToeplitzOperator) and U.radius == 1
+    with pytest.raises(ValueError):
+        ToeplitzOperator(Z1, 1, {(3,): 0})
+
+
 def test_is_selfadjoint():
     assert identity_operator(Z2, 1).is_selfadjoint()
     T = ToeplitzOperator(Z1, 1, {(1,): 1 + 1j, (-1,): 1 - 1j})
@@ -318,3 +335,13 @@ def test_parse_toeplitz_rejects_bad_header():
         parse_toeplitz("radius 2\n1.0 0.0 0\n", Z1)
     with pytest.raises(ValueError):
         parse_toeplitz("lambda x\n", Z1)
+
+
+def test_parse_toeplitz_names_file_lines():
+    with pytest.raises(ValueError, match="line 2: bad coordinates"):
+        parse_toeplitz("lambda 1\n1.0 0.0 x\n", Z1)
+    with pytest.raises(ValueError, match="line 4: bad coordinates"):
+        parse_toeplitz("# shift\n\nlambda 1\n1.0 0.0 x\n", Z1)
+    assert parse_toeplitz("lambda 2\n", Z1) == ToeplitzOperator(Z1, 2, {})
+    text = "# shift\n\nlambda 1\n\n0.5 0.0 1\n"
+    assert parse_toeplitz(text, Z1) == ToeplitzOperator(Z1, 1, {(1,): 0.5})
