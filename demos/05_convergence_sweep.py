@@ -4,7 +4,8 @@ For each truncation radius the sweep records the ball size, the boundary
 ratio of the averaging kernel, the two empirical approximation constants
 (full algebra and truncated side), and the resulting distance bound, which
 decays as the radius grows.  Reports export as CSV or JSON, optionally with
-a gnuplot script.
+a gnuplot script; here they go to a temporary directory that is removed
+after the CSV's first lines are shown.
 """
 
 import tempfile
@@ -31,9 +32,11 @@ for row in report.rows:
         f"{row.eps_full:>10.6f} {row.eps_trunc:>10.6f} {row.gh_bound:>9.6f}"
     )
 
-out_dir = Path(tempfile.mkdtemp(prefix="sweep-"))
-csv_path = out_dir / "sweep.csv"
-export_report(report, csv_path, format="csv", gnuplot=True)
-export_report(report, out_dir / "sweep.json", format="json")
-print()
-print(f"wrote {csv_path}, {csv_path.with_suffix('.gp')}, and sweep.json")
+with tempfile.TemporaryDirectory(prefix="sweep-") as out_dir:
+    csv_path = Path(out_dir) / "sweep.csv"
+    export_report(report, csv_path, format="csv", gnuplot=True)
+    export_report(report, Path(out_dir) / "sweep.json", format="json")
+    print()
+    print("exported CSV, gnuplot script and JSON; the CSV begins:")
+    for line in csv_path.read_text().splitlines()[:3]:
+        print(f"  {line}")

@@ -1,14 +1,21 @@
 """Group engine: element arithmetic, word metrics, balls, and growth.
 
-Elements are integer coordinate tuples in a fixed normal form, so they hash
-and compare cheaply.  Built-in groups are the free abelian groups Z^d and the
-discrete Heisenberg group; any object exposing ``identity`` / ``multiply`` /
-``inverse`` / ``generators`` over hashable tuples with a unique normal form
-can be dropped in alongside them.
+The group contract.  Elements are integer tuples of one fixed length in a
+unique normal form, so they hash and compare cheaply.  A group exposes
+``identity()``, ``multiply(g, h)``, ``inverse(g)``, ``validate(g)``, its
+``generators`` and a ``name``.  It may also expose ``multiply_array(g, h)``
+and ``inverse_array(g)``: the same law on int64 coordinate arrays of shape
+``(..., k)``, broadcasting like numpy arithmetic.  Balls and index maps are
+built from the array forms; a group without them is driven through one
+adapter that applies its scalar methods row by row.  The built-in groups,
+the free abelian groups Z^d and the discrete Heisenberg group, have both
+forms, and any other object meeting the contract can be dropped in beside
+them.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -61,6 +68,12 @@ class FreeAbelian:
         self.validate(g)
         return tuple(-a for a in g)
 
+    def multiply_array(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+        return g + h
+
+    def inverse_array(self, g: np.ndarray) -> np.ndarray:
+        return -g
+
     def validate(self, g) -> None:
         if (
             not isinstance(g, tuple)
@@ -100,6 +113,16 @@ class Heisenberg:
         self.validate(g)
         return (-g[0], -g[1], g[0] * g[1] - g[2])
 
+    def multiply_array(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+        out = g + h
+        out[..., 2] += g[..., 0] * h[..., 1]
+        return out
+
+    def inverse_array(self, g: np.ndarray) -> np.ndarray:
+        out = -g
+        out[..., 2] += g[..., 0] * g[..., 1]
+        return out
+
     def validate(self, g) -> None:
         if not isinstance(g, tuple) or len(g) != 3 or not all(isinstance(a, _INT_TYPES) for a in g):
             raise ValueError(f"{g!r} is not a valid element of heisenberg")
@@ -119,21 +142,156 @@ def group_from_key(key: str):
     raise ValueError(f"unknown group key {key!r} (expected 'z:<d>' or 'heisenberg')")
 
 
+class _ScalarLaw:
+    """Array form of a group law that has only the scalar methods."""
+
+    def __init__(self, group):
+        self.group = group
+
+    def multiply_array(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+        g, h = np.broadcast_arrays(g, h)
+        k = g.shape[-1]
+        rows = map(self.group.multiply, map(tuple, g.reshape(-1, k).tolist()),
+                   map(tuple, h.reshape(-1, k).tolist()))
+        return np.array(list(rows), dtype=np.int64).reshape(g.shape)
+
+    def inverse_array(self, g: np.ndarray) -> np.ndarray:
+        rows = map(self.group.inverse, map(tuple, g.reshape(-1, g.shape[-1]).tolist()))
+        return np.array(list(rows), dtype=np.int64).reshape(g.shape)
+
+
+def _array_law(group):
+    """The group itself when it has the array methods, else the scalar adapter."""
+    if hasattr(group, "multiply_array") and hasattr(group, "inverse_array"):
+        return group
+    return _ScalarLaw(group)
+
+
+def _packing(coords: np.ndarray) -> tuple:
+    """Offsets and strides that pack each coordinate row into one int64 key.
+
+    The box spanned by the rows is numbered in lexicographic order, so keys
+    compare as the rows do.  Raises ResourceCapError when the box has more
+    points than an int64 key can number.
+    """
+    lo = coords.min(axis=0).tolist()
+    hi = coords.max(axis=0).tolist()
+    strides = []
+    volume = 1
+    for a, b in zip(reversed(lo), reversed(hi)):
+        strides.append(volume)
+        volume *= b - a + 1
+    if volume > 2**63:
+        raise ResourceCapError(
+            f"coordinates spanning {lo} to {hi} do not pack into 64-bit keys"
+        )
+    return np.array(lo, dtype=np.int64), np.array(strides[::-1], dtype=np.int64)
+
+
+def _pack(coords: np.ndarray, packing: tuple) -> np.ndarray:
+    lo, strides = packing
+    return (coords - lo) @ strides
+
+
+def _position_finder(coords: np.ndarray):
+    """Map coordinate rows to their row numbers in ``coords``.
+
+    Every row looked up must occur in ``coords``; the lookup is one
+    ``searchsorted`` on the sorted packed keys.
+    """
+    packing = _packing(coords)
+    keys = _pack(coords, packing)
+    # Keys are distinct, so any sort gives this order; the stable one is the
+    # sort np.unique already runs, which keeps one sort routine in memory.
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    return lambda rows: order[np.searchsorted(sorted_keys, _pack(rows, packing))]
+
+
+class _Enumeration:
+    """Breadth-first enumeration of one group, grown one sphere at a time.
+
+    Each sphere is sorted lexicographically, so the ball of radius r is the
+    first ``sizes[r]`` elements, and every ball of the group is a prefix of
+    this one list.
+    """
+
+    def __init__(self, group):
+        self.group = group
+        self.law = _array_law(group)
+        e = group.identity()
+        self.generators = np.array(group.generators, dtype=np.int64).reshape(-1, len(e))
+        self.coords = np.array([e], dtype=np.int64)
+        self.coords.setflags(write=False)
+        self.frontier = self.coords
+        self.elements = [e]
+        self.lengths = [0]
+        self.sizes = [1]
+
+    def size(self, radius: int) -> int:
+        return self.sizes[min(radius, len(self.sizes) - 1)]
+
+    def extend(self, radius: int, cap: int) -> None:
+        """Enumerate up to the radius, stopping at a sphere that passes the cap."""
+        while len(self.sizes) <= radius and len(self.frontier):
+            sphere = self._next_sphere()
+            if self.sizes[-1] + len(sphere) > cap:
+                raise ResourceCapError(
+                    f"ball of radius {radius} in {self.group.name} exceeds the cap of {cap} elements"
+                )
+            depth = len(self.sizes)
+            self.coords = np.concatenate([self.coords, sphere])
+            self.coords.setflags(write=False)
+            self.frontier = sphere
+            self.elements.extend(map(tuple, sphere.tolist()))
+            self.lengths.extend([depth] * len(sphere))
+            self.sizes.append(len(self.elements))
+
+    def _next_sphere(self) -> np.ndarray:
+        """The frontier times the generators, less everything already enumerated.
+
+        ``np.unique`` keeps the first occurrence of each key, so a product
+        that is already enumerated keeps its old position and drops out.  For
+        a symmetric generating set the last two spheres would do, but the
+        group contract does not ask for one.
+        """
+        k = self.coords.shape[1]
+        grown = self.law.multiply_array(self.frontier[:, None, :], self.generators[None, :, :])
+        candidates = np.concatenate([self.coords, grown.reshape(-1, k)])
+        _, first = np.unique(_pack(candidates, _packing(candidates)), return_index=True)
+        return candidates[first[first >= len(self.coords)]]
+
+
 class Ball:
     """Enumerated closed ball with a fixed element order and exact word lengths.
 
     Elements appear in BFS layer order with each layer sorted
-    lexicographically, so indexing is deterministic across runs.
+    lexicographically, so indexing is deterministic across runs.  A ball is
+    a prefix of its group's one enumeration and shares its element tuples;
+    ``coords`` holds the same elements as a read-only (n, k) int64 array.
     """
 
-    __slots__ = ("group", "radius", "elements", "index", "lengths")
+    __slots__ = ("group", "radius", "elements", "lengths", "_enumeration", "_index")
 
-    def __init__(self, group, radius: int, elements: tuple, index: dict, lengths: tuple):
-        self.group = group
+    def __init__(self, enumeration: _Enumeration, radius: int):
+        n = enumeration.size(radius)
+        self.group = enumeration.group
         self.radius = radius
-        self.elements = elements
-        self.index = index
-        self.lengths = lengths
+        self.elements = tuple(enumeration.elements[:n])
+        self.lengths = tuple(enumeration.lengths[:n])
+        self._enumeration = enumeration
+        self._index = None
+
+    @property
+    def index(self) -> dict:
+        """Position of each element in the ball's order."""
+        if self._index is None:
+            self._index = dict(zip(self.elements, range(len(self.elements))))
+        return self._index
+
+    @property
+    def coords(self) -> np.ndarray:
+        return self._enumeration.coords[: len(self.elements)]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -153,51 +311,34 @@ class Ball:
 
 
 _BALL_CACHE: dict = {}
+# One enumeration per group, extended under the lock by every thread.
+_ENUMERATIONS: dict = {}
+_ENUMERATIONS_LOCK = threading.Lock()
 
 
 def ball(group, radius: int, cap: Optional[int] = None) -> Ball:
     """Closed word-metric ball of the given radius around the identity.
 
-    Raises ResourceCapError if the enumeration would exceed ``cap`` elements
-    (default 200,000).  Results are cached per (group, radius).
+    Raises ResourceCapError if the ball has more than ``cap`` elements
+    (default 200,000); the group's enumeration stops at the first sphere
+    that passes the cap.  Results are cached per (group, radius).
     """
     if not isinstance(radius, _INT_TYPES) or radius < 0:
         raise ValueError(f"radius must be a nonnegative integer, got {radius!r}")
     cap = DEFAULT_BALL_CAP if cap is None else cap
-    cached = _BALL_CACHE.get((group, radius))
-    if cached is not None:
-        if len(cached) > cap:
-            raise ResourceCapError(
-                f"ball of radius {radius} in {group.name} has {len(cached)} elements, "
-                f"over the cap of {cap}"
-            )
-        return cached
-
-    e = group.identity()
-    elements = [e]
-    lengths = [0]
-    index = {e: 0}
-    frontier = [e]
-    for depth in range(1, radius + 1):
-        grown = set()
-        for g in frontier:
-            for s in group.generators:
-                h = group.multiply(g, s)
-                if h not in index and h not in grown:
-                    grown.add(h)
-        if not grown:
-            break
-        if len(index) + len(grown) > cap:
-            raise ResourceCapError(
-                f"ball of radius {radius} in {group.name} exceeds the cap of {cap} elements"
-            )
-        frontier = sorted(grown)
-        for h in frontier:
-            index[h] = len(elements)
-            elements.append(h)
-            lengths.append(depth)
-    b = Ball(group, radius, tuple(elements), index, tuple(lengths))
-    _BALL_CACHE[(group, radius)] = b
+    b = _BALL_CACHE.get((group, radius))
+    if b is None:
+        with _ENUMERATIONS_LOCK:
+            enumeration = _ENUMERATIONS.get(group)
+            if enumeration is None:
+                enumeration = _ENUMERATIONS[group] = _Enumeration(group)
+            enumeration.extend(radius, cap)
+        b = _BALL_CACHE[(group, radius)] = Ball(enumeration, radius)
+    if len(b) > cap:
+        raise ResourceCapError(
+            f"ball of radius {radius} in {group.name} has {len(b)} elements, "
+            f"over the cap of {cap}"
+        )
     return b
 
 

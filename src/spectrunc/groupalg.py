@@ -22,7 +22,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .cayley import ball, word_length
+from .cayley import _array_law, _position_finder, ball, word_length
 
 __all__ = [
     "AlgebraElement",
@@ -209,14 +209,22 @@ def _balls(group, radius: int, cap: Optional[int]):
     return b, ball(group, 2 * radius, cap=len(b) ** 2)
 
 
+# Bytes of group products computed at once while an index map is built.
+_CHUNK_BYTES = 1 << 22
+
+
 @lru_cache(maxsize=None)
 def _index_map(b, double) -> np.ndarray:
-    group = b.group
-    mul, pos = group.multiply, double.index
-    inverses = [group.inverse(y) for y in b.elements]
-    idx = np.empty((len(b), len(b)), dtype=np.int32)
-    for i, x in enumerate(b.elements):
-        idx[i] = [pos[mul(x, yinv)] for yinv in inverses]
+    law = _array_law(b.group)
+    xs = b.coords
+    inverses = law.inverse_array(xs)
+    position = _position_finder(double.coords)
+    n = len(b)
+    rows = max(1, _CHUNK_BYTES // (xs.itemsize * xs.size))
+    idx = np.empty((n, n), dtype=np.int32)
+    for start in range(0, n, rows):
+        products = law.multiply_array(xs[start : start + rows, None, :], inverses[None, :, :])
+        idx[start : start + rows] = position(products)
     idx.setflags(write=False)
     return idx
 
@@ -499,9 +507,13 @@ def _format_value(v, exact: bool) -> tuple[str, str]:
 
 
 def _parse_value(token: str):
+    """An integer or ``p/q`` token exactly, any other number as a float."""
     if "/" in token:
         return Fraction(token)
-    return float(token)
+    try:
+        return int(token)
+    except ValueError:
+        return float(token)
 
 
 def format_algebra_element(f: AlgebraElement, exact: bool = False) -> str:

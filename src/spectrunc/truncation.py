@@ -263,7 +263,10 @@ def parse_toeplitz(text: str, group) -> ToeplitzOperator:
             continue
         if parts[0] != "lambda" or len(parts) != 2:
             raise ValueError(f"line {lineno}: expected header 'lambda <radius>'")
-        radius = int(parts[1])
+        try:
+            radius = int(parts[1])
+        except ValueError:
+            raise ValueError(f"line {lineno}: bad radius {parts[1]!r}") from None
         # Blank lines stand in for the header and everything above it, so
         # errors in the coefficient lines name the file's own line numbers.
         body = parse_algebra_element("\n" * lineno + "\n".join(lines[lineno:]), group)

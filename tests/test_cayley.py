@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from spectrunc import cayley
 from spectrunc import (
     DEFAULT_BALL_CAP,
     FreeAbelian,
@@ -156,6 +157,16 @@ def test_ball_order_is_layered_and_lexicographic():
 def test_ball_cap_error_names_cap():
     with pytest.raises(ResourceCapError, match="100"):
         ball(Z2, 50, cap=100)
+
+
+def test_ball_cap_applies_to_a_prefix_of_a_larger_enumeration():
+    ball(H3, 6)
+    with pytest.raises(ResourceCapError, match="135 elements"):
+        ball(H3, 4, cap=100)
+    cayley._BALL_CACHE.pop((H3, 4), None)
+    with pytest.raises(ResourceCapError, match="135 elements"):
+        ball(H3, 4, cap=100)
+    assert len(ball(H3, 4, cap=135)) == 135
 
 
 def test_ball_rejects_negative_radius():

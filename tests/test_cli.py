@@ -118,6 +118,16 @@ def test_growth_output_shape(capsys):
 # element pipelines
 
 
+def test_truncate_exact_reads_integer_coefficients(capsys, tmp_path):
+    src = tmp_path / "f.txt"
+    src.write_text("3 0 0\n")
+    code, out, err = _run(
+        capsys, "truncate", "--group", "z:1", "--lambda", "1", "--input", str(src), "--exact"
+    )
+    assert code == 0, err
+    assert out == "lambda 1\n3 0 0\n"
+
+
 def test_truncate_reconstruct_commutator_pipeline(capsys, tmp_path):
     f = delta(Z1, (1,)) + delta(Z1, (-2,), 0.5 - 0.25j)
     src = tmp_path / "f.txt"

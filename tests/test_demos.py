@@ -1,4 +1,4 @@
-"""Smoke test: every demo script runs to completion."""
+"""Smoke test: every demo script runs to completion and cleans up after itself."""
 
 import os
 import subprocess
@@ -19,3 +19,4 @@ def test_demo_runs(demo, tmp_path):
         [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
+    assert not list(tmp_path.glob("sweep-*"))

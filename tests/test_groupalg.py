@@ -404,6 +404,16 @@ def test_format_parse_roundtrip_exact():
     assert isinstance(back[(3,)], Fraction)
 
 
+def test_exact_integer_tokens_roundtrip():
+    f = delta(Z1, (0,), Fraction(3)) + delta(Z1, (2,), Fraction(-1, 3))
+    text = format_algebra_element(f, exact=True)
+    assert text == "3 0 0\n-1/3 0 2\n"
+    back = parse_algebra_element(text, Z1)
+    assert back == f
+    assert isinstance(back[(0,)], (int, Fraction))
+    assert format_algebra_element(back, exact=True) == text
+
+
 def test_parse_rejects_malformed_lines():
     with pytest.raises(ValueError):
         parse_algebra_element("1.0 0.0\n", Z2)

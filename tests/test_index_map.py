@@ -6,10 +6,15 @@ and pencil contractions with ``tensordot``/``einsum``.  The index-map path
 must give bit-equal matrices; its gradients sum in another order and must
 agree to 1e-12 relative.  Stacked calls, which the lockstep ascents make,
 must agree with the same references row by row, and each ascent must agree
-with a per-start reference that runs its starts one after another.
+with a per-start reference that runs its starts one after another.  Balls
+and maps built from the array group law must equal a BFS and a map built
+with the scalar law, and a group that has only the scalar methods must give
+the built-in group's balls, maps and kernels.
 """
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +33,7 @@ from spectrunc import (
     random_element,
     word_length,
 )
-from spectrunc import qmetric
+from spectrunc import cayley, qmetric
 from spectrunc.groupalg import spectral_norm, symbol_positions
 from spectrunc.qmetric import (
     SearchParams,
@@ -345,3 +350,129 @@ def test_cap_is_checked_before_the_cache():
     symbol_positions(Z1, 3)
     with pytest.raises(ResourceCapError):
         symbol_positions(Z1, 3, cap=3)
+
+
+# ---------------------------------------------------------------------------
+# the array group law against the scalar one
+
+
+def _scalar_ball(group, radius):
+    """(elements, lengths) from a BFS over the scalar law, each sphere sorted."""
+    elements, lengths = [group.identity()], [0]
+    seen = set(elements)
+    frontier = list(elements)
+    for depth in range(1, radius + 1):
+        grown = {group.multiply(g, s) for g in frontier for s in group.generators} - seen
+        frontier = sorted(grown)
+        seen |= grown
+        elements += frontier
+        lengths += [depth] * len(frontier)
+    return tuple(elements), tuple(lengths)
+
+
+def _scalar_index_map(group, radius):
+    elements = _scalar_ball(group, radius)[0]
+    pos = {z: i for i, z in enumerate(_scalar_ball(group, 2 * radius)[0])}
+    inverses = [group.inverse(y) for y in elements]
+    return np.array([[pos[group.multiply(x, yi)] for yi in inverses] for x in elements])
+
+
+class ScalarHeisenberg:
+    """The Heisenberg group through its scalar methods only, as a drop-in group.
+
+    Instances hash by identity, so each one gets an enumeration of its own.
+    """
+
+    name = "scalar-heisenberg"
+    generators = H.generators
+
+    def identity(self):
+        return H.identity()
+
+    def multiply(self, g, h):
+        return H.multiply(g, h)
+
+    def inverse(self, g):
+        return H.inverse(g)
+
+    def validate(self, g):
+        H.validate(g)
+
+
+ARRAY_GROUPS = [Z1, Z2, FreeAbelian(3), H]
+
+
+@pytest.mark.parametrize("group", ARRAY_GROUPS, ids=lambda g: g.name)
+def test_balls_and_maps_equal_the_scalar_law(group):
+    assert cayley._array_law(group) is group
+    for radius in range(7):
+        b = ball(group, radius)
+        assert (b.elements, b.lengths) == _scalar_ball(group, radius)
+        assert all(type(c) is int for c in b.elements[-1])
+        assert np.array_equal(b.coords, np.array(b.elements))
+        assert np.array_equal(symbol_positions(group, radius), _scalar_index_map(group, radius))
+
+
+def test_array_law_matches_the_scalar_law():
+    rng = np.random.default_rng(12)
+    for group in ARRAY_GROUPS:
+        g, h = rng.integers(-9, 10, size=(2, 50, len(group.identity())))
+        prods = group.multiply_array(g, h)
+        invs = group.inverse_array(g)
+        for a, b, p, q in zip(g.tolist(), h.tolist(), prods.tolist(), invs.tolist()):
+            assert tuple(p) == group.multiply(tuple(a), tuple(b))
+            assert tuple(q) == group.inverse(tuple(a))
+
+
+def test_scalar_only_group_matches_the_builtin_group():
+    group = ScalarHeisenberg()
+    assert isinstance(cayley._array_law(group), cayley._ScalarLaw)
+    for radius in range(6):
+        assert ball(group, radius).elements == ball(H, radius).elements
+        assert ball(group, radius).lengths == ball(H, radius).lengths
+    for radius in range(4):
+        assert np.array_equal(symbol_positions(group, radius), symbol_positions(H, radius))
+    for lam in (1, 2):
+        mine, builtin = fejer_kernel(group, lam), fejer_kernel(H, lam)
+        assert list(mine.values.items()) == list(builtin.values.items())
+        assert mine.folner_epsilon == builtin.folner_epsilon
+
+
+def test_packed_keys_keep_row_order_and_refuse_to_wrap():
+    rng = np.random.default_rng(13)
+    rows = rng.integers(-50, 50, size=(200, 3))
+    keys = cayley._pack(rows, cayley._packing(rows))
+    assert sorted(map(tuple, rows.tolist())) == [tuple(r) for r in rows[np.argsort(keys)].tolist()]
+    widest = np.array([[0], [2**63 - 1]])
+    assert cayley._pack(widest, cayley._packing(widest)).tolist() == [0, 2**63 - 1]
+    with pytest.raises(ResourceCapError, match="64-bit"):
+        cayley._packing(np.array([[0, 0], [2**32, 2**31]]))
+
+
+def test_threads_share_one_enumeration():
+    group = ScalarHeisenberg()
+    radii = list(range(6)) * 4
+    np.random.default_rng(14).shuffle(radii)
+    errors = []
+
+    def work(chunk):
+        try:
+            for r in chunk:
+                ball(group, r)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(radii[i::6],)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(t.is_alive() for t in threads)
+    assert cayley._ENUMERATIONS[group].sizes == [len(ball(H, r)) for r in range(6)]
+    for r in range(6):
+        assert ball(group, r).elements == ball(H, r).elements

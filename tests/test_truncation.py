@@ -342,6 +342,8 @@ def test_parse_toeplitz_names_file_lines():
         parse_toeplitz("lambda 1\n1.0 0.0 x\n", Z1)
     with pytest.raises(ValueError, match="line 4: bad coordinates"):
         parse_toeplitz("# shift\n\nlambda 1\n1.0 0.0 x\n", Z1)
+    with pytest.raises(ValueError, match="line 2: bad radius"):
+        parse_toeplitz("# c\nlambda x\n", Z1)
     assert parse_toeplitz("lambda 2\n", Z1) == ToeplitzOperator(Z1, 2, {})
     text = "# shift\n\nlambda 1\n\n0.5 0.0 1\n"
     assert parse_toeplitz(text, Z1) == ToeplitzOperator(Z1, 1, {(1,): 0.5})
