@@ -15,8 +15,6 @@ from .cayley import (
     Heisenberg,
     ResourceCapError,
     ball,
-    ball_overlap,
-    folner_deficit,
     group_from_key,
     growth_report,
     word_length,
@@ -25,7 +23,6 @@ from .groupalg import (
     AlgebraElement,
     FejerKernel,
     OpnormResult,
-    RDEstimate,
     compress_rep,
     convolve,
     delta,
@@ -40,9 +37,6 @@ from .groupalg import (
     opnorm,
     parse_algebra_element,
     random_element,
-    rd_probe,
-    rd_ratio,
-    sobolev_norm,
     spectral_norm,
     unit,
 )
@@ -53,7 +47,6 @@ from .truncation import (
     compress,
     dirac_commutator,
     format_toeplitz,
-    identity_operator,
     materialize,
     parse_toeplitz,
     random_psd,
@@ -68,9 +61,7 @@ from .qmetric import (
     SearchParams,
     SolverParams,
     State,
-    bridge_norm,
     brute_distance,
-    combined_lipnorm,
     density_state,
     epsilon_full,
     epsilon_truncated,

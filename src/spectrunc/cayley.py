@@ -361,25 +361,6 @@ def word_length(group, g, cap: Optional[int] = None) -> int:
         radius += 1
 
 
-def ball_overlap(group, x, radius: int, cap: Optional[int] = None) -> int:
-    """Size of the intersection of the ball with its left translate by x."""
-    b = ball(group, radius, cap=cap)
-    xi = group.inverse(x)
-    hits = 0
-    index = b.index
-    mul = group.multiply
-    for y in b.elements:
-        if mul(xi, y) in index:
-            hits += 1
-    return hits
-
-
-def folner_deficit(group, x, radius: int, cap: Optional[int] = None) -> int:
-    """Number of ball elements lost under left translation by x."""
-    b = ball(group, radius, cap=cap)
-    return len(b) - ball_overlap(group, x, radius, cap=cap)
-
-
 @dataclass(frozen=True)
 class GrowthReport:
     """Ball-size statistics with log-log fits of growth and boundary decay.

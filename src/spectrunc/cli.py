@@ -172,18 +172,21 @@ def _cmd_commutator(args) -> int:
     return 0
 
 
+# Tuning keys a command reads, each mapped to the parameter field it sets.
+_DISTANCE_FIELDS = {k: k for k in ("starts", "max_iters", "tol", "seed", "step0", "step_decay")}
+_EPSILON_FIELDS = {"trials": "starts", "seed": "seed", "tol": "opnorm_tol"}
+
+
+def _params(cls, args, fields: dict):
+    """cls from the keys the user gave, each cast to its field default's type."""
+    merged, defaults = _merged_config(args, fields), cls()
+    given = {name: merged[key] for key, name in fields.items() if key in merged}
+    return cls(**{name: type(getattr(defaults, name))(v) for name, v in given.items()})
+
+
 def _cmd_distance(args) -> int:
     group = group_from_key(args.group)
-    keys = ("starts", "max_iters", "tol", "seed")
-    merged = _merged_config(args, keys)
-    params = SolverParams(
-        starts=int(merged.get("starts", 32)),
-        max_iters=int(merged.get("max_iters", 400)),
-        tol=float(merged.get("tol", 1e-9)),
-        seed=int(merged.get("seed", 0)),
-        step0=float(merged.get("step0", 0.3)),
-        step_decay=float(merged.get("step_decay", 0.05)),
-    )
+    params = _params(SolverParams, args, _DISTANCE_FIELDS)
     phi = vector_state(group, parse_algebra_element(_read_text(args.phi), group).coeffs(), lam=args.lam)
     psi = vector_state(group, parse_algebra_element(_read_text(args.psi), group).coeffs(), lam=args.lam)
     result = lip_distance(phi, psi, args.s, args.lam, params)
@@ -195,13 +198,7 @@ def _cmd_distance(args) -> int:
 
 def _cmd_epsilon(args) -> int:
     group = group_from_key(args.group)
-    keys = ("trials", "tol", "seed")
-    merged = _merged_config(args, keys)
-    params = SearchParams(
-        starts=int(merged.get("trials", 6)),
-        seed=int(merged.get("seed", 0)),
-        opnorm_tol=float(merged.get("tol", 1e-8)),
-    )
+    params = _params(SearchParams, args, _EPSILON_FIELDS)
     ef = epsilon_full(group, args.lam, args.s, params)
     et = epsilon_truncated(group, args.lam, args.s, params)
     print(f"eps_full {_fmt12(ef)}")

@@ -33,16 +33,12 @@ __all__ = [
     "derivative",
     "l1_norm",
     "l2_norm",
-    "sobolev_norm",
     "compress_rep",
     "spectral_norm",
     "OpnormResult",
     "opnorm",
     "lipnorm",
     "random_element",
-    "rd_ratio",
-    "RDEstimate",
-    "rd_probe",
     "FejerKernel",
     "fejer_kernel",
     "fejer_apply",
@@ -187,17 +183,6 @@ def l2_norm(f: AlgebraElement) -> float:
     return math.sqrt(sum(abs(complex(v)) ** 2 for v in f._coeffs.values()))
 
 
-def sobolev_norm(f: AlgebraElement, s) -> float:
-    """Weighted l2 norm with weight (1 + word length)^s."""
-    if s <= 0:
-        raise ValueError(f"Sobolev exponent must be positive, got {s}")
-    total = 0.0
-    for g, v in f.items():
-        w = (1 + word_length(f.group, g)) ** (2 * s)
-        total += w * abs(complex(v)) ** 2
-    return math.sqrt(total)
-
-
 def _balls(group, radius: int, cap: Optional[int]):
     """The radius ball under the element cap, and its double ball.
 
@@ -244,24 +229,20 @@ def symbol_positions(group, radius: int, cap: Optional[int] = None) -> np.ndarra
 symbol_positions.cache_info = _index_map.cache_info
 
 
-def _symbol_vector(group, radius: int, items, cap: Optional[int] = None) -> np.ndarray:
-    """Symbol values over the double ball's order; terms outside it are dropped."""
-    _, double = _balls(group, radius, cap)
-    vec = np.zeros(len(double), dtype=complex)
-    for z, v in items:
-        i = double.index.get(z)
-        if i is not None:
-            vec[i] = complex(v)
-    return vec
-
-
 def compress_rep(f: AlgebraElement, radius: int, cap: Optional[int] = None) -> np.ndarray:
     """Matrix of the left convolution operator compressed to a ball.
 
-    Entry (x, y) is f(x y^{-1}) with respect to the ball's element order.
+    Entry (x, y) is f(x y^{-1}) with respect to the ball's element order,
+    gathered from f's values over the double ball through the index map.
     """
     idx = symbol_positions(f.group, radius, cap=cap)
-    return _symbol_vector(f.group, radius, f.items(), cap=cap)[idx]
+    _, double = _balls(f.group, radius, cap)
+    vec = np.zeros(len(double), dtype=complex)
+    for z, v in f.items():
+        i = double.index.get(z)
+        if i is not None:
+            vec[i] = complex(v)
+    return vec[idx]
 
 
 def _power_norm(M: np.ndarray, iters: int = 500, tol: float = 1e-13) -> float:
@@ -375,51 +356,6 @@ def random_element(group, radius: int, rng: np.random.Generator) -> AlgebraEleme
     return AlgebraElement(group, coeffs)
 
 
-def rd_ratio(f: AlgebraElement, s, tol: float = 1e-8, r_max: int = 8) -> float:
-    """Operator norm over Sobolev norm, a witness ratio for rapid decay."""
-    denom = sobolev_norm(f, s)
-    if denom == 0:
-        raise ValueError("ratio undefined for the zero element")
-    return opnorm(f, tol=tol, r_max=r_max).estimate / denom
-
-
-@dataclass(frozen=True)
-class RDEstimate:
-    """Best observed rapid-decay ratio, a lower bound for the true constant."""
-
-    exponent: float
-    constant: float
-    trials: int
-    seed: int
-
-
-def rd_probe(
-    group,
-    s,
-    trials: int,
-    seed: int,
-    support_radius: int = 4,
-    tol: float = 1e-8,
-    r_max: int = 8,
-) -> RDEstimate:
-    """Probe the Sobolev-vs-operator-norm inequality with random elements.
-
-    The identity basis element is always probed (ratio exactly 1), followed by
-    ``trials`` random elements supported in the ball of ``support_radius``.
-    Each trial draws from an independently derived seed, so results do not
-    depend on evaluation order.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    best = rd_ratio(unit(group), s, tol=tol, r_max=r_max)
-    children = np.random.SeedSequence(seed).spawn(trials)
-    for child in children:
-        rng = np.random.default_rng(child)
-        f = random_element(group, support_radius, rng)
-        best = max(best, rd_ratio(f, s, tol=tol, r_max=r_max))
-    return RDEstimate(exponent=float(s), constant=best, trials=trials, seed=seed)
-
-
 @dataclass(frozen=True)
 class FejerKernel:
     """Ball-overlap averaging kernel, exact rational values on the double ball.
@@ -507,13 +443,15 @@ def _format_value(v, exact: bool) -> tuple[str, str]:
 
 
 def _parse_value(token: str):
-    """An integer or ``p/q`` token exactly, any other number as a float."""
-    if "/" in token:
-        return Fraction(token)
-    try:
-        return int(token)
-    except ValueError:
-        return float(token)
+    """An integer or ``p/q`` token exactly, any other finite number as a float."""
+    for parse in (Fraction,) if "/" in token else (int, float):
+        try:
+            value = parse(token)
+        except (ValueError, ZeroDivisionError):
+            continue
+        if not isinstance(value, float) or math.isfinite(value):
+            return value
+    raise ValueError(f"bad coefficient {token!r}")
 
 
 def format_algebra_element(f: AlgebraElement, exact: bool = False) -> str:
@@ -540,8 +478,10 @@ def parse_algebra_element(text: str, group) -> AlgebraElement:
         parts = line.split()
         if len(parts) < 3:
             raise ValueError(f"line {lineno}: expected 're im coords...', got {raw!r}")
-        re = _parse_value(parts[0])
-        im = _parse_value(parts[1])
+        try:
+            re, im = _parse_value(parts[0]), _parse_value(parts[1])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         try:
             g = tuple(int(p) for p in parts[2:])
         except ValueError:

@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, TextIO, Union
 
@@ -231,9 +231,11 @@ def export_report(
 ) -> None:
     """Write a report as CSV (12 significant digits) or a JSON mirror.
 
-    ``path`` is a file path or an open text stream.  With ``gnuplot=True``
-    and a path, a plot script named after the CSV is written next to it.
+    ``path`` is a file path or an open text stream.  ``gnuplot=True`` writes
+    a plot script named after the CSV next to it, so it needs a CSV path.
     """
+    if gnuplot and (format != "csv" or hasattr(path, "write")):
+        raise ValueError("a gnuplot script needs a CSV report written to a file path")
     if format == "csv":
         lines = [CSV_HEADER]
         for row in report.rows:
@@ -265,7 +267,7 @@ def export_report(
         return
     path = Path(path)
     path.write_text(text)
-    if gnuplot and format == "csv":
+    if gnuplot:
         path.with_suffix(".gp").write_text(_gnuplot_script(str(path)))
 
 

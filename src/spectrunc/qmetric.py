@@ -5,24 +5,22 @@ States evaluate algebra elements (full side) or truncated operators
 difference over the self-adjoint unit ball of the Lipschitz seminorm; because
 the seminorm on a truncation is a finite matrix norm, the supremum is a dual
 norm evaluation and is approached by normalized ratio ascent, with an
-exhaustive grid oracle available in low dimension.  Bridge quantities couple
-an algebra element to a truncated operator through the reconstruction map,
-and the epsilon searches probe the two Lipschitz approximation constants that
-drive the quantitative convergence bound.
+exhaustive grid oracle available in low dimension.  The epsilon searches
+probe the two Lipschitz approximation constants that drive the quantitative
+convergence bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
 
-from .cayley import ball, word_length
+from .cayley import ball
 from .groupalg import (
     AlgebraElement,
-    delta,
     derivative,
     fejer_apply,
     fejer_kernel,
@@ -31,12 +29,7 @@ from .groupalg import (
     symbol_positions,
     _quadratic_form,
 )
-from .truncation import (
-    ToeplitzOperator,
-    materialize,
-    reconstruct,
-    truncated_lipnorm,
-)
+from .truncation import ToeplitzOperator, materialize
 
 __all__ = [
     "State",
@@ -47,8 +40,6 @@ __all__ = [
     "DistanceResult",
     "lip_distance",
     "brute_distance",
-    "bridge_norm",
-    "combined_lipnorm",
     "SearchParams",
     "epsilon_full",
     "epsilon_truncated",
@@ -167,14 +158,19 @@ def random_density_state(group, lam: int, rng: np.random.Generator) -> State:
 # distance solver
 
 
+# Step length of every ascent at iteration t: _STEP0 / (1 + _STEP_DECAY * t).
+_STEP0 = 0.3
+_STEP_DECAY = 0.05
+
+
 @dataclass(frozen=True)
 class SolverParams:
     """Knobs for the normalized ratio ascent used by :func:`lip_distance`."""
 
     starts: int = 32
     max_iters: int = 400
-    step0: float = 0.3
-    step_decay: float = 0.05
+    step0: float = _STEP0
+    step_decay: float = _STEP_DECAY
     tol: float = 1e-9
     seed: int = 0
 
@@ -184,7 +180,6 @@ class DistanceResult:
     value: float
     witness: ToeplitzOperator
     status: str
-    oracle_gap: Optional[float] = None
 
 
 def _selfadjoint_basis(group, lam: int) -> list[dict]:
@@ -240,7 +235,7 @@ class _Pencil:
         return (g.reshape(*u.shape[:-1], slots)[..., :-1] @ self.coef.T).real
 
 
-def _selfadjoint_pencil(group, lam: int, s: int, basis: list[dict], lip_scale: float) -> _Pencil:
+def _selfadjoint_pencil(group, lam: int, s: int, basis: list[dict]) -> _Pencil:
     """Pencil of the s-th truncated derivatives of the self-adjoint basis."""
     double = ball(group, 2 * lam)
     coef = np.zeros((len(basis), len(double)), dtype=complex)
@@ -248,7 +243,7 @@ def _selfadjoint_pencil(group, lam: int, s: int, basis: list[dict], lip_scale: f
         for z, v in sym.items():
             i = double.index[z]
             coef[k, i] = complex(v * double.lengths[i] ** s)
-    return _Pencil(symbol_positions(group, lam), coef * lip_scale)
+    return _Pencil(symbol_positions(group, lam), coef)
 
 
 # Largest stacked n x n complex array one ascent step holds: a stack of
@@ -353,7 +348,6 @@ def lip_distance(
     s: int,
     lam: int,
     params: Optional[SolverParams] = None,
-    lip_scale: float = 1.0,
 ) -> DistanceResult:
     """State distance induced by the truncated Lipschitz seminorm.
 
@@ -368,7 +362,7 @@ def lip_distance(
     zero = ToeplitzOperator(group, lam, {})
     if np.linalg.norm(c) == 0:
         return DistanceResult(value=0.0, witness=zero, status="converged")
-    pencil = _selfadjoint_pencil(group, lam, s, basis, lip_scale)
+    pencil = _selfadjoint_pencil(group, lam, s, basis)
     best_val, best_x, status = _ratio_ascent(c, pencil, params, hermitian=True)
     norm_at_best = spectral_norm(pencil(best_x))
     scaled = best_x / norm_at_best
@@ -386,7 +380,6 @@ def brute_distance(
     s: int,
     lam: int,
     grid: int = 24,
-    lip_scale: float = 1.0,
 ) -> float:
     """Independent oracle for :func:`lip_distance` in up to 4 real parameters.
 
@@ -400,7 +393,7 @@ def brute_distance(
         raise ValueError(f"oracle refuses dimension {m} > 4")
     if np.linalg.norm(c) == 0:
         return 0.0
-    pencil = _selfadjoint_pencil(group, lam, s, basis, lip_scale)
+    pencil = _selfadjoint_pencil(group, lam, s, basis)
 
     def value(x: np.ndarray) -> float:
         sigma = spectral_norm(pencil(x))
@@ -437,54 +430,6 @@ def brute_distance(
 
 
 # ---------------------------------------------------------------------------
-# bridge quantities
-
-
-def bridge_norm(
-    a: AlgebraElement,
-    b: ToeplitzOperator,
-    epsilon: float,
-    tol: float = 1e-8,
-    r_max: Optional[int] = None,
-) -> float:
-    """Coupling seminorm: the norm of a minus the reconstruction of b, over epsilon.
-
-    Vanishes when b is the compression of a kernel-averaged element matching
-    a, and is nonzero on pairs that merely share a seminorm, which is what
-    lets the combined seminorm pin the two state spaces together.
-    """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    diff = a - reconstruct(b)
-    if len(diff) == 0:
-        return 0.0
-    if r_max is None:
-        worst = max(word_length(diff.group, g) for g in diff.support)
-        r_max = max(4, min(worst + 2, 2 * b.radius + 2))
-    return opnorm(diff, tol=tol, r_max=r_max).estimate / epsilon
-
-
-def combined_lipnorm(
-    a: AlgebraElement,
-    b: ToeplitzOperator,
-    s: int,
-    lam: int,
-    epsilon: float,
-    tol: float = 1e-8,
-    r_max: int = 10,
-) -> float:
-    """Max of the two sided seminorms and the bridge coupling on a pair."""
-    if b.radius != lam:
-        raise ValueError("operator radius does not match lam")
-    from .groupalg import lipnorm as full_lipnorm
-
-    la = full_lipnorm(a, s, tol=tol, r_max=r_max)
-    lb = truncated_lipnorm(b, s)
-    nb = bridge_norm(a, b, epsilon, tol=tol)
-    return max(la, lb, nb)
-
-
-# ---------------------------------------------------------------------------
 # epsilon searches
 
 
@@ -494,13 +439,12 @@ class SearchParams:
 
     starts: int = 6
     max_iters: int = 150
-    step0: float = 0.3
-    step_decay: float = 0.05
-    tol: float = 1e-9
     seed: int = 0
-    r_pad: int = 2
     opnorm_tol: float = 1e-8
-    opnorm_rmax: Optional[int] = None
+
+
+# The full search compresses its pencils to the ball this much past lam.
+_R_PAD = 2
 
 
 def _two_norm_ascent(num: _Pencil, den: _Pencil, params: SearchParams):
@@ -536,7 +480,7 @@ def _two_norm_ascent(num: _Pencil, den: _Pencil, params: SearchParams):
         gn = np.linalg.norm(grad, axis=1)
         go &= gn >= 1e-14
         live = live[go]
-        step = params.step0 / (1.0 + params.step_decay * t)
+        step = _STEP0 / (1.0 + _STEP_DECAY * t)
         xn = xl[go] + step * grad[go] / gn[go, None]
         x[live] = xn / np.linalg.norm(xn, axis=1)[:, None]
     if not best.size or best.max() <= 0:
@@ -592,21 +536,20 @@ def epsilon_full(
     best candidate is re-evaluated with budgeted compression norms.
 
     ``cap`` bounds every ball enumerated: the double ball of lam, the
-    lam + r_pad ball the pencils are compressed to, and the balls of the
-    re-evaluation (up to radius 2 lam by default).  A compression to the
-    radius-r ball also indexes the double ball of r, which is never larger
-    than the square of the capped ball.
+    lam + 2 ball the pencils are compressed to, and the balls of the
+    re-evaluation, up to radius 2 lam.  A compression to the radius-r ball
+    also indexes the double ball of r, which is never larger than the
+    square of the capped ball.
     """
     search = search or SearchParams()
-    best, num, den = _epsilon_pencils(group, lam, s, lam + search.r_pad, cap)
+    best, num, den = _epsilon_pencils(group, lam, s, lam + _R_PAD, cap)
     _, best_x = _two_norm_ascent(num, den, search)
     if best_x is not None:
         f = _element_from_params(group, best_x, ball(group, 2 * lam, cap=cap).elements[1:])
         if len(f) > 0:
-            r_max = search.opnorm_rmax if search.opnorm_rmax is not None else 2 * lam
             smooth = fejer_apply(f, lam, cap=cap)
-            defect = opnorm(f - smooth, tol=search.opnorm_tol, r_max=r_max, cap=cap)
-            lip = opnorm(derivative(f, s), tol=search.opnorm_tol, r_max=r_max, cap=cap)
+            defect = opnorm(f - smooth, tol=search.opnorm_tol, r_max=2 * lam, cap=cap)
+            lip = opnorm(derivative(f, s), tol=search.opnorm_tol, r_max=2 * lam, cap=cap)
             if lip.estimate > 0:
                 best = max(best, defect.estimate / lip.estimate)
     return best

@@ -13,13 +13,19 @@ from spectrunc import (
     FreeAbelian,
     compress,
     delta,
+    epsilon_full,
+    epsilon_truncated,
     fejer_kernel,
     format_algebra_element,
+    gh_bound,
+    lip_distance,
     parse_algebra_element,
     parse_toeplitz,
     reconstruct,
+    vector_state,
 )
 from spectrunc.cli import run
+from spectrunc.harness import _fmt12
 
 Z1 = FreeAbelian(1)
 Z2 = FreeAbelian(2)
@@ -128,6 +134,15 @@ def test_truncate_exact_reads_integer_coefficients(capsys, tmp_path):
     assert out == "lambda 1\n3 0 0\n"
 
 
+@pytest.mark.parametrize("text", ["1/0 0 1\n", "# c\nnan 0 1\n", "1 x 1\n"])
+def test_truncate_bad_coefficient_exits_2(capsys, monkeypatch, text):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = _run(capsys, "truncate", "--group", "z:1", "--lambda", "2")
+    assert code == 2
+    assert out == ""
+    assert "bad coefficient" in err
+
+
 def test_truncate_reconstruct_commutator_pipeline(capsys, tmp_path):
     f = delta(Z1, (1,)) + delta(Z1, (-2,), 0.5 - 0.25j)
     src = tmp_path / "f.txt"
@@ -210,6 +225,25 @@ def test_epsilon_command_output(capsys):
     )
 
 
+def test_tuning_defaults_are_the_library_defaults(capsys, tmp_path):
+    code, out, _ = _run(capsys, "epsilon", "--group", "z:1", "--lambda", "2", "--s", "2")
+    assert code == 0
+    ef, et = epsilon_full(Z1, 2, 2), epsilon_truncated(Z1, 2, 2)
+    assert out == f"eps_full {_fmt12(ef)}\neps_trunc {_fmt12(et)}\ngh_bound {_fmt12(gh_bound(ef, et))}\n"
+
+    phi, psi = tmp_path / "phi.txt", tmp_path / "psi.txt"
+    phi.write_text("1 0 0\n0.5 0 1\n-0.25 0 -1\n")
+    psi.write_text("1 0 0\n")
+    code, out, _ = _run(
+        capsys, "distance", "--group", "z:1", "--lambda", "1", "--s", "1",
+        "--phi", str(phi), "--psi", str(psi),
+    )
+    assert code == 0
+    a = vector_state(Z1, {(0,): 1, (1,): 0.5, (-1,): -0.25}, lam=1)
+    b = vector_state(Z1, {(0,): 1}, lam=1)
+    assert out == _fmt12(lip_distance(a, b, 1, 1).value) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 
@@ -223,6 +257,16 @@ def test_converge_stdout_csv(capsys):
     assert lines[0] == CSV_HEADER
     assert len(lines) == 3
     assert lines[1].split(",")[0] == "1"
+
+
+def test_converge_gnuplot_without_a_csv_file_exits_2(capsys, tmp_path):
+    sweep = ("converge", "--group", "z:1", "--lambdas", "1", "--trials", "1", "--gnuplot")
+    for where in ((), ("--format", "json", "--output", str(tmp_path / "sweep.json"))):
+        code, out, err = _run(capsys, *sweep, *where)
+        assert code == 2
+        assert out == ""
+        assert "gnuplot" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_converge_requires_lambdas(capsys):

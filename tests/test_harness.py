@@ -1,5 +1,6 @@
 """Sweep configuration, reproducibility, and report export tests."""
 
+import io
 import json
 
 import pytest
@@ -171,6 +172,17 @@ def test_gnuplot_script_emitted(tmp_path):
     script = (tmp_path / "sweep.gp").read_text()
     assert "sweep.csv" in script
     assert "logscale" in script
+
+
+def test_gnuplot_needs_a_csv_file_path(tmp_path):
+    report = ConvergenceReport(rows=(ConvergenceRow(lam=1, skipped=True),), metadata={})
+    stream = io.StringIO()
+    with pytest.raises(ValueError, match="gnuplot"):
+        export_report(report, stream, gnuplot=True)
+    with pytest.raises(ValueError, match="gnuplot"):
+        export_report(report, tmp_path / "sweep.json", format="json", gnuplot=True)
+    assert stream.getvalue() == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_export_rejects_unknown_format(tmp_path):

@@ -11,11 +11,8 @@ from spectrunc import (
     Heisenberg,
     SearchParams,
     SolverParams,
-    ToeplitzOperator,
     ball,
-    bridge_norm,
     brute_distance,
-    combined_lipnorm,
     compress,
     delta,
     density_state,
@@ -24,14 +21,12 @@ from spectrunc import (
     fejer_apply,
     fejer_kernel,
     gh_bound,
-    identity_operator,
     l1_norm,
     lip_distance,
     random_density_state,
     random_element,
     random_psd,
     random_vector_state,
-    reconstruct,
     state_eval,
     truncated_lipnorm,
     unit,
@@ -94,14 +89,14 @@ def test_state_eval_truncated_examples():
     assert state_eval(phi, T) == 2.0
     n = len(ball(Z2, 1))
     rho = density_state(Z2, np.eye(n) / n, 1)
-    assert abs(state_eval(rho, identity_operator(Z2, 1)) - 1.0) < 1e-14
+    assert abs(state_eval(rho, compress(unit(Z2), 1)) - 1.0) < 1e-14
 
 
 def test_state_eval_is_positive_and_unital():
     rng = np.random.default_rng(40)
     for mk in (random_vector_state, random_density_state):
         st = mk(Z2, 1, rng)
-        assert abs(state_eval(st, identity_operator(Z2, 1)) - 1.0) < 1e-12
+        assert abs(state_eval(st, compress(unit(Z2), 1)) - 1.0) < 1e-12
         val = state_eval(st, random_psd(Z2, 1, rng))
         assert val.real >= -1e-12
         assert abs(val.imag) < 1e-12
@@ -111,13 +106,13 @@ def test_state_eval_domain_mismatches():
     full = vector_state(Z1, {(0,): 1.0})
     trunc = vector_state(Z1, {(0,): 1.0}, lam=1)
     with pytest.raises(ValueError):
-        state_eval(full, identity_operator(Z1, 1))
+        state_eval(full, compress(unit(Z1), 1))
     with pytest.raises(ValueError):
         state_eval(trunc, unit(Z1))
     with pytest.raises(ValueError):
-        state_eval(trunc, identity_operator(Z1, 2))
+        state_eval(trunc, compress(unit(Z1), 2))
     with pytest.raises(ValueError):
-        state_eval(trunc, identity_operator(Z2, 1))
+        state_eval(trunc, compress(unit(Z2), 1))
     with pytest.raises(TypeError):
         state_eval(full, 3.0)
 
@@ -178,13 +173,6 @@ def test_distance_zero_difference_short_circuits():
     assert res.status == "converged"
 
 
-def test_distance_scale_homogeneity():
-    phi, psi = _named_pair()
-    base = lip_distance(phi, psi, s=1, lam=1).value
-    half = lip_distance(phi, psi, s=1, lam=1, lip_scale=2.0).value
-    assert abs(half - base / 2) < 1e-9
-
-
 def test_distance_agrees_with_oracle_on_random_pairs():
     rng = np.random.default_rng(42)
     for _ in range(6):
@@ -230,36 +218,6 @@ def test_solver_deterministic():
     a = lip_distance(phi, psi, s=1, lam=1, params=p)
     b = lip_distance(phi, psi, s=1, lam=1, params=p)
     assert a.value == b.value
-
-
-# ---------------------------------------------------------------------------
-# bridge coupling
-
-
-def test_bridge_norm_vanishes_on_reconstruction_pairs():
-    rng = np.random.default_rng(46)
-    T = random_psd(Z2, 2, rng)
-    assert bridge_norm(reconstruct(T), T, epsilon=0.25) == 0.0
-
-
-def test_bridge_norm_scaling_example():
-    a = delta(Z1, (1,))
-    zero = ToeplitzOperator(Z1, 1, {})
-    assert bridge_norm(a, zero, epsilon=0.5) == pytest.approx(2.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        bridge_norm(a, zero, epsilon=0.0)
-
-
-def test_combined_lipnorm_example():
-    lam = 2
-    a = delta(Z1, (1,))
-    b = compress(a, lam)
-    # the defect norm is 1/(2 lam + 1); any epsilon at least that large
-    # leaves the two one-sided seminorms (both exactly 1) in charge
-    val = combined_lipnorm(a, b, s=1, lam=lam, epsilon=0.5)
-    assert val == pytest.approx(1.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        combined_lipnorm(a, compress(a, lam + 1), s=1, lam=lam, epsilon=0.5)
 
 
 def test_state_proximity_under_smoothing():

@@ -1,0 +1,47 @@
+"""Source checks that need no linter: every module-level import is used.
+
+An import marked ``# noqa: F401`` on its line is kept on purpose, as a
+linter would read the mark.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "spectrunc").glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by module-level imports that the module neither reads nor exports."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    imported.add((alias.asname or alias.name).split(".")[0])
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported |= set(ast.literal_eval(node.value))
+    return sorted(name for name in imported if name not in used | exported)
+
+
+def test_the_check_finds_an_unused_import():
+    source = (
+        "import os\nimport re  # noqa: F401\nfrom typing import Optional, Mapping\n"
+        "__all__ = ['Mapping']\nos.sep\n"
+    )
+    assert unused_imports(source) == ["Optional"]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_no_unused_module_level_imports(path):
+    assert unused_imports(path.read_text()) == []
