@@ -28,7 +28,8 @@ from .truncation import (
     reconstruct,
 )
 from .groupalg import spectral_norm
-from .harness import ExperimentConfig, _fmt12, export_report, run_convergence
+from .harness import ExperimentConfig, _check_gnuplot_target, _fmt12, export_report
+from .harness import run_convergence
 from .qmetric import SearchParams, SolverParams, epsilon_full, epsilon_truncated, gh_bound
 from .qmetric import lip_distance, vector_state
 
@@ -215,8 +216,10 @@ def _cmd_converge(args) -> int:
     if "lambda_range" not in merged:
         raise ValueError("a lambda range is required (--lambdas or config lambda_range)")
     config = ExperimentConfig.from_mapping(merged)
-    report = run_convergence(config)
-    export_report(report, config.output or sys.stdout, format=config.format, gnuplot=args.gnuplot)
+    dest = sys.stdout if config.output in (None, "-") else config.output
+    if args.gnuplot:
+        _check_gnuplot_target(dest, config.format)
+    export_report(run_convergence(config), dest, format=config.format, gnuplot=args.gnuplot)
     return 0
 
 

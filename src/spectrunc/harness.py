@@ -223,6 +223,12 @@ def _gnuplot_script(csv_path: str) -> str:
     )
 
 
+def _check_gnuplot_target(path: Union[str, Path, TextIO], format: str) -> None:
+    """Raise ValueError unless a gnuplot script can go next to this report."""
+    if format != "csv" or hasattr(path, "write"):
+        raise ValueError("a gnuplot script needs a CSV report written to a file path")
+
+
 def export_report(
     report: ConvergenceReport,
     path: Union[str, Path, TextIO],
@@ -234,8 +240,8 @@ def export_report(
     ``path`` is a file path or an open text stream.  ``gnuplot=True`` writes
     a plot script named after the CSV next to it, so it needs a CSV path.
     """
-    if gnuplot and (format != "csv" or hasattr(path, "write")):
-        raise ValueError("a gnuplot script needs a CSV report written to a file path")
+    if gnuplot:
+        _check_gnuplot_target(path, format)
     if format == "csv":
         lines = [CSV_HEADER]
         for row in report.rows:

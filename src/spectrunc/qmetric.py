@@ -12,6 +12,7 @@ convergence bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
@@ -247,33 +248,69 @@ def _selfadjoint_pencil(group, lam: int, s: int, basis: list[dict]) -> _Pencil:
 
 
 # Largest stacked n x n complex array one ascent step holds: a stack of
-# points is solved in chunks of at most this many bytes per stacked array.
+# points, with one matrix per pencil at each point, is solved in chunks of at
+# most this many bytes.
 _STACK_BYTES = 1 << 22
 
 
+@functools.lru_cache(maxsize=None)
+def _start_vector(n: int) -> np.ndarray:
+    """Fixed generic complex start vector of the inverse-iteration solves."""
+    rng = np.random.default_rng(0x5EC7)
+    start = rng.standard_normal((n, 2)) @ np.array([1.0, 1.0j])
+    start.flags.writeable = False
+    return start
+
+
 def _top_singular(M: np.ndarray, hermitian: bool):
-    """Top singular values and pairs (u, v), Re(u^H M v) = sigma, of a (B, n, n) stack."""
-    rows = np.arange(len(M))
+    """Top singular values and pairs (u, v), Re(u^H M v) = sigma, of a (B, n, n) stack.
+
+    The top eigenvalue of the Hermitian stack H (M itself, or the Gram stack
+    M^H M) comes from ``eigvalsh``, and its eigenvector v from one solve of
+    (H - mu I) v = start with the shift mu just past that eigenvalue: inverse
+    iteration with an accurate shift converges in one step.  A Hermitian
+    stack keeps the eigenvalue of largest modulus, the most negative one on a
+    tie, and sigma is its modulus; otherwise sigma is the root of the top
+    Gram eigenvalue and u = M v / sigma.  A zero matrix gives sigma 0 and
+    u = v.
+    """
+    B, n = M.shape[:2]
+    # a fresh C-contiguous H, so the diagonal view below writes into it
+    H = M.copy() if hermitian else M.conj().transpose(0, 2, 1) @ M
+    w = np.linalg.eigvalsh(H)
+    lo, top = w[:, 0], w[:, -1]
     if hermitian:
-        w, V = np.linalg.eigh(M)
-        i = np.argmax(np.abs(w), axis=1)
-        top = w[rows, i]
-        v = V[rows, :, i]
-        return np.abs(top), np.where(top[:, None] >= 0, v, -v), v
-    U, S, Vh = np.linalg.svd(M)
-    return S[:, 0], U[:, :, 0], Vh[:, 0].conj()
+        top = np.where(np.abs(lo) >= np.abs(top), lo, top)
+    sign = np.where(top >= 0, 1.0, -1.0)
+    H.reshape(B, n * n)[:, :: n + 1] -= (top + sign * (1e-12 * np.abs(top) + 1e-150))[:, None]
+    v = np.linalg.solve(H, np.broadcast_to(_start_vector(n)[:, None], (B, n, 1)))[..., 0]
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    if hermitian:
+        return np.abs(top), sign[:, None] * v, v
+    sigma = np.sqrt(np.maximum(top, 0.0))
+    Mv = (M @ v[..., None])[..., 0]
+    u = np.divide(Mv, sigma[:, None], out=v.copy(), where=sigma[:, None] > 0)
+    return sigma, u, v
 
 
-def _norms_and_grads(pencil: _Pencil, X: np.ndarray, hermitian: bool):
-    """||pencil(x)|| and its gradient in x for every row x of X, one solve per chunk."""
-    n = len(pencil.idx)
-    chunk = max(1, _STACK_BYTES // (16 * n * n))
+def _norms_and_grads(pencils: list, X: np.ndarray, hermitian: bool):
+    """||p(x)|| and its gradient in x for every pencil p and every row x of X.
+
+    The pencils share one index map.  Their matrices at a chunk of rows are
+    solved as one stack, and the chunk is sized so that the stack, with one
+    matrix per pencil and row, stays under ``_STACK_BYTES``.  Returns sigma
+    of shape (pencils, rows) and gradients of shape (pencils, rows, m).
+    """
+    n, P = len(pencils[0].idx), len(pencils)
+    chunk = max(1, _STACK_BYTES // (16 * n * n * P))
     sigma, grad = [], []
     for lo in range(0, len(X), chunk):
-        s, u, v = _top_singular(pencil(X[lo : lo + chunk]), hermitian)
-        sigma.append(s)
-        grad.append(pencil.grad(u, v))
-    return np.concatenate(sigma), np.concatenate(grad)
+        xs = X[lo : lo + chunk]
+        s, u, v = _top_singular(np.concatenate([p(xs) for p in pencils]), hermitian)
+        u, v = u.reshape(P, len(xs), n), v.reshape(P, len(xs), n)
+        sigma.append(s.reshape(P, len(xs)))
+        grad.append(np.stack([p.grad(u[k], v[k]) for k, p in enumerate(pencils)]))
+    return np.concatenate(sigma, axis=1), np.concatenate(grad, axis=1)
 
 
 def _ratio_ascent(c: np.ndarray, pencil: _Pencil, params: SolverParams, hermitian: bool):
@@ -306,7 +343,7 @@ def _ratio_ascent(c: np.ndarray, pencil: _Pencil, params: SolverParams, hermitia
         if not live.size:
             break
         xl = x[live]
-        sigma, grad_sigma = _norms_and_grads(pencil, xl, hermitian)
+        (sigma,), (grad_sigma,) = _norms_and_grads([pencil], xl, hermitian)
         cx = xl @ c
         val = cx / sigma
         grad = c / sigma[:, None] - (cx / sigma**2)[:, None] * grad_sigma
@@ -450,9 +487,10 @@ _R_PAD = 2
 def _two_norm_ascent(num: _Pencil, den: _Pencil, params: SearchParams):
     """Multi-start ascent on the ratio of two matrix-pencil norms.
 
-    All starts advance in lockstep.  Each step scores every live iterate with
-    the top singular values whose vectors give its gradient; a start leaves
-    the stack when it stalls, a pencil vanishes or the gradient does.
+    All starts advance in lockstep.  Each step solves the numerator and
+    denominator at every live iterate as one stack; their top singular values
+    score the iterate and their singular vectors give its gradient.  A start
+    leaves the stack when it stalls, a pencil vanishes or the gradient does.
     """
     m = len(num.coef)
     rng = np.random.default_rng(params.seed)
@@ -467,8 +505,7 @@ def _two_norm_ascent(num: _Pencil, den: _Pencil, params: SearchParams):
         if not live.size:
             break
         xl = x[live]
-        sn, gnum = _norms_and_grads(num, xl, False)
-        sd, gden = _norms_and_grads(den, xl, False)
+        (sn, sd), (gnum, gden) = _norms_and_grads([num, den], xl, False)
         val = np.divide(sn, sd, out=np.zeros_like(sn), where=sd > 0)
         up = val > best[live] * (1 + 1e-12)
         best[live[up]] = val[up]

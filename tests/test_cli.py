@@ -24,6 +24,7 @@ from spectrunc import (
     reconstruct,
     vector_state,
 )
+from spectrunc import cli
 from spectrunc.cli import run
 from spectrunc.harness import _fmt12
 
@@ -266,6 +267,30 @@ def test_converge_gnuplot_without_a_csv_file_exits_2(capsys, tmp_path):
         assert code == 2
         assert out == ""
         assert "gnuplot" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_converge_gnuplot_exits_2_before_the_sweep(capsys, monkeypatch):
+    def refuse(config):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_convergence", refuse)
+    sweep = ("converge", "--group", "z:1", "--lambdas", "1", "--gnuplot")
+    for where in ((), ("--output", "-"), ("--format", "json", "--output", "sweep.json")):
+        code, out, err = _run(capsys, *sweep, *where)
+        assert code == 2
+        assert out == ""
+        assert "gnuplot" in err
+
+
+def test_converge_output_dash_writes_stdout(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["converge", "--group", "z:1", "--lambdas", "1,2", "--trials", "1"]
+    code, want, _ = _run(capsys, *argv)
+    assert code == 0
+    code, out, _ = _run(capsys, *argv, "--output", "-")
+    assert code == 0
+    assert out == want
     assert list(tmp_path.iterdir()) == []
 
 

@@ -5,11 +5,12 @@ to the matrix positions that read it, one dense matrix per basis direction,
 and pencil contractions with ``tensordot``/``einsum``.  The index-map path
 must give bit-equal matrices; its gradients sum in another order and must
 agree to 1e-12 relative.  Stacked calls, which the lockstep ascents make,
-must agree with the same references row by row, and each ascent must agree
-with a per-start reference that runs its starts one after another.  Balls
-and maps built from the array group law must equal a BFS and a map built
-with the scalar law, and a group that has only the scalar methods must give
-the built-in group's balls, maps and kernels.
+must agree with the same references row by row; the top-pair solver must
+also hold on repeated, balanced, zero, rank-one and 1x1 matrices, and each
+ascent must agree with a per-start reference that runs its starts one after
+another.  Balls and maps built from the array group law must equal a BFS
+and a map built with the scalar law, and a group that has only the scalar
+methods must give the built-in group's balls, maps and kernels.
 """
 
 import math
@@ -179,11 +180,48 @@ def test_stacked_top_singular_matches_spectral_norm(group, lam):
                 assert np.array_equal(u[b], v[b]) or np.array_equal(u[b], -v[b])
 
 
+def _edge_stacks():
+    """(stack, Hermitian) pairs of the cases a top-pair solver gets wrong first."""
+    rng = np.random.default_rng(12)
+    n = 5
+    unitary = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    repeated = np.diag([2.0, 2.0, 1.0, 0.5, 0.0]).astype(complex)
+    balanced = unitary @ np.diag([3.0, -3.0, 1.0, 0.0, -0.5]) @ unitary.conj().T
+    balanced = (balanced + balanced.conj().T) / 2
+    rank_one = np.outer(rng.standard_normal(n), rng.standard_normal(n) + 1j)
+    zero = np.zeros((n, n), dtype=complex)
+    general = [3 * unitary, repeated, balanced, rank_one, zero]
+    hermitian = [repeated, balanced, -repeated, np.outer(rank_one[0], rank_one[0].conj()), zero]
+    single = [np.array([[-2.5 + 1j]]), np.zeros((1, 1), dtype=complex)]
+    return [
+        (np.array(general), False),
+        (np.array(hermitian), True),
+        (np.array(single), False),
+        (np.array(single).real.astype(complex), True),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_top_singular_on_repeated_balanced_zero_rank_one_and_scalar_matrices(case):
+    M, hermitian = _edge_stacks()[case]
+    sigma, u, v = _top_singular(M, hermitian)
+    assert np.all(np.isfinite(sigma)) and np.all(np.isfinite(u)) and np.all(np.isfinite(v))
+    for b in range(len(M)):
+        want = spectral_norm(M[b])
+        if want == 0:
+            assert sigma[b] == 0
+        else:
+            assert abs(sigma[b] - want) <= 1e-12 * want
+        assert abs(np.linalg.norm(u[b]) - 1) <= 1e-12
+        assert abs(np.linalg.norm(v[b]) - 1) <= 1e-12
+        assert abs(np.vdot(u[b], M[b] @ v[b]).real - sigma[b]) <= 1e-12 * max(sigma[b], 1.0)
+
+
 def test_stack_is_solved_in_chunks_under_the_byte_size(monkeypatch):
     rng = np.random.default_rng(11)
     pencil, _, hermitian = _case_pencils(H, 1)[-1]
     X = rng.standard_normal((7, len(pencil.coef)))
-    whole = _norms_and_grads(pencil, X, hermitian)
+    whole = _norms_and_grads([pencil], X, hermitian)
     n = len(pencil.idx)
     solved = []
 
@@ -193,10 +231,35 @@ def test_stack_is_solved_in_chunks_under_the_byte_size(monkeypatch):
 
     monkeypatch.setattr(qmetric, "_STACK_BYTES", 3 * 16 * n * n)
     monkeypatch.setattr(qmetric, "_top_singular", counted)
-    chunked = _norms_and_grads(pencil, X, hermitian)
+    chunked = _norms_and_grads([pencil], X, hermitian)
     assert solved == [3, 3, 1]
     for got, want in zip(chunked, whole):
         _assert_rel_close(got, want)
+
+
+def test_two_pencils_share_each_chunked_stack_under_the_byte_size(monkeypatch):
+    rng = np.random.default_rng(13)
+    _, num, den = _epsilon_pencils(H, 1, 2, 1, None)
+    X = rng.standard_normal((7, len(num.coef)))
+    whole = _norms_and_grads([num, den], X, False)
+    n = len(num.idx)
+    solved = []
+
+    def counted(M, hermitian):
+        solved.append(M.nbytes)
+        return _top_singular(M, hermitian)
+
+    monkeypatch.setattr(qmetric, "_STACK_BYTES", 5 * 16 * n * n)
+    monkeypatch.setattr(qmetric, "_top_singular", counted)
+    chunked = _norms_and_grads([num, den], X, False)
+    assert solved == [4 * 16 * n * n] * 3 + [2 * 16 * n * n]
+    assert max(solved) <= qmetric._STACK_BYTES
+    for got, want in zip(chunked, whole):
+        _assert_rel_close(got, want)
+    for k, pencil in enumerate((num, den)):
+        alone = _norms_and_grads([pencil], X, False)
+        _assert_rel_close(whole[0][k], alone[0][0])
+        _assert_rel_close(whole[1][k], alone[1][0])
 
 
 def _reference_two_norm(num, den, params):

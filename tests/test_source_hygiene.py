@@ -1,10 +1,13 @@
-"""Source checks that need no linter: every module-level import is used.
+"""Source checks that need no linter: every module-level import is used,
+and importing the package leaves the heavy optional modules unloaded.
 
 An import marked ``# noqa: F401`` on its line is kept on purpose, as a
 linter would read the mark.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +48,17 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# Modules that cost start-up time and memory; each is imported where it is used.
+LAZY_MODULES = ("numpy.random", "scipy", "scipy.linalg", "scipy.optimize")
+
+
+def test_importing_the_package_loads_no_lazy_module():
+    src = str(SOURCES[0].parent.parent)
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import spectrunc; "
+        f"print(sorted(set({LAZY_MODULES!r}) & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
