@@ -1,11 +1,11 @@
 """A full convergence sweep.
 
 For each truncation radius the sweep records the ball size, the boundary
-ratio of the averaging kernel, the two empirical approximation constants
-(full algebra and truncated side), and the resulting distance bound, which
-decays as the radius grows.  Reports export as CSV or JSON, optionally with
-a gnuplot script; here they go to a temporary directory that is removed
-after the CSV's first lines are shown.
+ratio of the averaging kernel, the two approximation constants (the exact
+basis floor on the full algebra, an ascent on the truncated side), and the
+resulting distance bound, which decays as the radius grows.  Reports export
+as CSV or JSON, optionally with a gnuplot script; here they go to a
+temporary directory that is removed after the CSV's first lines are shown.
 """
 
 import tempfile

@@ -76,7 +76,7 @@ def _read_config(path: str) -> dict:
 
 
 _CONFIG_INT_KEYS = {"seed", "trials", "starts", "max_iters", "ball_cap", "workers", "s"}
-_CONFIG_FLOAT_KEYS = {"tol", "step0", "step_decay"}
+_CONFIG_FLOAT_KEYS = {"tol"}
 
 
 def _coerce_config(data: dict) -> dict:
@@ -174,13 +174,19 @@ def _cmd_commutator(args) -> int:
 
 
 # Tuning keys a command reads, each mapped to the parameter field it sets.
-_DISTANCE_FIELDS = {k: k for k in ("starts", "max_iters", "tol", "seed", "step0", "step_decay")}
-_EPSILON_FIELDS = {"trials": "starts", "seed": "seed", "tol": "opnorm_tol"}
+_DISTANCE_FIELDS = {k: k for k in ("starts", "max_iters", "tol", "seed")}
+_EPSILON_FIELDS = {"trials": "starts", "seed": "seed"}
 
 
 def _params(cls, args, fields: dict):
-    """cls from the keys the user gave, each cast to its field default's type."""
+    """cls from the keys the user gave, each cast to its field default's type.
+
+    Raises ValueError on a config key the command does not read.
+    """
     merged, defaults = _merged_config(args, fields), cls()
+    unknown = set(merged) - set(fields)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     given = {name: merged[key] for key, name in fields.items() if key in merged}
     return cls(**{name: type(getattr(defaults, name))(v) for name, v in given.items()})
 
@@ -193,7 +199,7 @@ def _cmd_distance(args) -> int:
     result = lip_distance(phi, psi, args.s, args.lam, params)
     print(_fmt12(result.value))
     if result.status != "converged":
-        print(f"warning: solver hit the iteration cap", file=sys.stderr)
+        print("warning: solver hit the iteration cap", file=sys.stderr)
     return 0
 
 
@@ -209,7 +215,7 @@ def _cmd_epsilon(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    keys = ("group", "s", "seed", "trials", "tol", "output", "format", "ball_cap", "workers")
+    keys = ("group", "s", "seed", "trials", "output", "format", "ball_cap", "workers")
     merged = _merged_config(args, keys)
     if args.lambdas is not None:
         merged["lambda_range"] = args.lambdas
@@ -300,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", default=None)
     p.set_defaults(func=_cmd_epsilon)
@@ -311,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambdas", default=None, help="comma-separated radii, e.g. '2,4,8,16'")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--output", default=None)
     p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--config", default=None)

@@ -1,10 +1,10 @@
 """Experiment harness: configuration, convergence sweeps, and report export.
 
 A sweep evaluates, for each truncation radius in a range, the ball size, the
-worst single-generator boundary ratio, the two empirical approximation
-constants, and the resulting distance bound.  Per-radius randomness is drawn
-from seeds derived by hashing (seed, radius, stage), so any subset of radii
-reproduces the same rows in any order.
+worst single-generator boundary ratio, the two approximation constants, and
+the resulting distance bound.  The truncated constant's ascent draws its
+randomness from a seed derived by hashing (seed, radius, stage), so any
+subset of radii reproduces the same rows in any order.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ class ExperimentConfig:
     s: Union[int, str] = "auto"
     seed: int = 0
     trials: int = 6
-    tol: float = 1e-8
     output: Optional[str] = None
     format: str = "csv"
     ball_cap: Optional[int] = None
@@ -69,8 +68,6 @@ class ExperimentConfig:
                 raise ValueError(f"s must be 'auto' or a positive integer, got {self.s!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be 'csv' or 'json', got {self.format!r}")
         if self.workers < 1:
@@ -142,27 +139,17 @@ def choose_s(group, cap: Optional[int] = None) -> int:
             f"over the cap of {DEFAULT_BALL_CAP if cap is None else cap} elements"
         )
     degree = max(1, round(report.fitted_degree))
-    return degree // 2 + (degree % 2) + 1 if degree % 2 else degree // 2 + 1
+    return (degree + 1) // 2 + 1
 
 
 def _compute_row(config: ExperimentConfig, group, s: int, lam: int) -> ConvergenceRow:
     try:
         size = len(ball(group, lam, cap=config.ball_cap))
         kern = fejer_kernel(group, lam, cap=config.ball_cap)
-        base = dict(
-            starts=config.trials,
-            opnorm_tol=config.tol,
-        )
-        ef = epsilon_full(
-            group, lam, s,
-            SearchParams(seed=_derived_seed(config.seed, lam, "eps-full"), **base),
-            cap=config.ball_cap,
-        )
-        et = epsilon_truncated(
-            group, lam, s,
-            SearchParams(seed=_derived_seed(config.seed, lam, "eps-trunc"), **base),
-            cap=config.ball_cap,
-        )
+        ef = epsilon_full(group, lam, s, cap=config.ball_cap)
+        seed = _derived_seed(config.seed, lam, "eps-trunc")
+        search = SearchParams(starts=config.trials, seed=seed)
+        et = epsilon_truncated(group, lam, s, search, cap=config.ball_cap)
         return ConvergenceRow(
             lam=lam,
             ball_size=size,
@@ -193,7 +180,6 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
         "s": s,
         "seed": config.seed,
         "trials": config.trials,
-        "tol": config.tol,
     }
     try:
         lam_fit = max(max(config.lambda_range) + 1, 4)

@@ -5,9 +5,10 @@ States evaluate algebra elements (full side) or truncated operators
 difference over the self-adjoint unit ball of the Lipschitz seminorm; because
 the seminorm on a truncation is a finite matrix norm, the supremum is a dual
 norm evaluation and is approached by normalized ratio ascent, with an
-exhaustive grid oracle available in low dimension.  The epsilon searches
-probe the two Lipschitz approximation constants that drive the quantitative
-convergence bound.
+exhaustive grid oracle available in low dimension.  Of the two Lipschitz
+approximation constants that drive the quantitative convergence bound, the
+full-algebra one is the exact basis floor and the truncated one is probed by
+ratio ascent from that floor.
 """
 
 from __future__ import annotations
@@ -22,10 +23,7 @@ import numpy as np
 from .cayley import ball
 from .groupalg import (
     AlgebraElement,
-    derivative,
-    fejer_apply,
     fejer_kernel,
-    opnorm,
     spectral_norm,
     symbol_positions,
     _quadratic_form,
@@ -170,8 +168,6 @@ class SolverParams:
 
     starts: int = 32
     max_iters: int = 400
-    step0: float = _STEP0
-    step_decay: float = _STEP_DECAY
     tol: float = 1e-9
     seed: int = 0
 
@@ -356,7 +352,7 @@ def _ratio_ascent(c: np.ndarray, pencil: _Pencil, params: SolverParams, hermitia
         stalled[live[stop]] = True
         go = ~stop
         live = live[go]
-        step = params.step0 / (1.0 + params.step_decay * t)
+        step = _STEP0 / (1.0 + _STEP_DECAY * t)
         xn = xl[go] + step * grad[go] / gn[go, None]
         x[live] = xn / np.linalg.norm(xn, axis=1)[:, None]
     i = int(np.argmax(best))
@@ -467,21 +463,16 @@ def brute_distance(
 
 
 # ---------------------------------------------------------------------------
-# epsilon searches
+# epsilon constants
 
 
 @dataclass(frozen=True)
 class SearchParams:
-    """Budget for the epsilon ratio searches."""
+    """Budget for the ratio search of :func:`epsilon_truncated`."""
 
     starts: int = 6
     max_iters: int = 150
     seed: int = 0
-    opnorm_tol: float = 1e-8
-
-
-# The full search compresses its pencils to the ball this much past lam.
-_R_PAD = 2
 
 
 def _two_norm_ascent(num: _Pencil, den: _Pencil, params: SearchParams):
@@ -526,70 +517,51 @@ def _two_norm_ascent(num: _Pencil, den: _Pencil, params: SearchParams):
     return float(best[i]), best_x[i]
 
 
-def _param_pencil(idx: np.ndarray, weights: np.ndarray) -> _Pencil:
-    """Pencil over (re, im) pairs of a symbol on the double ball minus the identity."""
-    m = len(weights)
-    k = np.arange(m)
-    coef = np.zeros((2 * m, m + 1), dtype=complex)
-    coef[2 * k, k + 1] = weights
-    coef[2 * k + 1, k + 1] = 1j * weights
-    return _Pencil(idx, coef)
+def _basis_weights(group, lam: int, s: int, cap: Optional[int]):
+    """Basis floor and the weights 1 - K(z) and len(z)^s of the double ball minus e.
 
-
-def _epsilon_pencils(group, lam: int, s: int, radius: int, cap: Optional[int]):
-    """Basis floor and the numerator and denominator pencils of an epsilon search.
-
-    The numerator weights a symbol on the radius-lam double ball by one
-    minus the kernel, the denominator by word length to the s-th power; both
-    are compressed to the ball of ``radius``.  The floor is the best ratio
-    over single basis directions, max (1 - K(z)) / len(z)^s.
+    The floor is the best ratio over single basis directions,
+    max (1 - K(z)) / len(z)^s.
     """
     kern = fejer_kernel(group, lam, cap=cap)
     double = ball(group, 2 * lam, cap=cap)
     wnum = np.array([float(1 - kern.values[z]) for z in double.elements[1:]])
     wden = np.array([float(length**s) for length in double.lengths[1:]])
-    idx = symbol_positions(group, radius, cap=cap)
-    floor = float(np.max(wnum / wden))
-    return floor, _param_pencil(idx, wnum), _param_pencil(idx, wden)
+    return float(np.max(wnum / wden)), wnum, wden
 
 
-def _element_from_params(group, x: np.ndarray, elems) -> AlgebraElement:
-    coeffs = {}
-    for i, z in enumerate(elems):
-        v = complex(x[2 * i], x[2 * i + 1])
-        if v != 0:
-            coeffs[z] = v
-    return AlgebraElement(group, coeffs)
+def _epsilon_pencils(group, lam: int, s: int, cap: Optional[int]):
+    """Basis floor and the numerator and denominator pencils of the truncated search.
+
+    Each pencil runs over (re, im) pairs of a symbol on the double ball minus
+    the identity, weighted by :func:`_basis_weights`, and compresses it to the
+    radius-lam ball.
+    """
+    floor, *weights = _basis_weights(group, lam, s, cap)
+    idx = symbol_positions(group, lam, cap=cap)
+    k = np.arange(len(weights[0]))
+    pencils = []
+    for w in weights:
+        coef = np.zeros((2 * len(w), len(w) + 1), dtype=complex)
+        coef[2 * k, k + 1] = w
+        coef[2 * k + 1, k + 1] = 1j * w
+        pencils.append(_Pencil(idx, coef))
+    return floor, *pencils
 
 
 def epsilon_full(
     group, lam: int, s: int, search: Optional[SearchParams] = None, cap: Optional[int] = None
 ) -> float:
-    """Empirical Lipschitz constant of the kernel defect on the full algebra.
+    """Lipschitz constant of the kernel defect on the full algebra: the basis floor.
 
-    Lower-bounds the best constant in ``norm(f - kernel(f)) <= eps * Lip(f)``
-    by probing every nonscalar basis direction exactly and then running
-    multi-start ratio ascent over complex symbols on the double ball; the
-    best candidate is re-evaluated with budgeted compression norms.
-
-    ``cap`` bounds every ball enumerated: the double ball of lam, the
-    lam + 2 ball the pencils are compressed to, and the balls of the
-    re-evaluation, up to radius 2 lam.  A compression to the radius-r ball
-    also indexes the double ball of r, which is never larger than the
-    square of the capped ball.
+    Each basis direction z attains (1 - K(z)) / len(z)^s exactly, so the
+    floor is a certified lower bound of the best constant in
+    ``norm(f - kernel(f)) <= eps * Lip(f)``.  Since 1 - K(z) <= len(z) * eps
+    with equality at the generators, it equals ``folner_epsilon`` for every
+    s >= 1.  ``search`` is unused and kept for callers that pass one;
+    ``cap`` bounds the double ball.
     """
-    search = search or SearchParams()
-    best, num, den = _epsilon_pencils(group, lam, s, lam + _R_PAD, cap)
-    _, best_x = _two_norm_ascent(num, den, search)
-    if best_x is not None:
-        f = _element_from_params(group, best_x, ball(group, 2 * lam, cap=cap).elements[1:])
-        if len(f) > 0:
-            smooth = fejer_apply(f, lam, cap=cap)
-            defect = opnorm(f - smooth, tol=search.opnorm_tol, r_max=2 * lam, cap=cap)
-            lip = opnorm(derivative(f, s), tol=search.opnorm_tol, r_max=2 * lam, cap=cap)
-            if lip.estimate > 0:
-                best = max(best, defect.estimate / lip.estimate)
-    return best
+    return _basis_weights(group, lam, s, cap)[0]
 
 
 def epsilon_truncated(
@@ -597,16 +569,13 @@ def epsilon_truncated(
 ) -> float:
     """Empirical Lipschitz constant of the round-trip defect on the truncation.
 
-    Same search shape as :func:`epsilon_full`, but both norms are exact
-    finite matrix norms over the radius-lam ball; ``cap`` bounds that ball
-    and its double ball.
+    Starts from the basis floor of :func:`epsilon_full` and runs multi-start
+    ratio ascent over complex symbols on the double ball; both norms are
+    exact finite matrix norms over the radius-lam ball, so every ascent value
+    is attained.  ``cap`` bounds that ball and its double ball.
     """
-    search = search or SearchParams()
-    best, num, den = _epsilon_pencils(group, lam, s, lam, cap)
-    val, best_x = _two_norm_ascent(num, den, search)
-    if best_x is not None:
-        best = max(best, val)
-    return best
+    floor, num, den = _epsilon_pencils(group, lam, s, cap)
+    return max(floor, _two_norm_ascent(num, den, search or SearchParams())[0])
 
 
 def gh_bound(eps_full: float, eps_truncated: float) -> float:

@@ -245,6 +245,21 @@ def test_tuning_defaults_are_the_library_defaults(capsys, tmp_path):
     assert out == _fmt12(lip_distance(a, b, 1, 1).value) + "\n"
 
 
+@pytest.mark.parametrize("command", ["distance", "epsilon"])
+def test_tuning_config_rejects_unknown_keys(capsys, tmp_path, command):
+    phi = tmp_path / "phi.txt"
+    phi.write_text("1 0 0\n1 0 1\n")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("seed = 1\ntolerance = 1e-3\n")
+    argv = [command, "--group", "z:1", "--lambda", "1", "--s", "1", "--config", str(cfg)]
+    if command == "distance":
+        argv += ["--phi", str(phi), "--psi", str(phi)]
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "unknown config keys: ['tolerance']" in err
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 
@@ -292,6 +307,19 @@ def test_converge_output_dash_writes_stdout(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert out == want
     assert list(tmp_path.iterdir()) == []
+
+
+def test_converge_line_row_reports_the_basis_floor_as_eps_full(capsys):
+    # eps_full is the basis floor; an ascent scored by unconverged opnorm scans
+    # reported 0.2005648232 here, above what its own witness attains
+    code, out, _ = _run(capsys, "converge", "--group", "z:1", "--lambdas", "2", "--seed", "0")
+    assert code == 0
+    header, line = out.splitlines()
+    assert header == CSV_HEADER
+    lam, size, folner, ef, et, gh = line.split(",")
+    assert (lam, size, folner, ef) == ("2", "5", "0.2", "0.2")
+    assert float(et) == pytest.approx(0.208744969398, rel=1e-9)
+    assert float(gh) == pytest.approx(0.417489938795, rel=1e-9)
 
 
 def test_converge_requires_lambdas(capsys):
@@ -350,7 +378,7 @@ def test_converge_stdout_matches_output_file(capsys, tmp_path, fmt):
 
 def test_converge_skips_a_row_whose_pencil_ball_is_over_the_cap(capsys, tmp_path):
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("ball_cap = 6\ns = 2\ntrials = 1\n")
+    cfg.write_text("ball_cap = 4\ns = 2\ntrials = 1\n")
     code, out, _ = _run(
         capsys, "converge", "--group", "z:1", "--lambdas", "1", "--config", str(cfg),
         "--format", "json",
@@ -358,7 +386,7 @@ def test_converge_skips_a_row_whose_pencil_ball_is_over_the_cap(capsys, tmp_path
     assert code == 0
     (row,) = json.loads(out)["rows"]
     assert row["skipped"]
-    assert "radius 3" in row["reason"] and "cap of 6" in row["reason"]
+    assert "radius 2" in row["reason"] and "cap of 4" in row["reason"]
 
 
 def test_converge_auto_s_under_a_tight_cap_exits_3(capsys, tmp_path):

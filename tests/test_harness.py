@@ -52,8 +52,6 @@ def test_config_validates_knobs():
     with pytest.raises(ValueError):
         _small_config(trials=0)
     with pytest.raises(ValueError):
-        _small_config(tol=0.0)
-    with pytest.raises(ValueError):
         _small_config(format="yaml")
     with pytest.raises(ValueError):
         _small_config(workers=0)

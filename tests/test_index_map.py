@@ -120,11 +120,10 @@ def _assert_pencil_matches(pencil, mats, rng):
 def test_epsilon_pencils_match_dense_stacks(group, lam):
     rng = np.random.default_rng(7)
     s = 2
-    for radius in (lam, lam + qmetric._R_PAD):
-        _, num, den = _epsilon_pencils(group, lam, s, radius, None)
-        ref_num, ref_den = _dense_epsilon_stacks(group, lam, s, radius)
-        _assert_pencil_matches(num, ref_num, rng)
-        _assert_pencil_matches(den, ref_den, rng)
+    _, num, den = _epsilon_pencils(group, lam, s, None)
+    ref_num, ref_den = _dense_epsilon_stacks(group, lam, s, lam)
+    _assert_pencil_matches(num, ref_num, rng)
+    _assert_pencil_matches(den, ref_den, rng)
 
 
 @pytest.mark.parametrize("group,lam", PENCIL_CASES)
@@ -138,14 +137,15 @@ def test_selfadjoint_pencil_matches_dense_stack(group, lam):
 def _case_pencils(group, lam):
     """(pencil, dense stack, Hermitian) for every pencil the searches build on one case."""
     s = 2
-    out = []
-    for radius in (lam, lam + qmetric._R_PAD):
-        _, num, den = _epsilon_pencils(group, lam, s, radius, None)
-        ref_num, ref_den = _dense_epsilon_stacks(group, lam, s, radius)
-        out += [(num, ref_num, False), (den, ref_den, False)]
+    _, num, den = _epsilon_pencils(group, lam, s, None)
+    ref_num, ref_den = _dense_epsilon_stacks(group, lam, s, lam)
     basis = _selfadjoint_basis(group, lam)
     dense = _dense_selfadjoint_stack(group, lam, s, basis)
-    return out + [(_selfadjoint_pencil(group, lam, s, basis), dense, True)]
+    return [
+        (num, ref_num, False),
+        (den, ref_den, False),
+        (_selfadjoint_pencil(group, lam, s, basis), dense, True),
+    ]
 
 
 def _assert_rel_close(got, want, rel=1e-12):
@@ -239,7 +239,7 @@ def test_stack_is_solved_in_chunks_under_the_byte_size(monkeypatch):
 
 def test_two_pencils_share_each_chunked_stack_under_the_byte_size(monkeypatch):
     rng = np.random.default_rng(13)
-    _, num, den = _epsilon_pencils(H, 1, 2, 1, None)
+    _, num, den = _epsilon_pencils(H, 1, 2, None)
     X = rng.standard_normal((7, len(num.coef)))
     whole = _norms_and_grads([num, den], X, False)
     n = len(num.idx)
@@ -315,7 +315,7 @@ def _reference_ratio(c, pencil, params):
             if np.linalg.norm(grad) < 1e-15:
                 stalled = True
                 break
-            x = x + params.step0 / (1.0 + params.step_decay * t) * grad / np.linalg.norm(grad)
+            x = x + qmetric._STEP0 / (1.0 + qmetric._STEP_DECAY * t) * grad / np.linalg.norm(grad)
             x = x / np.linalg.norm(x)
         if local_best > best_val:
             best_val, best_stalled = local_best, stalled
@@ -326,7 +326,7 @@ def _reference_ratio(c, pencil, params):
 def test_ascents_return_a_point_that_attains_their_value(group, lam):
     # budgets long enough that some starts leave the stack while others improve
     for seed in range(3):
-        _, num, den = _epsilon_pencils(group, lam, 2, lam, None)
+        _, num, den = _epsilon_pencils(group, lam, 2, None)
         val, x = _two_norm_ascent(num, den, SearchParams(starts=3, seed=seed))
         assert abs(val - spectral_norm(num(x)) / spectral_norm(den(x))) <= 1e-12 * val
         basis = _selfadjoint_basis(group, lam)
@@ -342,10 +342,9 @@ def test_lockstep_ascents_match_a_per_start_reference(group, lam):
     # to rounding rather than bit for bit
     for seed in range(3):
         search = SearchParams(starts=4, max_iters=60, seed=seed)
-        for radius in (lam, lam + qmetric._R_PAD):
-            _, num, den = _epsilon_pencils(group, lam, 2, radius, None)
-            got, want = _two_norm_ascent(num, den, search)[0], _reference_two_norm(num, den, search)
-            assert abs(got - want) <= 1e-9 * want
+        _, num, den = _epsilon_pencils(group, lam, 2, None)
+        got, want = _two_norm_ascent(num, den, search)[0], _reference_two_norm(num, den, search)
+        assert abs(got - want) <= 1e-9 * want
         basis = _selfadjoint_basis(group, lam)
         pencil = _selfadjoint_pencil(group, lam, 2, basis)
         c = np.random.default_rng(seed).standard_normal(len(basis))
@@ -365,7 +364,7 @@ def test_epsilon_floor_is_the_best_basis_direction(group, lam):
         for z in ball(group, 2 * lam).elements
         if z != ident
     )
-    assert _epsilon_pencils(group, lam, 3, lam, None)[0] == floor
+    assert _epsilon_pencils(group, lam, 3, None)[0] == floor
 
 
 @pytest.mark.parametrize("group,lam", [(H, 1), (H, 2), (H, 3), (Z2, 1), (Z2, 2), (Z2, 3), (Z2, 4)])

@@ -263,6 +263,15 @@ def test_epsilon_full_at_least_basis_floor():
         assert epsilon_full(grp, lam, 2, search=search) >= floor - 1e-12
 
 
+@pytest.mark.parametrize("group", [Z1, Z2, H3], ids=lambda g: g.name)
+@pytest.mark.parametrize("lam", [1, 2, 3])
+def test_epsilon_full_is_the_folner_epsilon(group, lam):
+    # 1 - K(x) <= len(x) * eps, with equality at the generators, so the
+    # basis floor is the Folner epsilon for every s >= 1
+    for s in (1, 2, 3):
+        assert epsilon_full(group, lam, s) == float(fejer_kernel(group, lam).folner_epsilon)
+
+
 def test_epsilon_searches_deterministic():
     p = SearchParams(seed=5, starts=3, max_iters=60)
     assert epsilon_full(Z1, 2, 2, search=p) == epsilon_full(Z1, 2, 2, search=p)

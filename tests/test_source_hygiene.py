@@ -1,5 +1,6 @@
 """Source checks that need no linter: every module-level import is used,
-and importing the package leaves the heavy optional modules unloaded.
+every f-string has a placeholder, and importing the package leaves the heavy
+optional modules unloaded.
 
 An import marked ``# noqa: F401`` on its line is kept on purpose, as a
 linter would read the mark.
@@ -48,6 +49,37 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def placeholderless_fstrings(source: str) -> list[int]:
+    """Line numbers of f-strings that format no value.
+
+    A format spec such as the ``.3e`` of ``{x:.3e}`` parses as a nested
+    f-string of constants; it is part of its placeholder, not an f-string.
+    """
+    tree = ast.parse(source)
+    specs = {
+        id(n.format_spec)
+        for n in ast.walk(tree)
+        if isinstance(n, ast.FormattedValue) and n.format_spec is not None
+    }
+    return sorted(
+        n.lineno
+        for n in ast.walk(tree)
+        if isinstance(n, ast.JoinedStr)
+        and id(n) not in specs
+        and not any(isinstance(v, ast.FormattedValue) for v in n.values)
+    )
+
+
+def test_the_check_finds_a_placeholderless_fstring():
+    source = 'a = f"plain"\nb = f"{a:.3e} {a!r:>{8}}"\nc = "x" f"{b}"\nd = f"""\n"""\n'
+    assert placeholderless_fstrings(source) == [1, 4]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_placeholderless_fstrings(path):
+    assert placeholderless_fstrings(path.read_text()) == []
 
 
 # Modules that cost start-up time and memory; each is imported where it is used.
