@@ -13,7 +13,6 @@ ratio ascent from that floor.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
@@ -27,6 +26,7 @@ from .groupalg import (
     spectral_norm,
     symbol_positions,
     _quadratic_form,
+    _start_vector,
 )
 from .truncation import ToeplitzOperator, materialize
 
@@ -247,15 +247,6 @@ def _selfadjoint_pencil(group, lam: int, s: int, basis: list[dict]) -> _Pencil:
 # points, with one matrix per pencil at each point, is solved in chunks of at
 # most this many bytes.
 _STACK_BYTES = 1 << 22
-
-
-@functools.lru_cache(maxsize=None)
-def _start_vector(n: int) -> np.ndarray:
-    """Fixed generic complex start vector of the inverse-iteration solves."""
-    rng = np.random.default_rng(0x5EC7)
-    start = rng.standard_normal((n, 2)) @ np.array([1.0, 1.0j])
-    start.flags.writeable = False
-    return start
 
 
 def _top_singular(M: np.ndarray, hermitian: bool):

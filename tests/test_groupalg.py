@@ -29,7 +29,8 @@ from spectrunc import (
     unit,
     word_length,
 )
-from spectrunc.groupalg import _power_norm
+from spectrunc import groupalg
+from spectrunc.groupalg import _lanczos_norm
 
 from oracles import folner_deficit
 
@@ -185,20 +186,72 @@ def test_compression_norm_is_path_graph_eigenvalue():
         assert abs(got - want) < 1e-12
 
 
-def test_power_norm_bounds_and_meets_separated_norms():
+def test_lanczos_norm_bounds_and_meets_separated_norms():
     rng = np.random.default_rng(11)
-    assert _power_norm(np.zeros((3, 3))) == 0.0
+    assert _lanczos_norm(np.zeros((3, 3))) == 0.0
     for m, n in ((1, 1), (5, 5), (6, 9), (12, 4)):
         for _ in range(5):
             M = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-            assert _power_norm(M) <= np.linalg.norm(M, 2) + 1e-12
+            assert _lanczos_norm(M) <= np.linalg.norm(M, 2) + 1e-12
             k = min(m, n)
             U, _ = np.linalg.qr(rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k)))
             V, _ = np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
             sigma = np.concatenate([[4.0], rng.uniform(0.0, 2.0, k - 1)])
-            got = _power_norm(U @ np.diag(sigma) @ V.conj().T)
+            got = _lanczos_norm(U @ np.diag(sigma) @ V.conj().T)
             assert got <= 4.0 + 1e-12
             assert abs(got - 4.0) <= 1e-9
+
+
+def dense_norm(M):
+    """Reference top singular value: root of the top Gram eigenvalue."""
+    return math.sqrt(max(np.linalg.eigvalsh(M.conj().T @ M)[-1], 0.0))
+
+
+def test_spectral_norm_of_large_heisenberg_compressions_matches_dense():
+    rng = np.random.default_rng(2024)
+    for radius, n in ((5, 299), (6, 593), (7, 1069)):
+        M = compress_rep(random_element(H3, 2, rng), radius)
+        assert len(M) == n
+        got, want = spectral_norm(M), dense_norm(M)
+        assert abs(got - want) <= 1e-12 * want
+        assert got <= want * (1 + 1e-12)
+
+
+def test_spectral_norm_above_threshold_exact_and_clustered_cases():
+    n = groupalg._LANCZOS_THRESHOLD + 1
+    assert spectral_norm(-2 * np.eye(n)) == 2.0
+    point = compress_rep(delta(Z2, (2, 1), 1j), 12)
+    assert len(point) > groupalg._LANCZOS_THRESHOLD
+    assert spectral_norm(point) == 1.0
+    assert spectral_norm(np.zeros((n, n))) == 0.0
+    rng = np.random.default_rng(12)
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    sigma = np.concatenate([[4.0, 4.0 - 1e-9], rng.uniform(0.0, 2.0, n - 2)])
+    got = spectral_norm(U @ np.diag(sigma) @ V.conj().T)
+    assert got <= 4.0 + 1e-12
+    assert abs(got - 4.0) <= 1e-9
+
+
+@pytest.mark.parametrize("shape", [(260, 40), (40, 260)])
+def test_spectral_norm_of_rectangular_matrix_above_threshold(shape):
+    rng = np.random.default_rng(13)
+    M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = np.linalg.norm(M, 2)
+    got = spectral_norm(M)
+    assert abs(got - want) <= 1e-12 * want
+    assert got <= want * (1 + 1e-12)
+
+
+def test_opnorm_scan_agrees_with_dense_norm_scan(monkeypatch):
+    rng = np.random.default_rng(31)
+    elements = [random_element(H3, 2, rng) for _ in range(3)]
+    scans = [opnorm(f, r_max=6) for f in elements]
+    monkeypatch.setattr(groupalg, "_LANCZOS_THRESHOLD", 10**9)
+    for f, got in zip(elements, scans):
+        want = opnorm(f, r_max=6)
+        assert (got.converged, got.last_radius) == (want.converged, want.last_radius)
+        assert abs(got.estimate - want.estimate) <= 1e-12 * want.estimate
 
 
 def test_opnorm_of_point_mass_is_one():
