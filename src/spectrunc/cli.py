@@ -15,9 +15,10 @@ from pathlib import Path
 
 from .cayley import ResourceCapError, ball, group_from_key, growth_report
 from .groupalg import (
+    derivative,
     fejer_kernel,
     format_algebra_element,
-    lipnorm,
+    opnorm,
     parse_algebra_element,
 )
 from .truncation import (
@@ -75,7 +76,7 @@ def _read_config(path: str) -> dict:
     return data
 
 
-_CONFIG_INT_KEYS = {"seed", "trials", "starts", "max_iters", "ball_cap", "workers", "s"}
+_CONFIG_INT_KEYS = {"seed", "trials", "starts", "max_iters", "ball_cap", "s"}
 _CONFIG_FLOAT_KEYS = {"tol"}
 
 
@@ -145,8 +146,11 @@ def _cmd_fejer(args) -> int:
 def _cmd_lipnorm(args) -> int:
     group = group_from_key(args.group)
     f = parse_algebra_element(_read_text(args.input), group)
-    value = lipnorm(f, args.s, tol=args.tol, r_max=args.r_max)
-    print(_fmt12(value))
+    result = opnorm(derivative(f, args.s), tol=args.tol, r_max=args.r_max)
+    print(_fmt12(result.estimate))
+    if not result.converged:
+        print(f"warning: the radius scan stopped at r_max = {result.last_radius} "
+              "before converging", file=sys.stderr)
     return 0
 
 
@@ -206,7 +210,7 @@ def _cmd_distance(args) -> int:
 def _cmd_epsilon(args) -> int:
     group = group_from_key(args.group)
     params = _params(SearchParams, args, _EPSILON_FIELDS)
-    ef = epsilon_full(group, args.lam, args.s, params)
+    ef = epsilon_full(group, args.lam, args.s)
     et = epsilon_truncated(group, args.lam, args.s, params)
     print(f"eps_full {_fmt12(ef)}")
     print(f"eps_trunc {_fmt12(et)}")
@@ -215,7 +219,7 @@ def _cmd_epsilon(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    keys = ("group", "s", "seed", "trials", "output", "format", "ball_cap", "workers")
+    keys = ("group", "s", "seed", "trials", "output", "format", "ball_cap")
     merged = _merged_config(args, keys)
     if args.lambdas is not None:
         merged["lambda_range"] = args.lambdas

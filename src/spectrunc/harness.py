@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, TextIO, Union
@@ -51,7 +50,6 @@ class ExperimentConfig:
     output: Optional[str] = None
     format: str = "csv"
     ball_cap: Optional[int] = None
-    workers: int = 1
 
     def __post_init__(self):
         group_from_key(self.group)
@@ -70,8 +68,6 @@ class ExperimentConfig:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be 'csv' or 'json', got {self.format!r}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers}")
 
     @classmethod
     def from_mapping(cls, data: dict) -> "ExperimentConfig":
@@ -166,14 +162,7 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
     """Run one sweep and return an ordered report with growth metadata."""
     group = group_from_key(config.group)
     s = choose_s(group, cap=config.ball_cap) if config.s == "auto" else int(config.s)
-
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(
-                pool.map(lambda lam: _compute_row(config, group, s, lam), config.lambda_range)
-            )
-    else:
-        rows = [_compute_row(config, group, s, lam) for lam in config.lambda_range]
+    rows = [_compute_row(config, group, s, lam) for lam in config.lambda_range]
 
     metadata = {
         "group": config.group,

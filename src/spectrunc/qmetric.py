@@ -7,8 +7,10 @@ the seminorm on a truncation is a finite matrix norm, the supremum is a dual
 norm evaluation and is approached by normalized ratio ascent, with an
 exhaustive grid oracle available in low dimension.  Of the two Lipschitz
 approximation constants that drive the quantitative convergence bound, the
-full-algebra one is the exact basis floor and the truncated one is probed by
-ratio ascent from that floor.
+full-algebra one is the Folner epsilon, its exact basis floor, and the
+truncated one is probed by ratio ascent from that floor.  The ascents run on
+pencils of ball compressions, each stored as the symbol position and weight of
+every complex parameter, evaluated and differentiated through the index map.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .cayley import ball
+from .cayley import _array_law, _position_finder, ball
 from .groupalg import (
     AlgebraElement,
     fejer_kernel,
@@ -179,68 +181,68 @@ class DistanceResult:
     status: str
 
 
-def _selfadjoint_basis(group, lam: int) -> list[dict]:
-    """Real basis of self-adjoint symbols with no identity component."""
-    double = ball(group, 2 * lam)
-    inv = group.inverse
-    ident = group.identity()
-    seen = set()
-    basis: list[dict] = []
-    for z in double.elements:
-        if z == ident or z in seen:
-            continue
-        zi = inv(z)
-        seen.add(z)
-        seen.add(zi)
-        if z == zi:
-            basis.append({z: 1.0})
-        else:
-            basis.append({z: 1.0, zi: 1.0})
-            basis.append({z: 1.0j, zi: -1.0j})
-    return basis
-
-
 class _Pencil:
     """Matrix pencil x -> sum_k x_k M_k of compressions to one ball.
 
-    Row k of ``coef`` is the symbol of M_k over the leading positions of a
-    double ball in BFS order, which every larger double ball shares.  Entry
-    (i, j) of M(x) is (x @ coef)[idx[i, j]], and zero where the index map
-    points past the symbol.  Points and vectors may be single or stacked
-    along a leading axis.
+    Complex parameter k, zeta_k = x[2k] + i x[2k+1], puts zeta_k w[k] at
+    position pos[k] of the symbol over the double ball; a self-adjoint pencil
+    also adds conj(zeta_k) w[k] at mirror[k], the position of the inverse, so
+    a self-inverse element gets 2 Re(zeta_k) w[k].  M(x) gathers the symbol
+    through the index map.  Points and vectors may be single or stacked along
+    a leading axis.
     """
 
-    def __init__(self, idx: np.ndarray, coef: np.ndarray):
-        self.coef = coef
-        self.idx = np.minimum(idx, coef.shape[1])
-        self._flat = self.idx.ravel()
+    def __init__(self, idx: np.ndarray, pos: np.ndarray, w: np.ndarray, mirror=None):
+        self.idx, self.pos, self.w, self.mirror = idx, pos, w, mirror
+        self.size = 2 * len(w)
+        self._flat = idx.ravel()
+        self._slots = int(self._flat.max()) + 1
+
+    def symbol(self, x: np.ndarray) -> np.ndarray:
+        """The symbol over the double ball at x."""
+        zeta = (x[..., 0::2] + 1j * x[..., 1::2]) * self.w
+        sym = np.zeros(x.shape[:-1] + (self._slots,), dtype=complex)
+        sym[..., self.pos] = zeta
+        if self.mirror is not None:
+            sym[..., self.mirror] += zeta.conj()
+        return sym
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        sym = x @ self.coef
-        return np.concatenate([sym, np.zeros_like(sym[..., :1])], axis=-1)[..., self.idx]
+        # an index, not take(): the stack's memory layout sets the rounding of the solves
+        return self.symbol(x)[..., self.idx]
 
-    def grad(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Re(u^H M_k v) for every k, from u-bar v summed per symbol position.
+    def contract(self, W: np.ndarray) -> np.ndarray:
+        """Re sum_ij W_ij M_k[i, j] for every k, from W summed per symbol position.
 
         Row b of a stack sums into its own bins, offset by b * slots.
         """
-        w = (u.conj()[..., :, None] * v[..., None, :]).ravel()
-        slots = self.coef.shape[1] + 1
+        w = W.ravel()
+        slots = self._slots
         rows = len(w) // len(self._flat)
         bins = (self._flat + slots * np.arange(rows)[:, None]).ravel()
         g = np.bincount(bins, w.real, rows * slots) + 1j * np.bincount(bins, w.imag, rows * slots)
-        return (g.reshape(*u.shape[:-1], slots)[..., :-1] @ self.coef.T).real
+        g = g.reshape(*W.shape[:-2], slots)
+        at = g.take(self.pos, axis=-1)
+        if self.mirror is not None:
+            at += g.take(self.mirror, axis=-1).conj()
+        return (at.conj() * self.w).view(float)
+
+    def grad(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Re(u^H M_k v) for every k."""
+        return self.contract(u.conj()[..., :, None] * v[..., None, :])
 
 
-def _selfadjoint_pencil(group, lam: int, s: int, basis: list[dict]) -> _Pencil:
-    """Pencil of the s-th truncated derivatives of the self-adjoint basis."""
+def _selfadjoint_pencil(group, lam: int, s: int) -> _Pencil:
+    """Pencil of the s-th truncated derivatives of self-adjoint symbols with no identity part.
+
+    Each inverse pair of the double ball is one complex parameter, at the
+    pair's first BFS position; s = 0 gives the symbols themselves.
+    """
     double = ball(group, 2 * lam)
-    coef = np.zeros((len(basis), len(double)), dtype=complex)
-    for k, sym in enumerate(basis):
-        for z, v in sym.items():
-            i = double.index[z]
-            coef[k, i] = complex(v * double.lengths[i] ** s)
-    return _Pencil(symbol_positions(group, lam), coef)
+    inverse = _position_finder(double.coords)(_array_law(group).inverse_array(double.coords))
+    pos = np.flatnonzero(np.arange(len(double)) <= inverse)[1:]
+    w = (np.array(double.lengths)[pos] ** s).astype(float)
+    return _Pencil(symbol_positions(group, lam), pos, w, inverse[pos])
 
 
 # Largest stacked n x n complex array one ascent step holds: a stack of
@@ -351,19 +353,33 @@ def _ratio_ascent(c: np.ndarray, pencil: _Pencil, params: SolverParams, hermitia
     return float(best[i]), best_x[i], status
 
 
-def _distance_setup(phi: State, psi: State, lam: int):
-    """Group, self-adjoint basis and the state difference c_k = (phi - psi)(basis_k)."""
+def _check_order(s: int) -> None:
+    if s < 1:
+        raise ValueError(f"derivative order must be a positive integer, got {s}")
+
+
+def _state_matrix(state: State) -> np.ndarray:
+    """W with state(T) = sum_ij W_ij T_ij for every truncated operator T."""
+    if state.kind == "vector":
+        v = _truncated_vector(state, state.lam)
+        return np.outer(v.conj(), v)
+    return state.rho.T
+
+
+def _distance_setup(phi: State, psi: State, s: int, lam: int):
+    """The symbol pencil, its s-th derivative pencil and c_k = (phi - psi)(M_k).
+
+    M_k runs over the self-adjoint symbol pencil, so c is one contraction of
+    the two states' difference.
+    """
+    _check_order(s)
     if phi.lam != lam or psi.lam != lam:
         raise ValueError("both states must live on the radius-lam truncation")
     if phi.group != psi.group:
         raise ValueError("states live on different groups")
-    group = phi.group
-    basis = _selfadjoint_basis(group, lam)
-    ops = [ToeplitzOperator(group, lam, sym) for sym in basis]
-    c = np.array(
-        [(state_eval(phi, T) - state_eval(psi, T)).real for T in ops], dtype=float
-    )
-    return group, basis, c
+    symbols = _selfadjoint_pencil(phi.group, lam, 0)
+    c = symbols.contract(_state_matrix(phi) - _state_matrix(psi))
+    return symbols, _selfadjoint_pencil(phi.group, lam, s), c
 
 
 def lip_distance(
@@ -382,19 +398,15 @@ def lip_distance(
     hence is a certified lower bound of the supremum.
     """
     params = params or SolverParams()
-    group, basis, c = _distance_setup(phi, psi, lam)
-    zero = ToeplitzOperator(group, lam, {})
+    group = phi.group
+    symbols, pencil, c = _distance_setup(phi, psi, s, lam)
     if np.linalg.norm(c) == 0:
+        zero = ToeplitzOperator(group, lam, {})
         return DistanceResult(value=0.0, witness=zero, status="converged")
-    pencil = _selfadjoint_pencil(group, lam, s, basis)
     best_val, best_x, status = _ratio_ascent(c, pencil, params, hermitian=True)
-    norm_at_best = spectral_norm(pencil(best_x))
-    scaled = best_x / norm_at_best
-    witness_symbol: dict = {}
-    for xk, sym in zip(scaled, basis):
-        for z, v in sym.items():
-            witness_symbol[z] = witness_symbol.get(z, 0) + xk * v
-    witness = ToeplitzOperator(group, lam, witness_symbol)
+    scaled = best_x / spectral_norm(pencil(best_x))
+    symbol = dict(zip(ball(group, 2 * lam).elements, symbols.symbol(scaled)))
+    witness = ToeplitzOperator(group, lam, symbol)
     return DistanceResult(value=float(c @ scaled), witness=witness, status=status)
 
 
@@ -411,16 +423,20 @@ def brute_distance(
     local simplex refinement of the best candidates.  Refuses instances whose
     self-adjoint symbol space has more than 4 real dimensions.
     """
-    group, basis, c = _distance_setup(phi, psi, lam)
-    m = len(basis)
+    _, pencil, c = _distance_setup(phi, psi, s, lam)
+    # the imaginary part of a self-inverse element's parameter reaches no symbol
+    live = np.ones(pencil.size, dtype=bool)
+    live[1::2] = pencil.pos != pencil.mirror
+    m = int(live.sum())
     if m > 4:
         raise ValueError(f"oracle refuses dimension {m} > 4")
+    c = c[live]
     if np.linalg.norm(c) == 0:
         return 0.0
-    pencil = _selfadjoint_pencil(group, lam, s, basis)
+    mats = pencil(np.eye(pencil.size)[live])
 
     def value(x: np.ndarray) -> float:
-        sigma = spectral_norm(pencil(x))
+        sigma = spectral_norm(np.tensordot(x, mats, axes=1))
         if sigma == 0:
             return -math.inf
         return float(c @ x) / sigma
@@ -434,7 +450,7 @@ def brute_distance(
     ones = np.ones((len(angles), 1))
     sines = np.concatenate([ones, np.cumprod(np.sin(angles), axis=1)], axis=1)
     points = sines * np.concatenate([np.cos(angles), ones], axis=1)
-    sigma = np.max(np.abs(np.linalg.eigvalsh(pencil(points))), axis=1)
+    sigma = np.max(np.abs(np.linalg.eigvalsh(np.tensordot(points, mats, axes=1))), axis=1)
     scores = np.full(len(points), -math.inf)
     np.divide(points @ c, sigma, out=scores, where=sigma > 0)
     order = np.argsort(-scores, kind="stable")
@@ -474,9 +490,8 @@ def _two_norm_ascent(num: _Pencil, den: _Pencil, params: SearchParams):
     score the iterate and their singular vectors give its gradient.  A start
     leaves the stack when it stalls, a pencil vanishes or the gradient does.
     """
-    m = len(num.coef)
     rng = np.random.default_rng(params.seed)
-    x = rng.standard_normal((params.starts, m))
+    x = rng.standard_normal((params.starts, num.size))
     x /= np.linalg.norm(x, axis=1)[:, None]
 
     best = np.full(len(x), -math.inf)
@@ -508,51 +523,36 @@ def _two_norm_ascent(num: _Pencil, den: _Pencil, params: SearchParams):
     return float(best[i]), best_x[i]
 
 
-def _basis_weights(group, lam: int, s: int, cap: Optional[int]):
-    """Basis floor and the weights 1 - K(z) and len(z)^s of the double ball minus e.
+def _epsilon_pencils(group, lam: int, s: int, cap: Optional[int]):
+    """Numerator and denominator pencils of the truncated search.
 
-    The floor is the best ratio over single basis directions,
-    max (1 - K(z)) / len(z)^s.
+    Each pencil runs over complex symbols on the double ball minus the
+    identity, weighted by 1 - K(z) and by len(z)^s, and compresses them to
+    the radius-lam ball.
     """
     kern = fejer_kernel(group, lam, cap=cap)
     double = ball(group, 2 * lam, cap=cap)
     wnum = np.array([float(1 - kern.values[z]) for z in double.elements[1:]])
     wden = np.array([float(length**s) for length in double.lengths[1:]])
-    return float(np.max(wnum / wden)), wnum, wden
-
-
-def _epsilon_pencils(group, lam: int, s: int, cap: Optional[int]):
-    """Basis floor and the numerator and denominator pencils of the truncated search.
-
-    Each pencil runs over (re, im) pairs of a symbol on the double ball minus
-    the identity, weighted by :func:`_basis_weights`, and compresses it to the
-    radius-lam ball.
-    """
-    floor, *weights = _basis_weights(group, lam, s, cap)
     idx = symbol_positions(group, lam, cap=cap)
-    k = np.arange(len(weights[0]))
-    pencils = []
-    for w in weights:
-        coef = np.zeros((2 * len(w), len(w) + 1), dtype=complex)
-        coef[2 * k, k + 1] = w
-        coef[2 * k + 1, k + 1] = 1j * w
-        pencils.append(_Pencil(idx, coef))
-    return floor, *pencils
+    pos = np.arange(1, len(double))
+    return _Pencil(idx, pos, wnum), _Pencil(idx, pos, wden)
 
 
 def epsilon_full(
     group, lam: int, s: int, search: Optional[SearchParams] = None, cap: Optional[int] = None
 ) -> float:
-    """Lipschitz constant of the kernel defect on the full algebra: the basis floor.
+    """Lipschitz constant of the kernel defect on the full algebra: the Folner epsilon.
 
-    Each basis direction z attains (1 - K(z)) / len(z)^s exactly, so the
-    floor is a certified lower bound of the best constant in
-    ``norm(f - kernel(f)) <= eps * Lip(f)``.  Since 1 - K(z) <= len(z) * eps
-    with equality at the generators, it equals ``folner_epsilon`` for every
-    s >= 1.  ``search`` is unused and kept for callers that pass one;
-    ``cap`` bounds the double ball.
+    Each basis direction z attains (1 - K(z)) / len(z)^s exactly, and
+    1 - K(z) <= len(z) * eps with equality at the generators, so the best
+    direction is a generator for every s >= 1 and the constant is
+    ``folner_epsilon``, a certified lower bound of the best constant in
+    ``norm(f - kernel(f)) <= eps * Lip(f)``.  ``search`` is unused and kept
+    for callers that pass one; ``cap`` bounds the double ball.
     """
-    return _basis_weights(group, lam, s, cap)[0]
+    _check_order(s)
+    return float(fejer_kernel(group, lam, cap=cap).folner_epsilon)
 
 
 def epsilon_truncated(
@@ -565,7 +565,8 @@ def epsilon_truncated(
     exact finite matrix norms over the radius-lam ball, so every ascent value
     is attained.  ``cap`` bounds that ball and its double ball.
     """
-    floor, num, den = _epsilon_pencils(group, lam, s, cap)
+    floor = epsilon_full(group, lam, s, cap=cap)
+    num, den = _epsilon_pencils(group, lam, s, cap)
     return max(floor, _two_norm_ascent(num, den, search or SearchParams())[0])
 
 

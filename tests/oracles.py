@@ -1,8 +1,14 @@
-"""Scalar overlap counts: the kernel and index-map tests compare against these.
+"""Scalar references that the kernel, index-map and pencil tests compare against.
 
-Each count applies the group's scalar ``multiply`` to one ball element at a
-time, independently of the index maps the package counts overlaps with.
+Each overlap count applies the group's scalar ``multiply`` to one ball
+element at a time, independently of the index maps the package counts
+overlaps with.  The self-adjoint basis is built as a list of symbol
+dictionaries, independently of the position arrays the package's pencils
+carry.  ``Cyclic`` is a finite group with elements of order two, which the
+built-in torsion-free groups lack.
 """
+
+from dataclasses import dataclass
 
 from spectrunc import ball
 
@@ -17,3 +23,53 @@ def ball_overlap(group, x, radius: int) -> int:
 def folner_deficit(group, x, radius: int) -> int:
     """Number of ball elements lost under left translation by x."""
     return len(ball(group, radius)) - ball_overlap(group, x, radius)
+
+
+def selfadjoint_basis(group, lam: int) -> list[dict]:
+    """One symbol per real parameter of the self-adjoint pencil, in its order.
+
+    Each inverse pair {z, z^-1} of the double ball, taken at its first BFS
+    position, gives the symbols zeta at z plus conj(zeta) at z^-1 for
+    zeta = 1 and zeta = i; a self-inverse z gets 2 Re(zeta), that is 2 and 0.
+    """
+    ident = group.identity()
+    seen = set()
+    basis = []
+    for z in ball(group, 2 * lam).elements:
+        if z == ident or z in seen:
+            continue
+        zi = group.inverse(z)
+        seen |= {z, zi}
+        for zeta in (1, 1j):
+            sym = {z: zeta}
+            sym[zi] = sym.get(zi, 0) + zeta.conjugate()
+            basis.append(sym)
+    return basis
+
+
+@dataclass(frozen=True)
+class Cyclic:
+    """Z/order through the scalar methods only, with generators 1 and -1."""
+
+    order: int
+
+    @property
+    def name(self) -> str:
+        return f"cyclic:{self.order}"
+
+    @property
+    def generators(self):
+        return ((1,), (self.order - 1,))
+
+    def identity(self):
+        return (0,)
+
+    def multiply(self, g, h):
+        return ((g[0] + h[0]) % self.order,)
+
+    def inverse(self, g):
+        return (-g[0] % self.order,)
+
+    def validate(self, g):
+        if not (isinstance(g, tuple) and len(g) == 1 and 0 <= g[0] < self.order):
+            raise ValueError(f"{g!r} is not a valid element of {self.name}")

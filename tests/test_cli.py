@@ -184,9 +184,20 @@ def test_lipnorm_from_file_and_stdin(capsys, tmp_path, monkeypatch):
     assert float(out) == pytest.approx(1.0, abs=1e-12)
 
     monkeypatch.setattr(sys, "stdin", io.StringIO("1 0 1\n"))
-    code, out, _ = _run(capsys, "lipnorm", "--group", "z:1", "--s", "1")
+    code, out, err = _run(capsys, "lipnorm", "--group", "z:1", "--s", "1")
     assert code == 0
     assert float(out) == pytest.approx(1.0, abs=1e-12)
+    assert err == ""
+
+
+def test_lipnorm_warns_when_the_radius_scan_stops_unconverged(capsys, monkeypatch):
+    # the shift's compressions have norms 0 and 1 at radii 0 and 1, so a scan
+    # capped at radius 1 ends before two radii agree
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1 0 1\n"))
+    code, out, err = _run(capsys, "lipnorm", "--group", "z:1", "--s", "1", "--r-max", "1")
+    assert code == 0
+    assert float(out) == pytest.approx(1.0, abs=1e-12)
+    assert err == "warning: the radius scan stopped at r_max = 1 before converging\n"
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +216,23 @@ def test_distance_command(capsys, tmp_path):
     assert code == 0
     assert float(out) == pytest.approx(2 ** -0.5, abs=1e-8)
     assert err == ""
+
+
+@pytest.mark.parametrize("s", ["0", "-1"])
+def test_solver_commands_reject_a_derivative_order_below_one(capsys, tmp_path, s):
+    phi = tmp_path / "phi.txt"
+    phi.write_text("1 0 0\n1 0 1\n")
+    psi = tmp_path / "psi.txt"
+    psi.write_text("1 0 0\n")
+    for argv in (
+        ["epsilon", "--group", "z:1", "--lambda", "2", "--s", s],
+        ["distance", "--group", "z:1", "--lambda", "1", "--s", s,
+         "--phi", str(phi), "--psi", str(psi)],
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "derivative order" in err
 
 
 def test_epsilon_command_output(capsys):

@@ -53,8 +53,6 @@ def test_config_validates_knobs():
         _small_config(trials=0)
     with pytest.raises(ValueError):
         _small_config(format="yaml")
-    with pytest.raises(ValueError):
-        _small_config(workers=0)
 
 
 def test_config_from_mapping():
@@ -93,12 +91,6 @@ def test_sweep_rows_do_not_depend_on_range_composition():
     full = run_convergence(_small_config(lambda_range=(1, 2)))
     solo = run_convergence(_small_config(lambda_range=(2,)))
     assert full.rows[1] == solo.rows[0]
-
-
-def test_sweep_workers_do_not_change_rows():
-    serial = run_convergence(_small_config(lambda_range=(1, 2, 3)))
-    threaded = run_convergence(_small_config(lambda_range=(1, 2, 3), workers=3))
-    assert serial.rows == threaded.rows
 
 
 def test_sweep_row_contents():

@@ -29,6 +29,7 @@ from spectrunc import (
     ball,
     compress_rep,
     delta,
+    epsilon_full,
     fejer_kernel,
     random_element,
     word_length,
@@ -41,13 +42,12 @@ from spectrunc.qmetric import (
     _epsilon_pencils,
     _norms_and_grads,
     _ratio_ascent,
-    _selfadjoint_basis,
     _selfadjoint_pencil,
     _top_singular,
     _two_norm_ascent,
 )
 
-from oracles import ball_overlap
+from oracles import Cyclic, ball_overlap, selfadjoint_basis
 
 Z1 = FreeAbelian(1)
 Z2 = FreeAbelian(2)
@@ -92,9 +92,9 @@ def _dense_epsilon_stacks(group, lam, s, radius):
     return np.array(num), np.array(den)
 
 
-def _dense_selfadjoint_stack(group, lam, s, basis):
+def _dense_selfadjoint_stack(group, lam, s):
     mats = []
-    for sym in basis:
+    for sym in selfadjoint_basis(group, lam):
         weighted = {z: v * word_length(group, z) ** s for z, v in sym.items()}
         mats.append(_dense_matrix(group, lam, weighted))
     return np.array(mats)
@@ -120,31 +120,31 @@ def _assert_pencil_matches(pencil, mats, rng):
 def test_epsilon_pencils_match_dense_stacks(group, lam):
     rng = np.random.default_rng(7)
     s = 2
-    _, num, den = _epsilon_pencils(group, lam, s, None)
+    num, den = _epsilon_pencils(group, lam, s, None)
     ref_num, ref_den = _dense_epsilon_stacks(group, lam, s, lam)
     _assert_pencil_matches(num, ref_num, rng)
     _assert_pencil_matches(den, ref_den, rng)
 
 
-@pytest.mark.parametrize("group,lam", PENCIL_CASES)
+# Z/4 at lambda 1 adds an element of order two, a parameter pair whose symbol is 2 Re(zeta)
+@pytest.mark.parametrize("group,lam", PENCIL_CASES + [(Cyclic(4), 1)])
 def test_selfadjoint_pencil_matches_dense_stack(group, lam):
     rng = np.random.default_rng(8)
-    basis = _selfadjoint_basis(group, lam)
-    pencil = _selfadjoint_pencil(group, lam, 2, basis)
-    _assert_pencil_matches(pencil, _dense_selfadjoint_stack(group, lam, 2, basis), rng)
+    pencil = _selfadjoint_pencil(group, lam, 2)
+    dense = _dense_selfadjoint_stack(group, lam, 2)
+    _assert_pencil_matches(pencil, dense, rng)
 
 
 def _case_pencils(group, lam):
     """(pencil, dense stack, Hermitian) for every pencil the searches build on one case."""
     s = 2
-    _, num, den = _epsilon_pencils(group, lam, s, None)
+    num, den = _epsilon_pencils(group, lam, s, None)
     ref_num, ref_den = _dense_epsilon_stacks(group, lam, s, lam)
-    basis = _selfadjoint_basis(group, lam)
-    dense = _dense_selfadjoint_stack(group, lam, s, basis)
+    dense = _dense_selfadjoint_stack(group, lam, s)
     return [
         (num, ref_num, False),
         (den, ref_den, False),
-        (_selfadjoint_pencil(group, lam, s, basis), dense, True),
+        (_selfadjoint_pencil(group, lam, s), dense, True),
     ]
 
 
@@ -220,7 +220,7 @@ def test_top_singular_on_repeated_balanced_zero_rank_one_and_scalar_matrices(cas
 def test_stack_is_solved_in_chunks_under_the_byte_size(monkeypatch):
     rng = np.random.default_rng(11)
     pencil, _, hermitian = _case_pencils(H, 1)[-1]
-    X = rng.standard_normal((7, len(pencil.coef)))
+    X = rng.standard_normal((7, pencil.size))
     whole = _norms_and_grads([pencil], X, hermitian)
     n = len(pencil.idx)
     solved = []
@@ -239,8 +239,8 @@ def test_stack_is_solved_in_chunks_under_the_byte_size(monkeypatch):
 
 def test_two_pencils_share_each_chunked_stack_under_the_byte_size(monkeypatch):
     rng = np.random.default_rng(13)
-    _, num, den = _epsilon_pencils(H, 1, 2, None)
-    X = rng.standard_normal((7, len(num.coef)))
+    num, den = _epsilon_pencils(H, 1, 2, None)
+    X = rng.standard_normal((7, num.size))
     whole = _norms_and_grads([num, den], X, False)
     n = len(num.idx)
     solved = []
@@ -267,7 +267,7 @@ def _reference_two_norm(num, den, params):
     rng = np.random.default_rng(params.seed)
     best_val = 0.0
     for _ in range(params.starts):
-        x = rng.standard_normal(len(num.coef))
+        x = rng.standard_normal(num.size)
         x /= np.linalg.norm(x)
         local_best, stall = -math.inf, 0
         for t in range(params.max_iters + 1):
@@ -326,12 +326,11 @@ def _reference_ratio(c, pencil, params):
 def test_ascents_return_a_point_that_attains_their_value(group, lam):
     # budgets long enough that some starts leave the stack while others improve
     for seed in range(3):
-        _, num, den = _epsilon_pencils(group, lam, 2, None)
+        num, den = _epsilon_pencils(group, lam, 2, None)
         val, x = _two_norm_ascent(num, den, SearchParams(starts=3, seed=seed))
         assert abs(val - spectral_norm(num(x)) / spectral_norm(den(x))) <= 1e-12 * val
-        basis = _selfadjoint_basis(group, lam)
-        pencil = _selfadjoint_pencil(group, lam, 2, basis)
-        c = np.random.default_rng(seed).standard_normal(len(basis))
+        pencil = _selfadjoint_pencil(group, lam, 2)
+        c = np.random.default_rng(seed).standard_normal(pencil.size)
         best_val, x, _ = _ratio_ascent(c, pencil, SolverParams(starts=8, max_iters=200, seed=seed), True)
         assert abs(c @ x / spectral_norm(pencil(x)) - best_val) <= 1e-12 * abs(best_val)
 
@@ -342,12 +341,11 @@ def test_lockstep_ascents_match_a_per_start_reference(group, lam):
     # to rounding rather than bit for bit
     for seed in range(3):
         search = SearchParams(starts=4, max_iters=60, seed=seed)
-        _, num, den = _epsilon_pencils(group, lam, 2, None)
+        num, den = _epsilon_pencils(group, lam, 2, None)
         got, want = _two_norm_ascent(num, den, search)[0], _reference_two_norm(num, den, search)
         assert abs(got - want) <= 1e-9 * want
-        basis = _selfadjoint_basis(group, lam)
-        pencil = _selfadjoint_pencil(group, lam, 2, basis)
-        c = np.random.default_rng(seed).standard_normal(len(basis))
+        pencil = _selfadjoint_pencil(group, lam, 2)
+        c = np.random.default_rng(seed).standard_normal(pencil.size)
         solver = SolverParams(starts=6, max_iters=120, seed=seed)
         val, _, status = _ratio_ascent(c, pencil, solver, True)
         want_val, want_status = _reference_ratio(c, pencil, solver)
@@ -364,7 +362,7 @@ def test_epsilon_floor_is_the_best_basis_direction(group, lam):
         for z in ball(group, 2 * lam).elements
         if z != ident
     )
-    assert _epsilon_pencils(group, lam, 3, None)[0] == floor
+    assert epsilon_full(group, lam, 3) == floor
 
 
 @pytest.mark.parametrize("group,lam", [(H, 1), (H, 2), (H, 3), (Z2, 1), (Z2, 2), (Z2, 3), (Z2, 4)])

@@ -34,6 +34,8 @@ from spectrunc import (
     word_length,
 )
 
+from oracles import Cyclic
+
 Z1 = FreeAbelian(1)
 Z2 = FreeAbelian(2)
 H3 = Heisenberg()
@@ -183,6 +185,20 @@ def test_distance_agrees_with_oracle_on_random_pairs():
         assert abs(got - want) <= 1e-4
 
 
+def test_distance_matches_oracle_with_an_element_of_order_two():
+    # on Z/4 at lambda 1 the double ball holds the pair {1, 3} and the
+    # self-inverse 2, whose parameter pair reaches the symbol only as 2 Re(zeta)
+    group = Cyclic(4)
+    rng = np.random.default_rng(48)
+    for _ in range(3):
+        phi = random_vector_state(group, 1, rng)
+        psi = random_density_state(group, 1, rng)
+        res = lip_distance(phi, psi, s=1, lam=1)
+        assert abs(res.value - brute_distance(phi, psi, s=1, lam=1)) <= 1e-4
+        assert res.witness.is_selfadjoint()
+        assert truncated_lipnorm(res.witness, 1) <= 1.0 + 1e-9
+
+
 def test_distance_triangle_inequality_via_oracle():
     rng = np.random.default_rng(43)
     for _ in range(4):
@@ -266,10 +282,32 @@ def test_epsilon_full_at_least_basis_floor():
 @pytest.mark.parametrize("group", [Z1, Z2, H3], ids=lambda g: g.name)
 @pytest.mark.parametrize("lam", [1, 2, 3])
 def test_epsilon_full_is_the_folner_epsilon(group, lam):
-    # 1 - K(x) <= len(x) * eps, with equality at the generators, so the
-    # basis floor is the Folner epsilon for every s >= 1
+    # epsilon_full returns the Folner epsilon, which is the best basis
+    # direction because 1 - K(x) <= len(x) * eps with equality at the generators
+    kern = fejer_kernel(group, lam)
     for s in (1, 2, 3):
-        assert epsilon_full(group, lam, s) == float(fejer_kernel(group, lam).folner_epsilon)
+        floor = max(
+            (1 - v) / word_length(group, z) ** s
+            for z, v in kern.values.items()
+            if z != group.identity()
+        )
+        assert epsilon_full(group, lam, s) == float(floor)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda s: epsilon_full(Z1, 2, s),
+        lambda s: epsilon_truncated(Z1, 2, s),
+        lambda s: lip_distance(*_named_pair(), s=s, lam=1),
+        lambda s: brute_distance(*_named_pair(), s=s, lam=1),
+    ],
+    ids=["epsilon_full", "epsilon_truncated", "lip_distance", "brute_distance"],
+)
+@pytest.mark.parametrize("s", [0, -1])
+def test_derivative_order_below_one_is_rejected(solve, s):
+    with pytest.raises(ValueError, match="derivative order"):
+        solve(s)
 
 
 def test_epsilon_searches_deterministic():
