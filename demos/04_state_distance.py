@@ -1,10 +1,12 @@
 """State distances induced by the truncated Lipschitz seminorm.
 
 The distance between two states is the largest gap they can show on a
-self-adjoint operator of seminorm at most one.  The solver climbs the
-normalized ratio and returns a feasible witness, so every reported value is
-a certified lower bound; a brute-force grid oracle cross-checks instances
-with at most four symbol parameters.
+self-adjoint operator of seminorm at most one.  The solver runs ADMM on the
+trace-norm dual of that convex problem and reports both ends of a bracket: a
+value attained by a feasible witness (a certified lower bound) and a dual
+certificate (a certified upper bound).  A brute-force grid oracle, which must
+fall inside the bracket, cross-checks instances with at most four symbol
+parameters.
 """
 
 import math
@@ -27,7 +29,8 @@ print("Two-point instance on Z (L=1):")
 phi = vector_state(z1, {(0,): 1.0, (1,): 1.0}, lam=1)
 psi = vector_state(z1, {(0,): 1.0}, lam=1)
 res = lip_distance(phi, psi, s=1, lam=1)
-print(f"  solver value    {res.value:.12f}")
+print(f"  solver value    {res.value:.12f} ({res.status})")
+print(f"  solver upper    {res.upper:.12f}")
 print(f"  exact optimum   {1 / math.sqrt(2):.12f}")
 print(f"  grid oracle     {brute_distance(phi, psi, s=1, lam=1):.12f}")
 print(f"  witness seminorm {truncated_lipnorm(res.witness, 1):.12f} (feasible <= 1)")
@@ -35,11 +38,11 @@ attained = (state_eval(phi, res.witness) - state_eval(psi, res.witness)).real
 print(f"  witness attains  {attained:.12f}")
 
 print()
-print("Random pairs, solver vs oracle:")
+print("Random pairs, solver bracket vs oracle:")
 rng = np.random.default_rng(2)
 for i in range(4):
     a = random_vector_state(z1, 1, rng)
     b = random_vector_state(z1, 1, rng)
-    got = lip_distance(a, b, s=1, lam=1).value
+    got = lip_distance(a, b, s=1, lam=1)
     want = brute_distance(a, b, s=1, lam=1)
-    print(f"  pair {i}: solver {got:.9f}, oracle {want:.9f}, gap {abs(got - want):.2e}")
+    print(f"  pair {i}: solver [{got.value:.9f}, {got.upper:.9f}], oracle {want:.9f}")

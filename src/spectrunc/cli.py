@@ -2,8 +2,8 @@
 
 Subcommands mirror the library surface: ball, growth, fejer, lipnorm,
 truncate, reconstruct, commutator, distance, epsilon, converge.  Exit code 0
-on success, 2 on usage errors, 3 when a resource cap is hit.  Failure paths
-write only to stderr.
+on success, 2 on usage errors, 3 when a resource cap is hit or memory runs
+out.  Failure paths write only to stderr.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def _read_config(path: str) -> dict:
     return data
 
 
-_CONFIG_INT_KEYS = {"seed", "trials", "starts", "max_iters", "ball_cap", "s"}
+_CONFIG_INT_KEYS = {"seed", "trials", "max_iters", "ball_cap", "s"}
 _CONFIG_FLOAT_KEYS = {"tol"}
 
 
@@ -178,7 +178,7 @@ def _cmd_commutator(args) -> int:
 
 
 # Tuning keys a command reads, each mapped to the parameter field it sets.
-_DISTANCE_FIELDS = {k: k for k in ("starts", "max_iters", "tol", "seed")}
+_DISTANCE_FIELDS = {k: k for k in ("max_iters", "tol")}
 _EPSILON_FIELDS = {"trials": "starts", "seed": "seed"}
 
 
@@ -203,7 +203,8 @@ def _cmd_distance(args) -> int:
     result = lip_distance(phi, psi, args.s, args.lam, params)
     print(_fmt12(result.value))
     if result.status != "converged":
-        print("warning: solver hit the iteration cap", file=sys.stderr)
+        bracket = f"[{_fmt12(result.value)}, {_fmt12(result.upper)}]"
+        print(f"warning: solver hit the iteration cap; distance in {bracket}", file=sys.stderr)
     return 0
 
 
@@ -298,10 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--phi", required=True, help="first state vector file")
     p.add_argument("--psi", required=True, help="second state vector file")
-    p.add_argument("--starts", type=int, default=None)
     p.add_argument("--max-iters", dest="max_iters", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", default=None)
     p.set_defaults(func=_cmd_distance)
 
@@ -342,6 +341,9 @@ def run(argv=None) -> int:
         return args.func(args)
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("resource cap: out of memory", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

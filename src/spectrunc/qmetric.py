@@ -2,15 +2,16 @@
 
 States evaluate algebra elements (full side) or truncated operators
 (compressed side).  The distance between two states is the supremum of their
-difference over the self-adjoint unit ball of the Lipschitz seminorm; because
-the seminorm on a truncation is a finite matrix norm, the supremum is a dual
-norm evaluation and is approached by normalized ratio ascent, with an
-exhaustive grid oracle available in low dimension.  Of the two Lipschitz
-approximation constants that drive the quantitative convergence bound, the
-full-algebra one is the Folner epsilon, its exact basis floor, and the
-truncated one is probed by ratio ascent from that floor.  The ascents run on
-pencils of ball compressions, each stored as the symbol position and weight of
-every complex parameter, evaluated and differentiated through the index map.
+difference over the self-adjoint unit ball of the Lipschitz seminorm; on a
+truncation that is a convex problem whose dual is a trace-norm minimization
+over an affine set, so one ADMM solve brackets it between an attained witness
+value and a dual certificate, with an exhaustive grid oracle available in low
+dimension.  Of the two Lipschitz approximation constants that drive the
+quantitative convergence bound, the full-algebra one is the Folner epsilon,
+its exact basis floor, and the truncated one is probed by ratio ascent from
+that floor.  The ascent runs on pencils of ball compressions, each stored as
+the symbol position and weight of every complex parameter, evaluated and
+differentiated through the index map.
 """
 
 from __future__ import annotations
@@ -159,26 +160,22 @@ def random_density_state(group, lam: int, rng: np.random.Generator) -> State:
 # distance solver
 
 
-# Step length of every ascent at iteration t: _STEP0 / (1 + _STEP_DECAY * t).
-_STEP0 = 0.3
-_STEP_DECAY = 0.05
-
-
 @dataclass(frozen=True)
 class SolverParams:
-    """Knobs for the normalized ratio ascent used by :func:`lip_distance`."""
+    """ADMM steps of :func:`lip_distance`, and the relative duality gap that stops them."""
 
-    starts: int = 32
-    max_iters: int = 400
+    max_iters: int = 2000
     tol: float = 1e-9
-    seed: int = 0
 
 
 @dataclass(frozen=True)
 class DistanceResult:
+    """value <= distance <= upper; the witness attains value.  status: converged, iteration-cap."""
+
     value: float
     witness: ToeplitzOperator
     status: str
+    upper: float
 
 
 class _Pencil:
@@ -211,17 +208,17 @@ class _Pencil:
         # an index, not take(): the stack's memory layout sets the rounding of the solves
         return self.symbol(x)[..., self.idx]
 
-    def contract(self, W: np.ndarray) -> np.ndarray:
-        """Re sum_ij W_ij M_k[i, j] for every k, from W summed per symbol position.
-
-        Row b of a stack sums into its own bins, offset by b * slots.
-        """
+    def sums(self, W: np.ndarray) -> np.ndarray:
+        """Sum of W's entries at each symbol position; row b of a stack sums into its own bins."""
         w = W.ravel()
         slots = self._slots
         rows = len(w) // len(self._flat)
         bins = (self._flat + slots * np.arange(rows)[:, None]).ravel()
         g = np.bincount(bins, w.real, rows * slots) + 1j * np.bincount(bins, w.imag, rows * slots)
-        g = g.reshape(*W.shape[:-2], slots)
+        return g.reshape(*W.shape[:-2], slots)
+
+    def adjoint(self, g: np.ndarray) -> np.ndarray:
+        """Re sum_z g(z) S_k(z) for every k, S_k the symbol of M_k."""
         at = g.take(self.pos, axis=-1)
         if self.mirror is not None:
             at += g.take(self.mirror, axis=-1).conj()
@@ -229,14 +226,14 @@ class _Pencil:
 
     def grad(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Re(u^H M_k v) for every k."""
-        return self.contract(u.conj()[..., :, None] * v[..., None, :])
+        return self.adjoint(self.sums(u.conj()[..., :, None] * v[..., None, :]))
 
 
 def _selfadjoint_pencil(group, lam: int, s: int) -> _Pencil:
     """Pencil of the s-th truncated derivatives of self-adjoint symbols with no identity part.
 
     Each inverse pair of the double ball is one complex parameter, at the
-    pair's first BFS position; s = 0 gives the symbols themselves.
+    pair's first BFS position.
     """
     double = ball(group, 2 * lam)
     inverse = _position_finder(double.coords)(_array_law(group).inverse_array(double.coords))
@@ -251,38 +248,30 @@ def _selfadjoint_pencil(group, lam: int, s: int) -> _Pencil:
 _STACK_BYTES = 1 << 22
 
 
-def _top_singular(M: np.ndarray, hermitian: bool):
+def _top_singular(M: np.ndarray):
     """Top singular values and pairs (u, v), Re(u^H M v) = sigma, of a (B, n, n) stack.
 
-    The top eigenvalue of the Hermitian stack H (M itself, or the Gram stack
-    M^H M) comes from ``eigvalsh``, and its eigenvector v from one solve of
-    (H - mu I) v = start with the shift mu just past that eigenvalue: inverse
-    iteration with an accurate shift converges in one step.  A Hermitian
-    stack keeps the eigenvalue of largest modulus, the most negative one on a
-    tie, and sigma is its modulus; otherwise sigma is the root of the top
-    Gram eigenvalue and u = M v / sigma.  A zero matrix gives sigma 0 and
-    u = v.
+    The top eigenvalue of the Gram stack H = M^H M comes from ``eigvalsh``,
+    and its eigenvector v from one solve of (H - mu I) v = start with the
+    shift mu just past that eigenvalue: inverse iteration with an accurate
+    shift converges in one step.  sigma is the root of that eigenvalue and
+    u = M v / sigma; a zero matrix gives sigma 0 and u = v.
     """
     B, n = M.shape[:2]
     # a fresh C-contiguous H, so the diagonal view below writes into it
-    H = M.copy() if hermitian else M.conj().transpose(0, 2, 1) @ M
-    w = np.linalg.eigvalsh(H)
-    lo, top = w[:, 0], w[:, -1]
-    if hermitian:
-        top = np.where(np.abs(lo) >= np.abs(top), lo, top)
+    H = M.conj().transpose(0, 2, 1) @ M
+    top = np.linalg.eigvalsh(H)[:, -1]
     sign = np.where(top >= 0, 1.0, -1.0)
     H.reshape(B, n * n)[:, :: n + 1] -= (top + sign * (1e-12 * np.abs(top) + 1e-150))[:, None]
     v = np.linalg.solve(H, np.broadcast_to(_start_vector(n)[:, None], (B, n, 1)))[..., 0]
     v /= np.linalg.norm(v, axis=1)[:, None]
-    if hermitian:
-        return np.abs(top), sign[:, None] * v, v
     sigma = np.sqrt(np.maximum(top, 0.0))
     Mv = (M @ v[..., None])[..., 0]
     u = np.divide(Mv, sigma[:, None], out=v.copy(), where=sigma[:, None] > 0)
     return sigma, u, v
 
 
-def _norms_and_grads(pencils: list, X: np.ndarray, hermitian: bool):
+def _norms_and_grads(pencils: list, X: np.ndarray):
     """||p(x)|| and its gradient in x for every pencil p and every row x of X.
 
     The pencils share one index map.  Their matrices at a chunk of rows are
@@ -295,62 +284,61 @@ def _norms_and_grads(pencils: list, X: np.ndarray, hermitian: bool):
     sigma, grad = [], []
     for lo in range(0, len(X), chunk):
         xs = X[lo : lo + chunk]
-        s, u, v = _top_singular(np.concatenate([p(xs) for p in pencils]), hermitian)
+        s, u, v = _top_singular(np.concatenate([p(xs) for p in pencils]))
         u, v = u.reshape(P, len(xs), n), v.reshape(P, len(xs), n)
         sigma.append(s.reshape(P, len(xs)))
         grad.append(np.stack([p.grad(u[k], v[k]) for k, p in enumerate(pencils)]))
     return np.concatenate(sigma, axis=1), np.concatenate(grad, axis=1)
 
 
-def _ratio_ascent(c: np.ndarray, pencil: _Pencil, params: SolverParams, hermitian: bool):
-    """Maximize c.x over the unit ball of x -> ||pencil(x)||.
+# The duality gap is checked every this many ADMM steps.
+_GAP_EVERY = 10
 
-    Works on the scale-invariant ratio c.x / ||M(x)||; every iterate yields a
-    feasible point after rescaling, so the best value seen is a valid lower
-    bound.  The subgradient of the matrix norm comes from a top singular pair.
-    All starts advance in lockstep; a start leaves the stack when it stalls.
+
+def _trace_norm_dual(pencil: _Pencil, t: np.ndarray, params: SolverParams):
+    """Bracket max Re sum_z p(z) t(z) over symbols p of the pencil's range, ||p[idx]|| <= 1.
+
+    The dual is min ||Y||_1 (trace norm) over Hermitian Y whose sum over each
+    position z != e of the index map, g_Y(z), is t(z).  Scaled ADMM with
+    rho = 1 / ||Pi(0)|| solves it: Y = Pi(Z - U), Z = Y + U with its
+    eigenvalues soft-thresholded at 1 / rho, U += Y - Z, where Pi adds
+    (t - g_Y) / count through the map and leaves the identity position alone.
+    Every ``_GAP_EVERY`` steps, the Hermitian part of the position means of
+    conj(rho U), with no identity part, rescaled to norm one, is a feasible p
+    and gives the lower bound; ||Y||_1 + sum_{z != e} |t(z) - g_Y(z)| is an
+    upper bound, because every feasible p has |p(z)| <= 1.  Returns the best
+    p and value (p = 0 attains 0), the best upper bound and the status.
     """
-    m = len(c)
-    cnorm = float(np.linalg.norm(c))
-    rng = np.random.default_rng(params.seed)
-    starts = [c / cnorm, -c / cnorm]
-    while len(starts) < params.starts:
-        u = rng.standard_normal(m)
-        un = np.linalg.norm(u)
-        if un == 0:
-            continue
-        starts.append(u / un)
-        starts.append(-u / un)
-    x = np.array(starts[: max(params.starts, 2)])
+    idx, slots = pencil.idx, len(t)
+    inverse = np.arange(slots)
+    inverse[pencil.pos], inverse[pencil.mirror] = pencil.mirror, pencil.pos
+    share = np.zeros(slots)
+    share[1:] = 1.0 / np.bincount(idx.ravel(), minlength=slots)[1:]
 
-    best = np.full(len(x), -math.inf)
-    best_x = x.copy()
-    stall = np.zeros(len(x), dtype=int)
-    stalled = np.zeros(len(x), dtype=bool)
-    live = np.arange(len(x))
-    for t in range(params.max_iters):
-        if not live.size:
+    def project(Y):
+        return Y + ((t - pencil.sums(Y)) * share)[idx]
+
+    Z = U = np.zeros(idx.shape, dtype=complex)
+    rho = 1.0 / spectral_norm(project(Z))
+    value, best, upper, status = 0.0, np.zeros(slots, dtype=complex), math.inf, "iteration-cap"
+    for k in range(1, max(params.max_iters, 1) + 1):
+        Y = project(Z - U)
+        mu, V = np.linalg.eigh(Y + U)
+        Z = (V * (np.sign(mu) * np.maximum(np.abs(mu) - 1.0 / rho, 0.0))) @ V.conj().T
+        U = U + Y - Z
+        if k % _GAP_EVERY and k < params.max_iters:
+            continue
+        residual = np.abs(t - pencil.sums(Y))[1:].sum()
+        upper = min(upper, float(np.abs(np.linalg.eigvalsh(Y)).sum() + residual))
+        q = (rho * pencil.sums(U)).conj() * share
+        p = (q + q[inverse].conj()) / 2
+        norm = spectral_norm(p[idx])
+        if norm > 0 and (reached := float((p @ t).real) / norm) > value:
+            value, best = reached, p / norm
+        if upper - value <= params.tol * upper:
+            status = "converged"
             break
-        xl = x[live]
-        (sigma,), (grad_sigma,) = _norms_and_grads([pencil], xl, hermitian)
-        cx = xl @ c
-        val = cx / sigma
-        grad = c / sigma[:, None] - (cx / sigma**2)[:, None] * grad_sigma
-        up = val > best[live] + params.tol
-        best[live[up]] = val[up]
-        best_x[live[up]] = xl[up]
-        stall[live] = np.where(up, 0, stall[live] + 1)
-        gn = np.linalg.norm(grad, axis=1)
-        stop = (stall[live] > 40) | (gn < 1e-15)
-        stalled[live[stop]] = True
-        go = ~stop
-        live = live[go]
-        step = _STEP0 / (1.0 + _STEP_DECAY * t)
-        xn = xl[go] + step * grad[go] / gn[go, None]
-        x[live] = xn / np.linalg.norm(xn, axis=1)[:, None]
-    i = int(np.argmax(best))
-    status = "converged" if stalled[i] else "iteration-cap"
-    return float(best[i]), best_x[i], status
+    return best, value, upper, status
 
 
 def _check_order(s: int) -> None:
@@ -367,19 +355,23 @@ def _state_matrix(state: State) -> np.ndarray:
 
 
 def _distance_setup(phi: State, psi: State, s: int, lam: int):
-    """The symbol pencil, its s-th derivative pencil and c_k = (phi - psi)(M_k).
+    """The s-th derivative pencil, len(z)^s and t(z) per double-ball position z.
 
-    M_k runs over the self-adjoint symbol pencil, so c is one contraction of
-    the two states' difference.
+    t(z) is the sum of the states' difference matrix over the index map's
+    entries at z, divided by len(z)^s, so that (phi - psi)(a) is
+    Re sum_z p(z) t(z) for the operator a whose derivative has symbol p.  The
+    identity position, of length 0, gets 0 in both.
     """
     _check_order(s)
     if phi.lam != lam or psi.lam != lam:
         raise ValueError("both states must live on the radius-lam truncation")
     if phi.group != psi.group:
         raise ValueError("states live on different groups")
-    symbols = _selfadjoint_pencil(phi.group, lam, 0)
-    c = symbols.contract(_state_matrix(phi) - _state_matrix(psi))
-    return symbols, _selfadjoint_pencil(phi.group, lam, s), c
+    pencil = _selfadjoint_pencil(phi.group, lam, s)
+    g = pencil.sums(_state_matrix(phi) - _state_matrix(psi))
+    weight = np.zeros(len(g))
+    weight[pencil.pos] = weight[pencil.mirror] = pencil.w
+    return pencil, weight, np.divide(g, weight, out=np.zeros_like(g), where=weight > 0)
 
 
 def lip_distance(
@@ -389,25 +381,25 @@ def lip_distance(
     lam: int,
     params: Optional[SolverParams] = None,
 ) -> DistanceResult:
-    """State distance induced by the truncated Lipschitz seminorm.
+    """State distance induced by the truncated Lipschitz seminorm, bracketed from both sides.
 
     Maximizes (phi - psi)(a) over self-adjoint truncated operators with
     vanishing identity symbol and seminorm at most 1.  The identity component
     carries no seminorm and no state difference, so dropping it loses
-    nothing.  The reported value is always attained by the returned witness,
-    hence is a certified lower bound of the supremum.
+    nothing.  One ADMM solve of the trace-norm dual gives both ends: the
+    reported value is attained by the returned witness, hence a certified
+    lower bound, and ``upper`` is a certified upper bound.
     """
     params = params or SolverParams()
     group = phi.group
-    symbols, pencil, c = _distance_setup(phi, psi, s, lam)
-    if np.linalg.norm(c) == 0:
+    pencil, weight, t = _distance_setup(phi, psi, s, lam)
+    if not t.any():
         zero = ToeplitzOperator(group, lam, {})
-        return DistanceResult(value=0.0, witness=zero, status="converged")
-    best_val, best_x, status = _ratio_ascent(c, pencil, params, hermitian=True)
-    scaled = best_x / spectral_norm(pencil(best_x))
-    symbol = dict(zip(ball(group, 2 * lam).elements, symbols.symbol(scaled)))
-    witness = ToeplitzOperator(group, lam, symbol)
-    return DistanceResult(value=float(c @ scaled), witness=witness, status=status)
+        return DistanceResult(value=0.0, witness=zero, status="converged", upper=0.0)
+    p, value, upper, status = _trace_norm_dual(pencil, t, params)
+    symbol = np.divide(p, weight, out=np.zeros_like(p), where=weight > 0)
+    witness = ToeplitzOperator(group, lam, dict(zip(ball(group, 2 * lam).elements, symbol)))
+    return DistanceResult(value=value, witness=witness, status=status, upper=upper)
 
 
 def brute_distance(
@@ -423,7 +415,8 @@ def brute_distance(
     local simplex refinement of the best candidates.  Refuses instances whose
     self-adjoint symbol space has more than 4 real dimensions.
     """
-    _, pencil, c = _distance_setup(phi, psi, s, lam)
+    pencil, _, t = _distance_setup(phi, psi, s, lam)
+    c = pencil.adjoint(t)
     # the imaginary part of a self-inverse element's parameter reaches no symbol
     live = np.ones(pencil.size, dtype=bool)
     live[1::2] = pencil.pos != pencil.mirror
@@ -473,6 +466,11 @@ def brute_distance(
 # epsilon constants
 
 
+# Step length of the ascent at iteration t: _STEP0 / (1 + _STEP_DECAY * t).
+_STEP0 = 0.3
+_STEP_DECAY = 0.05
+
+
 @dataclass(frozen=True)
 class SearchParams:
     """Budget for the ratio search of :func:`epsilon_truncated`."""
@@ -502,7 +500,7 @@ def _two_norm_ascent(num: _Pencil, den: _Pencil, params: SearchParams):
         if not live.size:
             break
         xl = x[live]
-        (sn, sd), (gnum, gden) = _norms_and_grads([num, den], xl, False)
+        (sn, sd), (gnum, gden) = _norms_and_grads([num, den], xl)
         val = np.divide(sn, sd, out=np.zeros_like(sn), where=sd > 0)
         up = val > best[live] * (1 + 1e-12)
         best[live[up]] = val[up]

@@ -11,6 +11,7 @@ import pytest
 from spectrunc import (
     CSV_HEADER,
     FreeAbelian,
+    SolverParams,
     compress,
     delta,
     epsilon_full,
@@ -273,12 +274,70 @@ def test_tuning_defaults_are_the_library_defaults(capsys, tmp_path):
     assert out == _fmt12(lip_distance(a, b, 1, 1).value) + "\n"
 
 
+@pytest.mark.parametrize("flag", ["--starts", "--seed"])
+def test_distance_has_no_random_start_flags(capsys, tmp_path, flag):
+    phi = tmp_path / "phi.txt"
+    phi.write_text("1 0 0\n1 0 1\n")
+    code, out, err = _run(
+        capsys, "distance", "--group", "z:1", "--lambda", "1", "--s", "1",
+        "--phi", str(phi), "--psi", str(phi), flag, "3",
+    )
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {flag} 3" in err
+
+
+@pytest.mark.parametrize("key", ["starts", "seed"])
+def test_distance_config_rejects_the_random_start_keys(capsys, tmp_path, key):
+    phi = tmp_path / "phi.txt"
+    phi.write_text("1 0 0\n1 0 1\n")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"{key} = 3\n")
+    code, out, err = _run(
+        capsys, "distance", "--group", "z:1", "--lambda", "1", "--s", "1",
+        "--phi", str(phi), "--psi", str(phi), "--config", str(cfg),
+    )
+    assert code == 2
+    assert out == ""
+    assert f"unknown config keys: ['{key}']" in err
+
+
+def test_distance_warns_with_the_bracket_at_the_iteration_cap(capsys, tmp_path):
+    phi, psi = tmp_path / "phi.txt", tmp_path / "psi.txt"
+    phi.write_text("1 0 0\n0.5 0 1\n-0.25 0 -1\n")
+    psi.write_text("1 0 0\n")
+    code, out, err = _run(
+        capsys, "distance", "--group", "z:1", "--lambda", "1", "--s", "1",
+        "--phi", str(phi), "--psi", str(psi), "--max-iters", "1",
+    )
+    assert code == 0
+    a = vector_state(Z1, {(0,): 1, (1,): 0.5, (-1,): -0.25}, lam=1)
+    b = vector_state(Z1, {(0,): 1}, lam=1)
+    res = lip_distance(a, b, 1, 1, SolverParams(max_iters=1))
+    assert res.status == "iteration-cap" and res.value < res.upper
+    assert out == _fmt12(res.value) + "\n"
+    bracket = f"[{_fmt12(res.value)}, {_fmt12(res.upper)}]"
+    assert err == f"warning: solver hit the iteration cap; distance in {bracket}\n"
+
+
+def test_out_of_memory_exits_3(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "ball", exhausted)
+    code, out, err = _run(capsys, "ball", "--group", "z:2", "--radius", "2")
+    assert code == 3
+    assert out == ""
+    assert err == "resource cap: out of memory\n"
+
+
 @pytest.mark.parametrize("command", ["distance", "epsilon"])
 def test_tuning_config_rejects_unknown_keys(capsys, tmp_path, command):
     phi = tmp_path / "phi.txt"
     phi.write_text("1 0 0\n1 0 1\n")
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("seed = 1\ntolerance = 1e-3\n")
+    known = "max_iters = 50" if command == "distance" else "seed = 1"
+    cfg.write_text(f"{known}\ntolerance = 1e-3\n")
     argv = [command, "--group", "z:1", "--lambda", "1", "--s", "1", "--config", str(cfg)]
     if command == "distance":
         argv += ["--phi", str(phi), "--psi", str(phi)]

@@ -21,6 +21,7 @@ from spectrunc import (
     fejer_apply,
     fejer_kernel,
     gh_bound,
+    group_from_key,
     l1_norm,
     lip_distance,
     random_density_state,
@@ -136,6 +137,7 @@ def test_distance_named_instance_value():
     res = lip_distance(phi, psi, s=1, lam=1)
     assert res.value >= INV_SQRT2 - 1e-8
     assert abs(res.value - INV_SQRT2) < 1e-9
+    assert abs(res.upper - INV_SQRT2) < 1e-9
     assert res.status == "converged"
 
 
@@ -154,6 +156,7 @@ def test_distance_matches_brute_oracle_on_named_instance():
     res = lip_distance(phi, psi, s=1, lam=1)
     oracle = brute_distance(phi, psi, s=1, lam=1)
     assert abs(res.value - oracle) <= 1e-4
+    assert oracle <= res.upper + 1e-9
 
 
 def test_distance_symmetry_and_self_distance():
@@ -170,7 +173,7 @@ def test_distance_symmetry_and_self_distance():
 def test_distance_zero_difference_short_circuits():
     phi = vector_state(Z1, {(0,): 1.0}, lam=1)
     res = lip_distance(phi, phi, s=1, lam=1)
-    assert res.value == 0.0
+    assert res.value == 0.0 and res.upper == 0.0
     assert len(res.witness.support) == 0
     assert res.status == "converged"
 
@@ -180,9 +183,10 @@ def test_distance_agrees_with_oracle_on_random_pairs():
     for _ in range(6):
         phi = random_vector_state(Z1, 1, rng)
         psi = random_vector_state(Z1, 1, rng)
-        got = lip_distance(phi, psi, s=1, lam=1).value
+        res = lip_distance(phi, psi, s=1, lam=1)
         want = brute_distance(phi, psi, s=1, lam=1)
-        assert abs(got - want) <= 1e-4
+        assert abs(res.value - want) <= 1e-4
+        assert want <= res.upper + 1e-9
 
 
 def test_distance_matches_oracle_with_an_element_of_order_two():
@@ -194,7 +198,9 @@ def test_distance_matches_oracle_with_an_element_of_order_two():
         phi = random_vector_state(group, 1, rng)
         psi = random_density_state(group, 1, rng)
         res = lip_distance(phi, psi, s=1, lam=1)
-        assert abs(res.value - brute_distance(phi, psi, s=1, lam=1)) <= 1e-4
+        oracle = brute_distance(phi, psi, s=1, lam=1)
+        assert abs(res.value - oracle) <= 1e-4
+        assert oracle <= res.upper + 1e-9
         assert res.witness.is_selfadjoint()
         assert truncated_lipnorm(res.witness, 1) <= 1.0 + 1e-9
 
@@ -230,10 +236,52 @@ def test_brute_oracle_refuses_large_dimension():
 
 def test_solver_deterministic():
     phi, psi = _named_pair()
-    p = SolverParams(seed=7)
+    p = SolverParams(max_iters=500)
     a = lip_distance(phi, psi, s=1, lam=1, params=p)
     b = lip_distance(phi, psi, s=1, lam=1, params=p)
-    assert a.value == b.value
+    assert (a.value, a.upper) == (b.value, b.upper)
+
+
+def _distance_mix_pairs(seed):
+    """(group key, lam, s, kind, phi, psi) drawn as the benchmark's distance mix draws them."""
+    rng = np.random.default_rng(seed)
+    for key, lam, s in (("z:2", 2, 1), ("heisenberg", 1, 2), ("z:1", 4, 2)):
+        group = group_from_key(key)
+        for kind, make in (("vector", random_vector_state), ("density", random_density_state)):
+            yield key, lam, s, kind, make(group, lam, rng), make(group, lam, rng)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_distance_bracket_holds_and_the_witness_attains_the_lower_end(seed):
+    for key, lam, s, kind, phi, psi in _distance_mix_pairs(seed):
+        res = lip_distance(phi, psi, s, lam)
+        assert 0 < res.value <= res.upper, (key, kind)
+        assert res.upper - res.value <= 1e-6 * res.upper, (key, kind)
+        assert truncated_lipnorm(res.witness, s) <= 1.0 + 1e-9
+        reached = (state_eval(phi, res.witness) - state_eval(psi, res.witness)).real
+        assert abs(reached - res.value) <= 1e-9
+
+
+def test_distance_closes_the_gap_on_a_pair_that_defeats_ratio_ascent():
+    # a multi-start subgradient ascent on the ratio c.x / ||D(x)|| reaches
+    # 0.375983 here with 32 starts of 400 steps, and 0.467114 with 128 of 3,000
+    key, lam, s, kind, phi, psi = list(_distance_mix_pairs(0))[4]
+    assert (key, lam, s, kind) == ("z:1", 4, 2, "vector")
+    res = lip_distance(phi, psi, s, lam)
+    assert res.status == "converged"
+    assert res.value >= 0.4973
+    assert res.upper - res.value <= 1e-9 * res.upper
+
+
+def test_distance_stopped_at_the_iteration_cap_still_brackets():
+    key, lam, s, kind, phi, psi = list(_distance_mix_pairs(0))[4]
+    res = lip_distance(phi, psi, s, lam, SolverParams(max_iters=5))
+    full = lip_distance(phi, psi, s, lam)
+    assert res.status == "iteration-cap"
+    assert 0 <= res.value <= full.value and full.upper <= res.upper
+    assert truncated_lipnorm(res.witness, s) <= 1.0 + 1e-9
+    reached = (state_eval(phi, res.witness) - state_eval(psi, res.witness)).real
+    assert abs(reached - res.value) <= 1e-9
 
 
 def test_state_proximity_under_smoothing():
