@@ -194,18 +194,25 @@ def _pack(coords: np.ndarray, packing: tuple) -> np.ndarray:
 
 
 def _position_finder(coords: np.ndarray):
-    """Map coordinate rows to their row numbers in ``coords``.
+    """Map coordinate rows to their row numbers in ``coords``, or -1 for nonmembers.
 
-    Every row looked up must occur in ``coords``; the lookup is one
-    ``searchsorted`` on the sorted packed keys.
+    A row outside the box that ``coords`` spans reads -1 without being
+    packed; any other row is one ``searchsorted`` on the sorted packed keys.
     """
     packing = _packing(coords)
+    lo, hi = packing[0], coords.max(axis=0)
     keys = _pack(coords, packing)
     # Keys are distinct, so any sort gives this order; the stable one is the
     # sort np.unique already runs, which keeps one sort routine in memory.
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
-    return lambda rows: order[np.searchsorted(sorted_keys, _pack(rows, packing))]
+
+    def position(rows: np.ndarray) -> np.ndarray:
+        inside = np.all((rows >= lo) & (rows <= hi), axis=-1)
+        keys = _pack(np.where(inside[..., None], rows, lo), packing)
+        at = np.minimum(np.searchsorted(sorted_keys, keys), len(order) - 1)
+        return np.where(inside & (sorted_keys[at] == keys), order[at], -1)
+    return position
 
 
 class _Enumeration:

@@ -194,22 +194,25 @@ def _balls(group, radius: int, cap: Optional[int]):
     return b, ball(group, 2 * radius, cap=len(b) ** 2)
 
 
-# Bytes of group products computed at once while an index map is built.
+# Bytes of group products computed at once while an index map or position table is built.
 _CHUNK_BYTES = 1 << 22
+
+
+def _product_positions(group, left: np.ndarray, right: np.ndarray, target: np.ndarray):
+    """Chunks (start, positions in ``target``, or -1, of left[start:stop, None] * right[None])."""
+    law, position = _array_law(group), _position_finder(target)
+    rows = max(1, _CHUNK_BYTES // (right.itemsize * right.size))
+    for start in range(0, len(left), rows):
+        yield start, position(law.multiply_array(left[start : start + rows, None, :], right[None]))
 
 
 @lru_cache(maxsize=None)
 def _index_map(b, double) -> np.ndarray:
-    law = _array_law(b.group)
     xs = b.coords
-    inverses = law.inverse_array(xs)
-    position = _position_finder(double.coords)
-    n = len(b)
-    rows = max(1, _CHUNK_BYTES // (xs.itemsize * xs.size))
-    idx = np.empty((n, n), dtype=np.int32)
-    for start in range(0, n, rows):
-        products = law.multiply_array(xs[start : start + rows, None, :], inverses[None, :, :])
-        idx[start : start + rows] = position(products)
+    inverses = _array_law(b.group).inverse_array(xs)
+    idx = np.empty((len(b), len(b)), dtype=np.int32)
+    for start, pos in _product_positions(b.group, xs, inverses, double.coords):
+        idx[start : start + len(pos)] = pos
     idx.setflags(write=False)
     return idx
 
@@ -254,28 +257,29 @@ def _start_vector(n: int) -> np.ndarray:
     return start
 
 
-def _lanczos_norm(M: np.ndarray) -> float:
-    """Top singular value by Lanczos on M^H M with full reorthogonalization.
+def _lanczos_norm(apply, adjoint, n: int) -> float:
+    """Top singular value of M on C^n by Lanczos on M^H M with full reorthogonalization.
 
-    From ``_start_vector``, it stops once the top Ritz pair (theta, y) has residual
-    beta |s_k| <= 1e-14 theta or the Krylov space is exhausted; ||M y|| / ||y|| is attained.
+    ``apply`` and ``adjoint`` compute M v and M^H u.  From ``_start_vector``, it stops once the
+    top Ritz pair (theta, y) has residual beta |s_k| <= 1e-14 theta or the Krylov space runs out
+    (beta <= 1e-14 max diag T <= 1e-14 theta); ||M y|| / ||y|| is attained.
     """
-    M = M.astype(complex, copy=False)
-    n = M.shape[1]
     Q = np.empty((min(n, 64), n), dtype=complex)
     T = np.zeros((len(Q), len(Q)))
     Q[0] = _start_vector(n) / np.linalg.norm(_start_vector(n))
     for k in range(n):
-        w = np.conj(M.T @ np.conj(M @ Q[k]))
+        w = adjoint(apply(Q[k]))
         for _ in range(2):  # classical Gram-Schmidt against every Lanczos vector, twice
             h = np.conj(Q[: k + 1] @ np.conj(w))
             w -= Q[: k + 1].T @ h
             T[k, k] += h[k].real
-        theta, S = np.linalg.eigh(T[: k + 1, : k + 1])
         beta = np.linalg.norm(w)
-        if beta * abs(S[-1, -1]) <= 1e-14 * theta[-1] or k == n - 1:
-            y = Q[: k + 1].T @ S[:, -1]
-            return float(np.linalg.norm(M @ y) / np.linalg.norm(y))
+        exhausted = beta <= 1e-14 * T.diagonal().max() or k == n - 1
+        if exhausted or (k + 1) % _RITZ_CHECK_EVERY == 0:
+            theta, S = np.linalg.eigh(T[: k + 1, : k + 1])
+            if exhausted or beta * abs(S[-1, -1]) <= 1e-14 * theta[-1]:
+                y = Q[: k + 1].T @ S[:, -1]
+                return float(np.linalg.norm(apply(y)) / np.linalg.norm(y))
         if k + 1 == len(Q):
             Q = np.concatenate([Q, np.empty_like(Q)])
             T = np.pad(T, (0, len(T)))
@@ -285,6 +289,8 @@ def _lanczos_norm(M: np.ndarray) -> float:
 
 # Larger matrices are normed by Lanczos: dense was faster at n = 145 and Lanczos at n = 181.
 _LANCZOS_THRESHOLD = 200
+# Steps between Lanczos's Ritz residual checks: a check is an O(k^3) eigh of the k x k T.
+_RITZ_CHECK_EVERY = 8
 
 
 def spectral_norm(M: np.ndarray) -> float:
@@ -297,12 +303,37 @@ def spectral_norm(M: np.ndarray) -> float:
     if M.size == 0:
         return 0.0
     if max(M.shape) > _LANCZOS_THRESHOLD:
-        return _lanczos_norm(M)
+        M = M.astype(complex, copy=False)
+        return _lanczos_norm(M.__matmul__, lambda u: np.conj(M.T @ np.conj(u)), M.shape[1])
     if M.shape[0] == M.shape[1] and np.array_equal(M, M.conj().T):
         return float(np.max(np.abs(np.linalg.eigvalsh(M))))
     gram = M.conj().T @ M
     top = float(np.max(np.linalg.eigvalsh(gram)))
     return math.sqrt(max(top, 0.0))
+
+
+def _compression_norm(f: AlgebraElement, radius: int, cap: Optional[int]) -> float:
+    """Norm of f compressed to the radius ball; above ``_LANCZOS_THRESHOLD``, matrix-free.
+
+    There z in supp f and x_j with z x_j in the ball give the triplet (row = position of
+    z x_j, col = j, weight f(z)): M v and M^H u are bincounts, with no index map or double ball.
+    """
+    b = ball(f.group, radius, cap=cap)
+    n = len(b)
+    if n <= _LANCZOS_THRESHOLD:
+        return spectral_norm(compress_rep(f, radius, cap=cap))
+    weights = np.array([complex(v) for _, v in f.items()])
+    triplets = []
+    for start, pos in _product_positions(f.group, np.array(list(f.support)), b.coords, b.coords):
+        z, col = np.nonzero(pos >= 0)
+        triplets.append((pos[z, col], col, weights[start + z]))
+    rows, cols, w = map(np.concatenate, zip(*triplets))
+
+    def sums(into: np.ndarray, terms: np.ndarray) -> np.ndarray:
+        return np.bincount(into, terms.real, n) + 1j * np.bincount(into, terms.imag, n)
+
+    wc = w.conj()
+    return _lanczos_norm(lambda v: sums(rows, w * v[cols]), lambda u: sums(cols, wc * u[rows]), n)
 
 
 @dataclass(frozen=True)
@@ -324,12 +355,14 @@ def opnorm(
     """Estimate the operator norm of left convolution by f.
 
     Compression norms are computed for radii 0..r_max and are nondecreasing;
-    each is attained (above the Lanczos crossover of ``spectral_norm``, a Rayleigh
-    quotient converged to a relative residual of 1e-14), so the running maximum
-    is a certified lower bound.  The scan stops once two successive radii differ
-    by less than ``tol``, but never before the compression is large enough to
-    see every support element of f (and never before ``r_min``).
+    each is attained (above the Lanczos crossover, a matrix-free Rayleigh quotient
+    converged to a relative residual of 1e-14), so the running maximum is a
+    certified lower bound.  The scan stops once two successive radii differ by
+    less than ``tol`` (finite and positive), but never before the compression is
+    large enough to see every support element of f (and never before ``r_min``).
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if r_max < 0:
         raise ValueError(f"r_max must be nonnegative, got {r_max}")
     if len(f) == 0:
@@ -341,7 +374,7 @@ def opnorm(
     converged = False
     last = 0
     for radius in range(r_max + 1):
-        sigma = spectral_norm(compress_rep(f, radius, cap=cap))
+        sigma = _compression_norm(f, radius, cap)
         estimate = max(estimate, sigma)
         last = radius
         if prev is not None and radius >= r_floor and abs(sigma - prev) < tol:

@@ -169,6 +169,23 @@ def test_ball_cap_applies_to_a_prefix_of_a_larger_enumeration():
     assert len(ball(H3, 4, cap=135)) == 135
 
 
+@pytest.mark.parametrize("group, radius", [(Z1, 5), (Z2, 4), (FreeAbelian(3), 3), (H3, 3)])
+def test_position_lookup_reads_ball_index_or_minus_one(group, radius):
+    b = ball(group, radius)
+    rng = np.random.default_rng(radius)
+    k = b.coords.shape[1]
+    lo, hi = b.coords.min(axis=0), b.coords.max(axis=0)
+    inside = rng.integers(lo, hi + 1, size=(300, k))  # box rows, members and not
+    outside = inside.copy()  # one coordinate pushed past the box
+    axis = rng.integers(0, k, 300)
+    outside[np.arange(300), axis] += rng.choice([-1, 1], 300) * (hi - lo + 1)[axis]
+    rows = np.concatenate([b.coords, inside, outside, np.full((1, k), 2**40)])
+    got = cayley._position_finder(b.coords)(rows[:, None, :])[:, 0]
+    want = [b.index.get(tuple(r), -1) for r in rows.tolist()]
+    assert got.tolist() == want
+    assert -1 in want[len(b):] and any(w >= 0 for w in want[len(b) : len(b) + 300])
+
+
 def test_ball_rejects_negative_radius():
     with pytest.raises(ValueError):
         ball(Z1, -1)

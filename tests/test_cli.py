@@ -2,6 +2,8 @@
 
 import io
 import json
+import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -199,6 +201,45 @@ def test_lipnorm_warns_when_the_radius_scan_stops_unconverged(capsys, monkeypatc
     assert code == 0
     assert float(out) == pytest.approx(1.0, abs=1e-12)
     assert err == "warning: the radius scan stopped at r_max = 1 before converging\n"
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "0"])
+def test_lipnorm_rejects_a_tolerance_that_is_not_finite_and_positive(capsys, monkeypatch, tol):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1 0 1\n"))
+    code, out, err = _run(capsys, "lipnorm", "--group", "z:1", "--s", "1", "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert "tol must be finite and positive" in err
+
+
+# Runs the CLI on the remaining arguments and reports its own peak RSS (KiB) on stderr.
+_CLI_WITH_PEAK_RSS = (
+    "import resource, sys\n"
+    "from spectrunc.cli import run\n"
+    "code = run(sys.argv[1:])\n"
+    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def test_heisenberg_lipnorm_scan_fits_in_one_gib(tmp_path):
+    # the default scan reaches radius 10 (4,309 elements), whose dense
+    # compression and radius-20 index map once took about 500 MB resident
+    src = tmp_path / "f.txt"
+    src.write_text("0.7 0.2 1 0 0\n-0.3 0.5 0 1 0\n0.4 0 1 1 0\n0.2 -0.1 0 0 1\n")
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI_WITH_PEAK_RSS, "lipnorm", "--group", "heisenberg",
+         "--s", "1", "--input", str(src)],
+        capture_output=True, text=True, preexec_fn=limit_address_space,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "2.27513477298\n"
+    assert int(proc.stderr.splitlines()[-1]) < 256 * 1024
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,8 @@ from spectrunc import (
     unit,
     word_length,
 )
-from spectrunc import groupalg
-from spectrunc.groupalg import _lanczos_norm
+from spectrunc import cayley, groupalg
+from spectrunc.groupalg import _lanczos_norm, symbol_positions
 
 from oracles import folner_deficit
 
@@ -186,20 +186,41 @@ def test_compression_norm_is_path_graph_eigenvalue():
         assert abs(got - want) < 1e-12
 
 
+def lanczos_dense(M):
+    """``_lanczos_norm`` on a dense matrix, through its products."""
+    return _lanczos_norm(M.__matmul__, lambda u: M.conj().T @ u, M.shape[1])
+
+
 def test_lanczos_norm_bounds_and_meets_separated_norms():
     rng = np.random.default_rng(11)
-    assert _lanczos_norm(np.zeros((3, 3))) == 0.0
+    assert lanczos_dense(np.zeros((3, 3))) == 0.0
     for m, n in ((1, 1), (5, 5), (6, 9), (12, 4)):
         for _ in range(5):
             M = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-            assert _lanczos_norm(M) <= np.linalg.norm(M, 2) + 1e-12
+            assert lanczos_dense(M) <= np.linalg.norm(M, 2) + 1e-12
             k = min(m, n)
             U, _ = np.linalg.qr(rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k)))
             V, _ = np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
             sigma = np.concatenate([[4.0], rng.uniform(0.0, 2.0, k - 1)])
-            got = _lanczos_norm(U @ np.diag(sigma) @ V.conj().T)
+            got = lanczos_dense(U @ np.diag(sigma) @ V.conj().T)
             assert got <= 4.0 + 1e-12
             assert abs(got - 4.0) <= 1e-9
+
+
+def test_lanczos_stops_when_the_krylov_space_runs_out_between_checks():
+    rng = np.random.default_rng(14)
+    n = groupalg._LANCZOS_THRESHOLD + 100
+    U = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    V = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    M = U @ V.conj().T  # rank 3: the Krylov space runs out at the fourth vector, between checks
+    got = lanczos_dense(M)
+    want = np.linalg.norm(M, 2)
+    assert math.isfinite(got)
+    assert abs(got - want) <= 1e-12 * want
+    assert got <= want * (1 + 1e-12)
+    res = opnorm(delta(Z2, (2, 1), 1j), r_min=10, r_max=10)
+    assert len(ball(Z2, 10)) > groupalg._LANCZOS_THRESHOLD
+    assert res.estimate == 1.0
 
 
 def dense_norm(M):
@@ -252,6 +273,35 @@ def test_opnorm_scan_agrees_with_dense_norm_scan(monkeypatch):
         want = opnorm(f, r_max=6)
         assert (got.converged, got.last_radius) == (want.converged, want.last_radius)
         assert abs(got.estimate - want.estimate) <= 1e-12 * want.estimate
+
+
+@pytest.mark.parametrize("group, radius", [(H3, 5), (H3, 6), (H3, 7), (Z2, 12)])
+def test_matrix_free_compression_norm_matches_the_dense_norm(group, radius):
+    rng = np.random.default_rng(radius)
+    assert len(ball(group, radius)) > groupalg._LANCZOS_THRESHOLD
+    for f in (random_element(group, 2, rng), derivative(random_element(group, 3, rng), 2)):
+        want = spectral_norm(compress_rep(f, radius))
+        got = groupalg._compression_norm(f, radius, None)
+        assert abs(got - want) <= 1e-12 * want
+
+
+def test_matrix_free_scan_builds_no_index_map_or_double_ball(monkeypatch):
+    monkeypatch.setattr(cayley, "_BALL_CACHE", {})
+    f = random_element(H3, 2, np.random.default_rng(15))
+    table_radii = [r for r in range(8) if len(ball(H3, r)) > groupalg._LANCZOS_THRESHOLD]
+    assert table_radii == [5, 6, 7]
+    opnorm(f, r_min=4, r_max=4)
+    misses = symbol_positions.cache_info().misses
+    res = opnorm(f, r_min=7, r_max=7)
+    assert res.last_radius == 7
+    assert symbol_positions.cache_info().misses == misses
+    assert not any((H3, 2 * r) in cayley._BALL_CACHE for r in table_radii)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_opnorm_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        opnorm(delta(Z1, (1,)), tol=tol)
 
 
 def test_opnorm_of_point_mass_is_one():
