@@ -22,6 +22,19 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+__all__ = [
+    "DEFAULT_BALL_CAP",
+    "Ball",
+    "FreeAbelian",
+    "GrowthReport",
+    "Heisenberg",
+    "ResourceCapError",
+    "ball",
+    "group_from_key",
+    "growth_report",
+    "word_length",
+]
+
 Element = tuple
 
 DEFAULT_BALL_CAP = 200_000

@@ -3,7 +3,9 @@
 Subcommands mirror the library surface: ball, growth, fejer, lipnorm,
 truncate, reconstruct, commutator, distance, epsilon, converge.  Exit code 0
 on success, 2 on usage errors, 3 when a resource cap is hit or memory runs
-out.  Failure paths write only to stderr.
+out.  Failure paths write only to stderr.  Each config key has one type; a
+value of another type, a bool or a fractional number for an integer key
+among them, is a usage error.
 """
 
 from __future__ import annotations
@@ -76,18 +78,32 @@ def _read_config(path: str) -> dict:
     return data
 
 
-_CONFIG_INT_KEYS = {"seed", "trials", "max_iters", "ball_cap", "s"}
-_CONFIG_FLOAT_KEYS = {"tol"}
+# The type of each config key's value; a key = value file gives every value as a string.
+_CONFIG_TYPES = {"seed": int, "trials": int, "max_iters": int, "ball_cap": int, "s": int,
+                 "tol": float, "group": str, "output": str, "format": str}
+
+
+def _typed(key: str, value, kind):
+    """A config value as ``kind``: a string is parsed, and a JSON value must have the kind.
+
+    Raises ValueError on a bool, a non-integral number for an int and a non-string for a str.
+    """
+    if isinstance(value, str):
+        return value if kind is str else kind(value)
+    integral = type(value) is int or type(value) is float and value.is_integer()
+    if kind is int and integral or kind is float and type(value) in (int, float):
+        return kind(value)
+    raise ValueError(f"config key {key!r} must be of type {kind.__name__}, got {value!r}")
 
 
 def _coerce_config(data: dict) -> dict:
     out = {}
     for key, value in data.items():
-        if isinstance(value, str):
-            if key in _CONFIG_INT_KEYS and value != "auto":
-                value = int(value)
-            elif key in _CONFIG_FLOAT_KEYS:
-                value = float(value)
+        if key == "lambda_range":
+            many = isinstance(value, list)
+            value = [_typed(key, v, int) for v in value] if many else _typed(key, value, str)
+        elif key in _CONFIG_TYPES and not (key == "s" and value == "auto"):
+            value = _typed(key, value, _CONFIG_TYPES[key])
         out[key] = value
     return out
 
@@ -183,16 +199,15 @@ _EPSILON_FIELDS = {"trials": "starts", "seed": "seed"}
 
 
 def _params(cls, args, fields: dict):
-    """cls from the keys the user gave, each cast to its field default's type.
+    """cls from the keys the user gave, typed by argparse or ``_coerce_config``.
 
     Raises ValueError on a config key the command does not read.
     """
-    merged, defaults = _merged_config(args, fields), cls()
+    merged = _merged_config(args, fields)
     unknown = set(merged) - set(fields)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    given = {name: merged[key] for key, name in fields.items() if key in merged}
-    return cls(**{name: type(getattr(defaults, name))(v) for name, v in given.items()})
+    return cls(**{name: merged[key] for key, name in fields.items() if key in merged})
 
 
 def _cmd_distance(args) -> int:

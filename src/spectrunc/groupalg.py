@@ -5,7 +5,9 @@ the complex numbers, multiplied by convolution and represented on l2 of the
 group by left convolution operators.  Operator norms are estimated from
 below by compressions to balls of growing radius; the multiplication
 operator by word length acts as a Dirac-type derivative and induces the
-Lipschitz seminorms used throughout.
+Lipschitz seminorms used throughout.  A compression reads its symbol over
+the double ball through one cached index map, and the adjoint's pairing of
+each double-ball element with its inverse comes from one position table.
 
 Coefficients may be ints, floats, complexes, or ``fractions.Fraction``
 values.  Arithmetic preserves exact types, so identities that hold in
@@ -158,14 +160,18 @@ def involution(f: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(grp, {grp.inverse(g): v.conjugate() for g, v in f.items()})
 
 
+def _check_order(s: int) -> None:
+    if s < 1:
+        raise ValueError(f"derivative order must be a positive integer, got {s}")
+
+
 def derivative(f: AlgebraElement, s: int = 1) -> AlgebraElement:
     """Pointwise multiplication by the s-th power of word length.
 
     The identity coefficient is annihilated (its length is zero), so scalars
     are exactly the kernel of every induced seminorm.
     """
-    if s < 1:
-        raise ValueError(f"derivative order must be a positive integer, got {s}")
+    _check_order(s)
     grp = f.group
     out = {}
     for g, v in f.items():
@@ -230,6 +236,11 @@ def symbol_positions(group, radius: int, cap: Optional[int] = None) -> np.ndarra
 
 # Hit and miss counts of the map cache, read as on any lru_cache'd function.
 symbol_positions.cache_info = _index_map.cache_info
+
+
+def _inverse_positions(double) -> np.ndarray:
+    """Position of each element's inverse in a ball's order (word-metric balls are symmetric)."""
+    return _position_finder(double.coords)(_array_law(double.group).inverse_array(double.coords))
 
 
 def compress_rep(f: AlgebraElement, radius: int, cap: Optional[int] = None) -> np.ndarray:
@@ -354,12 +365,13 @@ def opnorm(
 ) -> OpnormResult:
     """Estimate the operator norm of left convolution by f.
 
-    Compression norms are computed for radii 0..r_max and are nondecreasing;
-    each is attained (above the Lanczos crossover, a matrix-free Rayleigh quotient
-    converged to a relative residual of 1e-14), so the running maximum is a
-    certified lower bound.  The scan stops once two successive radii differ by
-    less than ``tol`` (finite and positive), but never before the compression is
-    large enough to see every support element of f (and never before ``r_min``).
+    Compression norms are nondecreasing in the radius, and each is attained
+    (above the Lanczos crossover, a matrix-free Rayleigh quotient converged to
+    a relative residual of 1e-14), so the running maximum is a certified lower
+    bound.  The scan stops once two successive radii differ by less than
+    ``tol`` (finite and positive), but never before the compression is large
+    enough to see every support element of f (and never before ``r_min``); it
+    starts one radius below that floor and ends at r_max at the latest.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -373,7 +385,7 @@ def opnorm(
     prev = None
     converged = False
     last = 0
-    for radius in range(r_max + 1):
+    for radius in range(max(min(r_floor, r_max) - 1, 0), r_max + 1):
         sigma = _compression_norm(f, radius, cap)
         estimate = max(estimate, sigma)
         last = radius
@@ -539,7 +551,6 @@ def parse_algebra_element(text: str, group) -> AlgebraElement:
             g = tuple(int(p) for p in parts[2:])
         except ValueError:
             raise ValueError(f"line {lineno}: bad coordinates in {raw!r}") from None
-        group.validate(g)
         value = re if im == 0 else complex(re, im)
         coeffs[g] = coeffs.get(g, 0) + value
     return AlgebraElement(group, coeffs)

@@ -4,7 +4,9 @@ A sweep evaluates, for each truncation radius in a range, the ball size, the
 worst single-generator boundary ratio, the two approximation constants, and
 the resulting distance bound.  The truncated constant's ascent draws its
 randomness from a seed derived by hashing (seed, radius, stage), so any
-subset of radii reproduces the same rows in any order.
+subset of radii reproduces the same rows in any order.  One growth fit per
+sweep picks the derivative order under ``s = auto`` and is the one the
+report's metadata carries.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from pathlib import Path
 from typing import Optional, TextIO, Union
 
 from .cayley import DEFAULT_BALL_CAP, ResourceCapError, ball, group_from_key, growth_report
-from .groupalg import fejer_kernel
 from .qmetric import SearchParams, epsilon_full, epsilon_truncated, gh_bound
 
 __all__ = [
@@ -106,12 +107,11 @@ def _derived_seed(seed: int, lam: int, stage: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-def choose_s(group, cap: Optional[int] = None) -> int:
-    """Derivative order heuristic from the fitted growth degree.
+def _growth_fit(group, cap: Optional[int] = None):
+    """The growth report that picks the derivative order, and that a sweep reports.
 
-    Balls are enumerated until they pass a few thousand elements, the growth
-    degree is fitted on the larger half of that range and rounded, and the
-    returned order is one more than half the degree, rounded up.  Raises
+    Balls are enumerated until they pass a few thousand elements, and the
+    growth degree is fitted on the larger half of that range.  Raises
     ResourceCapError when the cap leaves fewer than two radii to fit.
     """
     lam_max = 2
@@ -134,14 +134,25 @@ def choose_s(group, cap: Optional[int] = None) -> int:
             f"growth fit in {group.name} needs balls of radius {lam_max + 1} and more, "
             f"over the cap of {DEFAULT_BALL_CAP if cap is None else cap} elements"
         )
-    degree = max(1, round(report.fitted_degree))
-    return (degree + 1) // 2 + 1
+    return report
+
+
+def _order(degree: float) -> int:
+    """One more than half the rounded growth degree, rounded up."""
+    return (max(1, round(degree)) + 1) // 2 + 1
+
+
+def choose_s(group, cap: Optional[int] = None) -> int:
+    """Derivative order heuristic: ``_order`` of the growth degree of ``_growth_fit``.
+
+    Raises ResourceCapError when the cap leaves fewer than two radii to fit.
+    """
+    return _order(_growth_fit(group, cap).fitted_degree)
 
 
 def _compute_row(config: ExperimentConfig, group, s: int, lam: int) -> ConvergenceRow:
     try:
         size = len(ball(group, lam, cap=config.ball_cap))
-        kern = fejer_kernel(group, lam, cap=config.ball_cap)
         ef = epsilon_full(group, lam, s, cap=config.ball_cap)
         seed = _derived_seed(config.seed, lam, "eps-trunc")
         search = SearchParams(starts=config.trials, seed=seed)
@@ -149,7 +160,7 @@ def _compute_row(config: ExperimentConfig, group, s: int, lam: int) -> Convergen
         return ConvergenceRow(
             lam=lam,
             ball_size=size,
-            folner_eps=float(kern.folner_epsilon),
+            folner_eps=ef,
             eps_full=ef,
             eps_trunc=et,
             gh_bound=gh_bound(ef, et),
@@ -159,25 +170,29 @@ def _compute_row(config: ExperimentConfig, group, s: int, lam: int) -> Convergen
 
 
 def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
-    """Run one sweep and return an ordered report with growth metadata."""
-    group = group_from_key(config.group)
-    s = choose_s(group, cap=config.ball_cap) if config.s == "auto" else int(config.s)
-    rows = [_compute_row(config, group, s, lam) for lam in config.lambda_range]
+    """Run one sweep and return an ordered report with growth metadata.
 
+    The metadata's growth fit is the one that picks s under ``s = auto``.
+    When the cap stops that fit, an auto sweep raises ResourceCapError and a
+    sweep with a given s reports the fit as None.
+    """
+    group = group_from_key(config.group)
+    try:
+        fit = _growth_fit(group, cap=config.ball_cap)
+    except ResourceCapError:
+        if config.s == "auto":
+            raise
+        fit = None
+    s = _order(fit.fitted_degree) if config.s == "auto" else int(config.s)
+    rows = [_compute_row(config, group, s, lam) for lam in config.lambda_range]
     metadata = {
         "group": config.group,
         "s": s,
         "seed": config.seed,
         "trials": config.trials,
+        "fitted_beta": None if fit is None else fit.fitted_beta,
+        "fitted_degree": None if fit is None else fit.fitted_degree,
     }
-    try:
-        lam_fit = max(max(config.lambda_range) + 1, 4)
-        rep = growth_report(group, lam_fit, fit_min=max(2, lam_fit // 4), cap=config.ball_cap)
-        metadata["fitted_beta"] = rep.fitted_beta
-        metadata["fitted_degree"] = rep.fitted_degree
-    except ResourceCapError:
-        metadata["fitted_beta"] = None
-        metadata["fitted_degree"] = None
     return ConvergenceReport(rows=tuple(rows), metadata=metadata)
 
 

@@ -11,7 +11,8 @@ quantitative convergence bound, the full-algebra one is the Folner epsilon,
 its exact basis floor, and the truncated one is probed by ratio ascent from
 that floor.  The ascent runs on pencils of ball compressions, each stored as
 the symbol position and weight of every complex parameter, evaluated and
-differentiated through the index map.
+differentiated through the index map; the distance solver's self-adjoint
+pencil also carries the double ball's inverse-position table.
 """
 
 from __future__ import annotations
@@ -22,12 +23,14 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .cayley import _array_law, _position_finder, ball
+from .cayley import ball
 from .groupalg import (
     AlgebraElement,
     fejer_kernel,
     spectral_norm,
     symbol_positions,
+    _check_order,
+    _inverse_positions,
     _quadratic_form,
     _start_vector,
 )
@@ -183,14 +186,15 @@ class _Pencil:
 
     Complex parameter k, zeta_k = x[2k] + i x[2k+1], puts zeta_k w[k] at
     position pos[k] of the symbol over the double ball; a self-adjoint pencil
-    also adds conj(zeta_k) w[k] at mirror[k], the position of the inverse, so
-    a self-inverse element gets 2 Re(zeta_k) w[k].  M(x) gathers the symbol
-    through the index map.  Points and vectors may be single or stacked along
-    a leading axis.
+    carries the double ball's ``inverse`` position table and also adds
+    conj(zeta_k) w[k] at mirror[k] = inverse[pos[k]], so a self-inverse
+    element gets 2 Re(zeta_k) w[k].  M(x) gathers the symbol through the index
+    map.  Points and vectors may be single or stacked along a leading axis.
     """
 
-    def __init__(self, idx: np.ndarray, pos: np.ndarray, w: np.ndarray, mirror=None):
-        self.idx, self.pos, self.w, self.mirror = idx, pos, w, mirror
+    def __init__(self, idx: np.ndarray, pos: np.ndarray, w: np.ndarray, inverse=None):
+        self.idx, self.pos, self.w, self.inverse = idx, pos, w, inverse
+        self.mirror = None if inverse is None else inverse[pos]
         self.size = 2 * len(w)
         self._flat = idx.ravel()
         self._slots = int(self._flat.max()) + 1
@@ -236,10 +240,10 @@ def _selfadjoint_pencil(group, lam: int, s: int) -> _Pencil:
     pair's first BFS position.
     """
     double = ball(group, 2 * lam)
-    inverse = _position_finder(double.coords)(_array_law(group).inverse_array(double.coords))
+    inverse = _inverse_positions(double)
     pos = np.flatnonzero(np.arange(len(double)) <= inverse)[1:]
     w = (np.array(double.lengths)[pos] ** s).astype(float)
-    return _Pencil(symbol_positions(group, lam), pos, w, inverse[pos])
+    return _Pencil(symbol_positions(group, lam), pos, w, inverse)
 
 
 # Largest stacked n x n complex array one ascent step holds: a stack of
@@ -310,8 +314,6 @@ def _trace_norm_dual(pencil: _Pencil, t: np.ndarray, params: SolverParams):
     p and value (p = 0 attains 0), the best upper bound and the status.
     """
     idx, slots = pencil.idx, len(t)
-    inverse = np.arange(slots)
-    inverse[pencil.pos], inverse[pencil.mirror] = pencil.mirror, pencil.pos
     share = np.zeros(slots)
     share[1:] = 1.0 / np.bincount(idx.ravel(), minlength=slots)[1:]
 
@@ -331,7 +333,7 @@ def _trace_norm_dual(pencil: _Pencil, t: np.ndarray, params: SolverParams):
         residual = np.abs(t - pencil.sums(Y))[1:].sum()
         upper = min(upper, float(np.abs(np.linalg.eigvalsh(Y)).sum() + residual))
         q = (rho * pencil.sums(U)).conj() * share
-        p = (q + q[inverse].conj()) / 2
+        p = (q + q[pencil.inverse].conj()) / 2
         norm = spectral_norm(p[idx])
         if norm > 0 and (reached := float((p @ t).real) / norm) > value:
             value, best = reached, p / norm
@@ -339,11 +341,6 @@ def _trace_norm_dual(pencil: _Pencil, t: np.ndarray, params: SolverParams):
             status = "converged"
             break
     return best, value, upper, status
-
-
-def _check_order(s: int) -> None:
-    if s < 1:
-        raise ValueError(f"derivative order must be a positive integer, got {s}")
 
 
 def _state_matrix(state: State) -> np.ndarray:

@@ -2,15 +2,18 @@
 
 Each overlap count applies the group's scalar ``multiply`` to one ball
 element at a time, independently of the index maps the package counts
-overlaps with.  The self-adjoint basis is built as a list of symbol
-dictionaries, independently of the position arrays the package's pencils
-carry.  ``Cyclic`` is a finite group with elements of order two, which the
-built-in torsion-free groups lack.
+overlaps with.  The self-adjoint basis and the random self-adjoint symbol
+pair each element with its inverse through the scalar ``inverse``, one
+element at a time, independently of the inverse-position table the package
+pairs the double ball with.  ``Cyclic`` is a finite group with elements of
+order two, which the built-in torsion-free groups lack.
 """
 
 from dataclasses import dataclass
 
-from spectrunc import ball
+import numpy as np
+
+from spectrunc import ToeplitzOperator, ball
 
 
 def ball_overlap(group, x, radius: int) -> int:
@@ -45,6 +48,28 @@ def selfadjoint_basis(group, lam: int) -> list[dict]:
             sym[zi] = sym.get(zi, 0) + zeta.conjugate()
             basis.append(sym)
     return basis
+
+
+def random_selfadjoint(group, lam: int, rng) -> ToeplitzOperator:
+    """The random self-adjoint operator drawn element by element in BFS order.
+
+    A self-inverse element draws one real normal; any other element not yet
+    paired draws re and im for (re + i im) / sqrt(2), and its inverse gets
+    the conjugate.
+    """
+    symbol: dict = {}
+    for z in ball(group, 2 * lam).elements:
+        if z in symbol:
+            continue
+        zi = group.inverse(z)
+        if z == zi:
+            symbol[z] = complex(rng.standard_normal())
+        else:
+            re, im = rng.standard_normal(2)
+            v = complex(re, im) / np.sqrt(2)
+            symbol[z] = v
+            symbol[zi] = v.conjugate()
+    return ToeplitzOperator(group, lam, symbol)
 
 
 @dataclass(frozen=True)

@@ -388,6 +388,47 @@ def test_tuning_config_rejects_unknown_keys(capsys, tmp_path, command):
     assert "unknown config keys: ['tolerance']" in err
 
 
+@pytest.mark.parametrize(
+    "command, key, value, kind",
+    [
+        ("converge", "group", 5, "str"),
+        ("converge", "trials", 2.5, "int"),
+        ("converge", "trials", True, "int"),
+        ("converge", "lambda_range", 3, "str"),
+        ("converge", "output", 7, "str"),
+        ("converge", "seed", 1.5, "int"),
+        ("converge", "s", True, "int"),
+        ("distance", "max_iters", 2.7, "int"),
+        ("epsilon", "trials", True, "int"),
+    ],
+)
+def test_a_mistyped_config_value_exits_2(capsys, tmp_path, command, key, value, kind):
+    phi = tmp_path / "phi.txt"
+    phi.write_text("1 0 0\n1 0 1\n")
+    cfg = tmp_path / "cfg.json"
+    base = {"group": "z:1", "lambda_range": "1", "trials": 1} if command == "converge" else {}
+    cfg.write_text(json.dumps({**base, key: value}))
+    argv = [command, "--config", str(cfg)]
+    if command != "converge":
+        argv += ["--group", "z:1", "--lambda", "1", "--s", "1"]
+    if command == "distance":
+        argv += ["--phi", str(phi), "--psi", str(phi)]
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: config key {key!r} must be of type {kind}, got {value!r}\n"
+
+
+def test_integral_json_numbers_are_integer_config_values(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"group": "z:1", "lambda_range": [1, 2.0], "s": 1.0, "trials": 2}))
+    code, out, _ = _run(capsys, "converge", "--config", str(cfg), "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["metadata"]["s"] == 1 and type(report["metadata"]["s"]) is int
+    assert [row["lam"] for row in report["rows"]] == [1, 2]
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 

@@ -10,6 +10,7 @@ from spectrunc import (
     AlgebraElement,
     FreeAbelian,
     Heisenberg,
+    OpnormResult,
     ball,
     compress_rep,
     convolve,
@@ -322,6 +323,44 @@ def test_opnorm_does_not_stop_before_seeing_support():
     f = delta(Z1, (3,))
     res = opnorm(f, tol=1e-8, r_max=6)
     assert res.estimate == 1.0
+
+
+def full_radius_scan(f, tol, r_max, r_min):
+    """The opnorm scan run from radius 0, which skips nothing below the floor."""
+    r_floor = max(r_min, (max(word_length(f.group, g) for g in f.support) + 1) // 2)
+    estimate, prev = 0.0, None
+    for radius in range(r_max + 1):
+        sigma = groupalg._compression_norm(f, radius, None)
+        estimate = max(estimate, sigma)
+        if prev is not None and radius >= r_floor and abs(sigma - prev) < tol:
+            return OpnormResult(estimate, True, radius)
+        prev = sigma
+    return OpnormResult(estimate, False, r_max)
+
+
+def test_opnorm_skips_the_radii_below_its_floor(monkeypatch):
+    radii = []
+    norm = groupalg._compression_norm
+
+    def counted(f, radius, cap):
+        radii.append(radius)
+        return norm(f, radius, cap)
+
+    monkeypatch.setattr(groupalg, "_compression_norm", counted)
+    assert opnorm(delta(Z2, (2, 1), 1j), r_min=10, r_max=10) == OpnormResult(1.0, True, 10)
+    assert radii == [9, 10]
+    radii.clear()
+    assert opnorm(delta(Z1, (7,)), r_max=2) == OpnormResult(0.0, False, 2)
+    assert radii == [1, 2]
+
+
+def test_opnorm_matches_the_scan_from_radius_zero():
+    rng = np.random.default_rng(32)
+    for group, radius in ((Z1, 6), (Z2, 3), (H3, 2)):
+        f = random_element(group, radius, rng)
+        for r_min, r_max in ((0, 6), (3, 6), (5, 6), (2, 9), (9, 4)):
+            want = full_radius_scan(f, 1e-8, r_max, r_min)
+            assert opnorm(f, r_max=r_max, r_min=r_min) == want
 
 
 def test_opnorm_reports_nonconvergence_within_budget():

@@ -16,9 +16,12 @@ from spectrunc import (
     export_report,
     fejer_kernel,
     gh_bound,
+    group_from_key,
+    growth_report,
     load_report,
     run_convergence,
 )
+from spectrunc import harness
 
 
 def _small_config(**overrides):
@@ -110,6 +113,29 @@ def test_sweep_marks_capped_rows_skipped():
     assert second.skipped
     assert "10" in second.reason
     assert second.eps_full is None
+
+
+@pytest.mark.parametrize("group", ["z:1", "z:2", "z:3", "heisenberg"])
+def test_auto_s_comes_from_the_reported_fit(group, monkeypatch):
+    fits = []
+
+    def counted(*args, **kwargs):
+        fits.append(args)
+        return growth_report(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "growth_report", counted)
+    report = run_convergence(ExperimentConfig(group=group, lambda_range=(1,), trials=1))
+    assert len(fits) == 1
+    degree = report.metadata["fitted_degree"]
+    assert (max(1, round(degree)) + 1) // 2 + 1 == report.metadata["s"]
+    assert report.metadata["s"] == choose_s(group_from_key(group))
+
+
+def test_sweep_with_a_given_s_reports_no_fit_when_the_cap_stops_it():
+    report = run_convergence(_small_config(lambda_range=(1,), s=2, ball_cap=4))
+    assert report.metadata["fitted_beta"] is None
+    assert report.metadata["fitted_degree"] is None
+    assert report.rows[0].skipped
 
 
 def test_sweep_metadata_has_growth_fits():

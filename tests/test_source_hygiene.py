@@ -1,5 +1,6 @@
 """Source checks that need no linter: every module-level import is used,
-every f-string has a placeholder, and importing the package leaves the heavy
+every f-string has a placeholder, every module-level private name is read
+somewhere in the package, and importing the package leaves the heavy
 optional modules unloaded.
 
 An import marked ``# noqa: F401`` on its line is kept on purpose, as a
@@ -94,3 +95,46 @@ def test_importing_the_package_loads_no_lazy_module():
     )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def orphaned_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions, classes and constants that no module reads.
+
+    A name counts as read where any module loads it, reads it as an attribute
+    or imports it; its own definition does not count.
+    """
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(module, n) for n in names if n.startswith("_") and not n.startswith("__")]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+            elif isinstance(n, ast.alias):
+                read.add(n.name)
+    return sorted(f"{module}.{name}" for module, name in defined if name not in read)
+
+
+def test_the_check_finds_an_orphaned_private_name():
+    sources = {
+        "a": (
+            "_USED = 1\n_LEFT: int = 2\n"
+            "def _helper():\n    return _USED\nclass _Gone:\n    pass\n"
+        ),
+        "b": "from a import _helper\n__all__ = []\n",
+    }
+    assert orphaned_private_names(sources) == ["a._Gone", "a._LEFT"]
+
+
+def test_no_orphaned_private_names():
+    assert orphaned_private_names({p.stem: p.read_text() for p in SOURCES}) == []

@@ -36,6 +36,9 @@ from spectrunc import (
     unit,
 )
 
+from oracles import Cyclic
+from oracles import random_selfadjoint as scalar_random_selfadjoint
+
 Z1 = FreeAbelian(1)
 Z2 = FreeAbelian(2)
 H3 = Heisenberg()
@@ -63,6 +66,20 @@ def test_symbol_must_fit_double_ball():
         ToeplitzOperator(Z1, 1, {(3,): 1.0})
     T = ToeplitzOperator(Z1, 1, {(2,): 1.0, (0,): 0.0})
     assert set(T.support) == {(2,)}
+
+
+def test_symbol_keys_are_validated_once_and_keep_their_messages(monkeypatch):
+    with pytest.raises(ValueError) as invalid:
+        ToeplitzOperator(Z1, 1, {(1.5,): 1.0})
+    assert str(invalid.value) == "(1.5,) is not a valid element of z:1"
+    with pytest.raises(ValueError) as outside:
+        ToeplitzOperator(Z1, 1, {(0,): 1.0, (3,): 0})
+    assert str(outside.value) == "symbol entry at (3,) lies outside the double ball of radius 2"
+    seen = []
+    monkeypatch.setattr(Heisenberg, "validate", lambda self, g: seen.append(g))
+    symbol = {(1, 0, 0): 1.0, (0, 1, 0): 0.0, (0, 0, 0): 2.0}
+    ToeplitzOperator(H3, 1, symbol)
+    assert seen == list(symbol)
 
 
 def test_radius_must_be_positive():
@@ -292,6 +309,21 @@ def test_random_selfadjoint_is_selfadjoint():
         assert T.is_selfadjoint()
         M = materialize(T)
         assert np.allclose(M, M.conj().T)
+
+
+@pytest.mark.parametrize("group", [Z1, Z2, FreeAbelian(3), H3, Cyclic(4)], ids=lambda g: g.name)
+def test_random_selfadjoint_matches_the_scalar_pairing(group):
+    def bits(T):
+        return [(z, v.real.hex(), v.imag.hex()) for z, v in T.items()]
+
+    for lam in (1, 2, 3):
+        for seed in range(5):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            T = random_selfadjoint(group, lam, rng)
+            ref = scalar_random_selfadjoint(group, lam, ref_rng)
+            assert T == ref
+            assert bits(T) == bits(ref)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_random_psd_has_nonnegative_spectrum():
