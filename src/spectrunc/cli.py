@@ -32,7 +32,7 @@ from .truncation import (
 )
 from .groupalg import spectral_norm
 from .harness import ExperimentConfig, _check_gnuplot_target, _fmt12, export_report
-from .harness import run_convergence
+from .harness import _CONFIG_TYPES, _typed, run_convergence
 from .qmetric import SearchParams, SolverParams, epsilon_full, epsilon_truncated, gh_bound
 from .qmetric import lip_distance, vector_state
 
@@ -78,40 +78,10 @@ def _read_config(path: str) -> dict:
     return data
 
 
-# The type of each config key's value; a key = value file gives every value as a string.
-_CONFIG_TYPES = {"seed": int, "trials": int, "max_iters": int, "ball_cap": int, "s": int,
-                 "tol": float, "group": str, "output": str, "format": str}
-
-
-def _typed(key: str, value, kind):
-    """A config value as ``kind``: a string is parsed, and a JSON value must have the kind.
-
-    Raises ValueError on a bool, a non-integral number for an int and a non-string for a str.
-    """
-    if isinstance(value, str):
-        return value if kind is str else kind(value)
-    integral = type(value) is int or type(value) is float and value.is_integer()
-    if kind is int and integral or kind is float and type(value) in (int, float):
-        return kind(value)
-    raise ValueError(f"config key {key!r} must be of type {kind.__name__}, got {value!r}")
-
-
-def _coerce_config(data: dict) -> dict:
-    out = {}
-    for key, value in data.items():
-        if key == "lambda_range":
-            many = isinstance(value, list)
-            value = [_typed(key, v, int) for v in value] if many else _typed(key, value, str)
-        elif key in _CONFIG_TYPES and not (key == "s" and value == "auto"):
-            value = _typed(key, value, _CONFIG_TYPES[key])
-        out[key] = value
-    return out
-
-
 def _merged_config(args, keys) -> dict:
     data = {}
     if getattr(args, "config", None):
-        data.update(_coerce_config(_read_config(args.config)))
+        data.update(_read_config(args.config))
     for key in keys:
         value = getattr(args, key, None)
         if value is not None:
@@ -199,7 +169,7 @@ _EPSILON_FIELDS = {"trials": "starts", "seed": "seed"}
 
 
 def _params(cls, args, fields: dict):
-    """cls from the keys the user gave, typed by argparse or ``_coerce_config``.
+    """cls from the keys the user gave, each typed by ``_typed``.
 
     Raises ValueError on a config key the command does not read.
     """
@@ -207,7 +177,8 @@ def _params(cls, args, fields: dict):
     unknown = set(merged) - set(fields)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return cls(**{name: merged[key] for key, name in fields.items() if key in merged})
+    return cls(**{name: _typed(key, merged[key], _CONFIG_TYPES[key])
+                  for key, name in fields.items() if key in merged})
 
 
 def _cmd_distance(args) -> int:
@@ -351,8 +322,6 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        if getattr(args, "s", None) is not None and isinstance(args.s, str) and args.s != "auto":
-            args.s = int(args.s)
         return args.func(args)
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)

@@ -6,8 +6,10 @@ group by left convolution operators.  Operator norms are estimated from
 below by compressions to balls of growing radius; the multiplication
 operator by word length acts as a Dirac-type derivative and induces the
 Lipschitz seminorms used throughout.  A compression reads its symbol over
-the double ball through one cached index map, and the adjoint's pairing of
-each double-ball element with its inverse comes from one position table.
+the double ball through one cached index map; an operator-norm scan reads it
+from the products of f's support with the ball alone.  The adjoint pairs each
+double-ball element with its inverse through one position table, and an
+element cap bounds every ball a call enumerates, double balls included.
 
 Coefficients may be ints, floats, complexes, or ``fractions.Fraction``
 values.  Arithmetic preserves exact types, so identities that hold in
@@ -189,17 +191,6 @@ def l2_norm(f: AlgebraElement) -> float:
     return math.sqrt(sum(abs(complex(v)) ** 2 for v in f._coeffs.values()))
 
 
-def _balls(group, radius: int, cap: Optional[int]):
-    """The radius ball under the element cap, and its double ball.
-
-    Every element of the double ball is x y^{-1} for some x, y in the ball,
-    so the double ball is no larger than the n x n index map it fills; the
-    cap bounds the ball, and the map bounds the double ball.
-    """
-    b = ball(group, radius, cap=cap)
-    return b, ball(group, 2 * radius, cap=len(b) ** 2)
-
-
 # Bytes of group products computed at once while an index map or position table is built.
 _CHUNK_BYTES = 1 << 22
 
@@ -229,9 +220,9 @@ def symbol_positions(group, radius: int, cap: Optional[int] = None) -> np.ndarra
     Entry (i, j) is the position of x_i x_j^{-1} in the BFS order of the
     double ball, so the compression of a symbol vector s over the double
     ball is ``s[idx]``.  The read-only int32 map is cached per ball; the
-    element cap applies to the radius ball and is checked on every call.
+    element cap bounds both balls and is checked on every call.
     """
-    return _index_map(*_balls(group, radius, cap))
+    return _index_map(ball(group, radius, cap=cap), ball(group, 2 * radius, cap=cap))
 
 
 # Hit and miss counts of the map cache, read as on any lru_cache'd function.
@@ -246,11 +237,11 @@ def _inverse_positions(double) -> np.ndarray:
 def compress_rep(f: AlgebraElement, radius: int, cap: Optional[int] = None) -> np.ndarray:
     """Matrix of the left convolution operator compressed to a ball.
 
-    Entry (x, y) is f(x y^{-1}) with respect to the ball's element order,
-    gathered from f's values over the double ball through the index map.
+    Entry (x, y) is f(x y^{-1}) in the ball's element order, gathered from
+    f's values over the double ball through the index map; the cap bounds both.
     """
     idx = symbol_positions(f.group, radius, cap=cap)
-    _, double = _balls(f.group, radius, cap)
+    double = ball(f.group, 2 * radius, cap=cap)
     vec = np.zeros(len(double), dtype=complex)
     for z, v in f.items():
         i = double.index.get(z)
@@ -324,21 +315,24 @@ def spectral_norm(M: np.ndarray) -> float:
 
 
 def _compression_norm(f: AlgebraElement, radius: int, cap: Optional[int]) -> float:
-    """Norm of f compressed to the radius ball; above ``_LANCZOS_THRESHOLD``, matrix-free.
+    """Norm of f compressed to the radius ball, with no index map or double ball.
 
-    There z in supp f and x_j with z x_j in the ball give the triplet (row = position of
-    z x_j, col = j, weight f(z)): M v and M^H u are bincounts, with no index map or double ball.
+    Each z in supp f and x_j with z x_j in the ball give the triplet (row = position of z x_j,
+    col = j, weight f(z)), at most one per entry: the dense ``M[rows, cols] = w`` is normed up
+    to ``_LANCZOS_THRESHOLD``, and above it Lanczos takes M v and M^H u as bincounts.
     """
     b = ball(f.group, radius, cap=cap)
     n = len(b)
-    if n <= _LANCZOS_THRESHOLD:
-        return spectral_norm(compress_rep(f, radius, cap=cap))
     weights = np.array([complex(v) for _, v in f.items()])
     triplets = []
     for start, pos in _product_positions(f.group, np.array(list(f.support)), b.coords, b.coords):
         z, col = np.nonzero(pos >= 0)
         triplets.append((pos[z, col], col, weights[start + z]))
     rows, cols, w = map(np.concatenate, zip(*triplets))
+    if n <= _LANCZOS_THRESHOLD:
+        M = np.zeros((n, n), dtype=complex)
+        M[rows, cols] = w
+        return spectral_norm(M)
 
     def sums(into: np.ndarray, terms: np.ndarray) -> np.ndarray:
         return np.bincount(into, terms.real, n) + 1j * np.bincount(into, terms.imag, n)
@@ -371,7 +365,8 @@ def opnorm(
     bound.  The scan stops once two successive radii differ by less than
     ``tol`` (finite and positive), but never before the compression is large
     enough to see every support element of f (and never before ``r_min``); it
-    starts one radius below that floor and ends at r_max at the latest.
+    starts one radius below that floor and ends at r_max at the latest, and it
+    reads no index map or double ball at any radius (``_compression_norm``).
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")

@@ -6,7 +6,8 @@ the resulting distance bound.  The truncated constant's ascent draws its
 randomness from a seed derived by hashing (seed, radius, stage), so any
 subset of radii reproduces the same rows in any order.  One growth fit per
 sweep picks the derivative order under ``s = auto`` and is the one the
-report's metadata carries.
+report's metadata carries.  One type rule, ``_typed``, checks every config
+value, whether a sweep's configuration or a command's tuning key.
 """
 
 from __future__ import annotations
@@ -39,9 +40,27 @@ def _fmt12(v: float) -> str:
     return format(float(v), ".12g")
 
 
+# The type of each config key's value; a key = value file gives every value as a string.
+_CONFIG_TYPES = {"seed": int, "trials": int, "max_iters": int, "ball_cap": int, "s": int,
+                 "tol": float, "group": str, "output": str, "format": str}
+
+
+def _typed(key: str, value, kind):
+    """A config value as ``kind``: a string is parsed, and any other value must have the kind.
+
+    Raises ValueError on a bool, a non-integral number for an int and a non-string for a str.
+    """
+    if isinstance(value, str):
+        return value if kind is str else kind(value)
+    integral = type(value) is int or type(value) is float and value.is_integer()
+    if kind is int and integral or kind is float and type(value) in (int, float):
+        return kind(value)
+    raise ValueError(f"config key {key!r} must be of type {kind.__name__}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated description of one convergence sweep."""
+    """Validated description of one convergence sweep, each field typed by ``_typed``."""
 
     group: str
     lambda_range: tuple
@@ -53,8 +72,13 @@ class ExperimentConfig:
     ball_cap: Optional[int] = None
 
     def __post_init__(self):
+        unset = {"s": "auto", "output": None, "ball_cap": None}
+        for key in ("group", "s", "seed", "trials", "output", "format", "ball_cap"):
+            value = getattr(self, key)
+            if key not in unset or value != unset[key]:
+                object.__setattr__(self, key, _typed(key, value, _CONFIG_TYPES[key]))
         group_from_key(self.group)
-        lams = tuple(int(x) for x in self.lambda_range)
+        lams = tuple(_typed("lambda_range", x, int) for x in self.lambda_range)
         if not lams:
             raise ValueError("lambda_range must be nonempty")
         if any(l < 1 for l in lams):
@@ -62,9 +86,8 @@ class ExperimentConfig:
         if list(lams) != sorted(set(lams)):
             raise ValueError("lambda_range must be strictly increasing")
         object.__setattr__(self, "lambda_range", lams)
-        if self.s != "auto":
-            if not isinstance(self.s, int) or self.s < 1:
-                raise ValueError(f"s must be 'auto' or a positive integer, got {self.s!r}")
+        if self.s != "auto" and self.s < 1:
+            raise ValueError(f"s must be 'auto' or a positive integer, got {self.s!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if self.format not in ("csv", "json"):
@@ -76,12 +99,10 @@ class ExperimentConfig:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "lambda_range" in data and isinstance(data["lambda_range"], str):
-            data = dict(data)
-            data["lambda_range"] = tuple(
-                int(tok) for tok in data["lambda_range"].replace(",", " ").split()
-            )
-        return cls(**data)
+        lams = data.get("lambda_range", ())
+        if not isinstance(lams, (list, tuple)):
+            lams = _typed("lambda_range", lams, str).replace(",", " ").split()
+        return cls(**{**data, "lambda_range": lams})
 
 
 @dataclass(frozen=True)
@@ -110,25 +131,20 @@ def _derived_seed(seed: int, lam: int, stage: str) -> int:
 def _growth_fit(group, cap: Optional[int] = None):
     """The growth report that picks the derivative order, and that a sweep reports.
 
-    Balls are enumerated until they pass a few thousand elements, and the
-    growth degree is fitted on the larger half of that range.  Raises
-    ResourceCapError when the cap leaves fewer than two radii to fit.
+    The range grows one radius at a time, to radius 4 and then while its balls
+    stay within 4,000 elements, and stops at the first ball over the cap; the
+    growth degree is fitted on its larger half.  Raises ResourceCapError
+    when the cap leaves fewer than two radii to fit.
     """
-    lam_max = 2
+    lam_max, size = 2, 0
     try:
-        while lam_max < 32 and len(ball(group, lam_max + 1, cap=cap)) <= 4000:
-            lam_max += 1
-        lam_max = max(lam_max, 4)
+        while lam_max < 32 and (lam_max < 4 or size <= 4000):
+            size = len(ball(group, lam_max + 1, cap=cap))
+            if lam_max < 4 or size <= 4000:
+                lam_max += 1
     except ResourceCapError:
         pass
-    while True:
-        try:
-            report = growth_report(group, lam_max, fit_min=max(2, lam_max // 2), cap=cap)
-            break
-        except ResourceCapError:
-            if lam_max <= 2:
-                raise
-            lam_max -= 1
+    report = growth_report(group, lam_max, fit_min=max(2, lam_max // 2), cap=cap)
     if math.isnan(report.fitted_degree):
         raise ResourceCapError(
             f"growth fit in {group.name} needs balls of radius {lam_max + 1} and more, "

@@ -170,6 +170,12 @@ class SolverParams:
     max_iters: int = 2000
     tol: float = 1e-9
 
+    def __post_init__(self):
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
+
 
 @dataclass(frozen=True)
 class DistanceResult:
@@ -323,7 +329,7 @@ def _trace_norm_dual(pencil: _Pencil, t: np.ndarray, params: SolverParams):
     Z = U = np.zeros(idx.shape, dtype=complex)
     rho = 1.0 / spectral_norm(project(Z))
     value, best, upper, status = 0.0, np.zeros(slots, dtype=complex), math.inf, "iteration-cap"
-    for k in range(1, max(params.max_iters, 1) + 1):
+    for k in range(1, params.max_iters + 1):
         Y = project(Z - U)
         mu, V = np.linalg.eigh(Y + U)
         Z = (V * (np.sign(mu) * np.maximum(np.abs(mu) - 1.0 / rho, 0.0))) @ V.conj().T
@@ -475,6 +481,14 @@ class SearchParams:
     starts: int = 6
     max_iters: int = 150
     seed: int = 0
+
+    def __post_init__(self):
+        if self.starts < 1:
+            raise ValueError(f"starts must be at least 1, got {self.starts}")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be nonnegative, got {self.max_iters}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def _two_norm_ascent(num: _Pencil, den: _Pencil, params: SearchParams):

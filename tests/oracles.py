@@ -5,15 +5,18 @@ element at a time, independently of the index maps the package counts
 overlaps with.  The self-adjoint basis and the random self-adjoint symbol
 pair each element with its inverse through the scalar ``inverse``, one
 element at a time, independently of the inverse-position table the package
-pairs the double ball with.  ``Cyclic`` is a finite group with elements of
-order two, which the built-in torsion-free groups lack.
+pairs the double ball with.  ``two_loop_growth_fit`` is the growth fit that
+grows its range, lifts it to radius 4 unchecked and walks back down on the
+cap, which the one-pass fit must reproduce.  ``Cyclic`` is a finite group
+with elements of order two, which the built-in torsion-free groups lack.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from spectrunc import ToeplitzOperator, ball
+from spectrunc import DEFAULT_BALL_CAP, ResourceCapError, ToeplitzOperator, ball, growth_report
 
 
 def ball_overlap(group, x, radius: int) -> int:
@@ -70,6 +73,31 @@ def random_selfadjoint(group, lam: int, rng) -> ToeplitzOperator:
             symbol[z] = v
             symbol[zi] = v.conjugate()
     return ToeplitzOperator(group, lam, symbol)
+
+
+def two_loop_growth_fit(group, cap=None):
+    """The growth fit in two loops: grow the range, then back off while the cap stops the report."""
+    lam_max = 2
+    try:
+        while lam_max < 32 and len(ball(group, lam_max + 1, cap=cap)) <= 4000:
+            lam_max += 1
+        lam_max = max(lam_max, 4)
+    except ResourceCapError:
+        pass
+    while True:
+        try:
+            report = growth_report(group, lam_max, fit_min=max(2, lam_max // 2), cap=cap)
+            break
+        except ResourceCapError:
+            if lam_max <= 2:
+                raise
+            lam_max -= 1
+    if math.isnan(report.fitted_degree):
+        raise ResourceCapError(
+            f"growth fit in {group.name} needs balls of radius {lam_max + 1} and more, "
+            f"over the cap of {DEFAULT_BALL_CAP if cap is None else cap} elements"
+        )
+    return report
 
 
 @dataclass(frozen=True)

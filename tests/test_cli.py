@@ -343,6 +343,31 @@ def test_distance_config_rejects_the_random_start_keys(capsys, tmp_path, key):
     assert f"unknown config keys: ['{key}']" in err
 
 
+@pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        ("epsilon", "--trials", "0", "starts must be at least 1, got 0"),
+        ("epsilon", "--trials", "-1", "starts must be at least 1, got -1"),
+        ("epsilon", "--seed", "-1", "seed must be nonnegative, got -1"),
+        ("distance", "--max-iters", "0", "max_iters must be at least 1, got 0"),
+        ("distance", "--max-iters", "-3", "max_iters must be at least 1, got -3"),
+        ("distance", "--tol", "nan", "tol must be finite and positive, got nan"),
+        ("distance", "--tol", "-1", "tol must be finite and positive, got -1.0"),
+        ("distance", "--tol", "inf", "tol must be finite and positive, got inf"),
+    ],
+)
+def test_a_tuning_value_out_of_range_exits_2(capsys, tmp_path, command, flag, value, message):
+    phi = tmp_path / "phi.txt"
+    phi.write_text("1 0 0\n1 0 1\n")
+    argv = [command, "--group", "z:1", "--lambda", "1", "--s", "1", flag, value]
+    if command == "distance":
+        argv += ["--phi", str(phi), "--psi", str(phi)]
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_distance_warns_with_the_bracket_at_the_iteration_cap(capsys, tmp_path):
     phi, psi = tmp_path / "phi.txt", tmp_path / "psi.txt"
     phi.write_text("1 0 0\n0.5 0 1\n-0.25 0 -1\n")

@@ -325,12 +325,13 @@ def test_opnorm_does_not_stop_before_seeing_support():
     assert res.estimate == 1.0
 
 
-def full_radius_scan(f, tol, r_max, r_min):
+def full_radius_scan(f, tol, r_max, r_min, norm=None):
     """The opnorm scan run from radius 0, which skips nothing below the floor."""
+    norm = norm or groupalg._compression_norm
     r_floor = max(r_min, (max(word_length(f.group, g) for g in f.support) + 1) // 2)
     estimate, prev = 0.0, None
     for radius in range(r_max + 1):
-        sigma = groupalg._compression_norm(f, radius, None)
+        sigma = norm(f, radius, None)
         estimate = max(estimate, sigma)
         if prev is not None and radius >= r_floor and abs(sigma - prev) < tol:
             return OpnormResult(estimate, True, radius)
@@ -361,6 +362,40 @@ def test_opnorm_matches_the_scan_from_radius_zero():
         for r_min, r_max in ((0, 6), (3, 6), (5, 6), (2, 9), (9, 4)):
             want = full_radius_scan(f, 1e-8, r_max, r_min)
             assert opnorm(f, r_max=r_max, r_min=r_min) == want
+
+
+def dense_up_to_the_crossover(f, radius, cap):
+    """The compression norm of ``compress_rep`` up to the Lanczos crossover, matrix-free above."""
+    if len(ball(f.group, radius)) <= groupalg._LANCZOS_THRESHOLD:
+        return spectral_norm(compress_rep(f, radius, cap=cap))
+    return groupalg._compression_norm(f, radius, cap)
+
+
+def test_opnorm_scans_read_no_index_map_at_any_size(monkeypatch):
+    rng = np.random.default_rng(33)
+    cases = [
+        (random_element(group, 2, rng), r_min, r_max)
+        for group, r_min, r_max in ((Z1, 0, 6), (Z2, 0, 6), (Z2, 10, 11), (H3, 0, 6))
+        for _ in range(3)
+    ]
+    want = [full_radius_scan(f, 1e-8, r_max, r_min, dense_up_to_the_crossover)
+            for f, r_min, r_max in cases]
+    lip_want = opnorm(derivative(cases[-1][0], 2), r_max=6).estimate
+    info = symbol_positions.cache_info()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an opnorm scan read an index map")
+
+    monkeypatch.setattr(groupalg, "symbol_positions", refuse)
+    monkeypatch.setattr(groupalg, "compress_rep", refuse)
+    got = [opnorm(f, r_max=r_max, r_min=r_min) for f, r_min, r_max in cases]
+    assert lipnorm(cases[-1][0], 2, r_max=6) == lip_want
+    assert symbol_positions.cache_info() == info
+    assert [g.estimate.hex() for g in got] == [w.estimate.hex() for w in want]
+    assert got == want
+    crossed = {f.group for (f, _, _), res in zip(cases, got)
+               if len(ball(f.group, res.last_radius)) > groupalg._LANCZOS_THRESHOLD}
+    assert crossed == {Z2, H3}
 
 
 def test_opnorm_reports_nonconvergence_within_budget():

@@ -12,6 +12,7 @@ from spectrunc import (
     ExperimentConfig,
     FreeAbelian,
     Heisenberg,
+    ResourceCapError,
     choose_s,
     export_report,
     fejer_kernel,
@@ -21,7 +22,9 @@ from spectrunc import (
     load_report,
     run_convergence,
 )
-from spectrunc import harness
+from spectrunc import cayley, harness
+
+from oracles import two_loop_growth_fit
 
 
 def _small_config(**overrides):
@@ -56,6 +59,23 @@ def test_config_validates_knobs():
         _small_config(trials=0)
     with pytest.raises(ValueError):
         _small_config(format="yaml")
+
+
+@pytest.mark.parametrize(
+    "key, value, kind",
+    [("s", True, "int"), ("seed", 1.5, "int"), ("lambda_range", 2.7, "int"), ("trials", 2.5, "int")],
+)
+def test_config_applies_the_config_type_rule(key, value, kind):
+    overrides = {"lambda_range": (value,)} if key == "lambda_range" else {key: value}
+    with pytest.raises(ValueError) as err:
+        _small_config(**overrides)
+    assert str(err.value) == f"config key {key!r} must be of type {kind}, got {value!r}"
+
+
+def test_config_reads_whole_floats_as_integers():
+    cfg = _small_config(lambda_range=(1.0, 2), s=2.0, seed=3.0, trials=2.0, ball_cap=50.0)
+    assert cfg == _small_config(lambda_range=(1, 2), s=2, seed=3, trials=2, ball_cap=50)
+    assert all(type(v) is int for v in (*cfg.lambda_range, cfg.s, cfg.seed, cfg.trials))
 
 
 def test_config_from_mapping():
@@ -129,6 +149,34 @@ def test_auto_s_comes_from_the_reported_fit(group, monkeypatch):
     degree = report.metadata["fitted_degree"]
     assert (max(1, round(degree)) + 1) // 2 + 1 == report.metadata["s"]
     assert report.metadata["s"] == choose_s(group_from_key(group))
+
+
+def _fit_or_error(fit, group, cap, monkeypatch):
+    """A growth fit, or its error's type and message, from empty ball caches.
+
+    Also returns how many radii the group's enumeration reached.
+    """
+    monkeypatch.setattr(cayley, "_BALL_CACHE", {})
+    monkeypatch.setattr(cayley, "_ENUMERATIONS", {})
+    try:
+        outcome = fit(group, cap)
+    except ResourceCapError as exc:
+        outcome = (type(exc), str(exc))
+    return outcome, len(cayley._ENUMERATIONS[group].sizes)
+
+
+@pytest.mark.parametrize("key", ["z:1", "z:2", "z:3", "z:4", "heisenberg", "z:10"])
+def test_one_pass_growth_fit_equals_the_two_loop_fit(key, monkeypatch):
+    # z:10 is the group whose first ball over 4,000 elements has radius below 4
+    group = group_from_key(key)
+    caps = (None, 0, 1, 3, 5, 7, 10, 20, 50, 100, 200, 500, 1000, 2000, 4000, 5000, 20000)
+    failed = []
+    for cap in caps:
+        want = _fit_or_error(two_loop_growth_fit, group, cap, monkeypatch)
+        got = _fit_or_error(harness._growth_fit, group, cap, monkeypatch)
+        assert got == want, cap
+        failed.append(type(got[0]) is tuple)
+    assert any(failed) and not all(failed)
 
 
 def test_sweep_with_a_given_s_reports_no_fit_when_the_cap_stops_it():

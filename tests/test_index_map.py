@@ -358,6 +358,18 @@ def test_cap_is_checked_before_the_cache():
         symbol_positions(Z1, 3, cap=3)
 
 
+def test_the_cap_bounds_the_double_ball_of_a_map_and_a_compression():
+    f = random_element(H, 2, np.random.default_rng(16))
+    assert (len(ball(H, 2)), len(ball(H, 4))) == (17, 135)
+    for cap in (17, 134):
+        with pytest.raises(ResourceCapError, match="radius 4"):
+            symbol_positions(H, 2, cap=cap)
+        with pytest.raises(ResourceCapError, match="radius 4"):
+            compress_rep(f, 2, cap=cap)
+    assert symbol_positions(H, 2, cap=135) is symbol_positions(H, 2)
+    assert np.array_equal(compress_rep(f, 2, cap=135), compress_rep(f, 2))
+
+
 # ---------------------------------------------------------------------------
 # the array group law against the scalar one
 

@@ -358,6 +358,27 @@ def test_derivative_order_below_one_is_rejected(solve, s):
         solve(s)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: SearchParams(starts=0), "starts must be at least 1, got 0"),
+        (lambda: SearchParams(max_iters=-1), "max_iters must be nonnegative, got -1"),
+        (lambda: SearchParams(seed=-1), "seed must be nonnegative, got -1"),
+        (lambda: SolverParams(max_iters=0), "max_iters must be at least 1, got 0"),
+        (lambda: SolverParams(tol=0.0), "tol must be finite and positive, got 0.0"),
+    ],
+)
+def test_search_and_solver_budgets_are_checked(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
+
+
+def test_the_smallest_budgets_are_accepted():
+    assert SearchParams(starts=1, max_iters=0, seed=0).max_iters == 0
+    assert SolverParams(max_iters=1, tol=5e-324).max_iters == 1
+
+
 def test_epsilon_searches_deterministic():
     p = SearchParams(seed=5, starts=3, max_iters=60)
     assert epsilon_full(Z1, 2, 2, search=p) == epsilon_full(Z1, 2, 2, search=p)

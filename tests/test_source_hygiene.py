@@ -1,7 +1,7 @@
 """Source checks that need no linter: every module-level import is used,
 every f-string has a placeholder, every module-level private name is read
-somewhere in the package, and importing the package leaves the heavy
-optional modules unloaded.
+somewhere in the package, every function reads each of its parameters, and
+importing the package leaves the heavy optional modules unloaded.
 
 An import marked ``# noqa: F401`` on its line is kept on purpose, as a
 linter would read the mark.
@@ -138,3 +138,49 @@ def test_the_check_finds_an_orphaned_private_name():
 
 def test_no_orphaned_private_names():
     assert orphaned_private_names({p.stem: p.read_text() for p in SOURCES}) == []
+
+
+def unread_parameters(module: str, source: str) -> list[str]:
+    """Parameters, other than ``self`` and ``cls``, that their function's body never loads.
+
+    A load anywhere in the body counts, in a nested function or lambda too.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id
+                for stmt in body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "<lambda>")
+            found += [
+                f"{module}.{name}.{p}" for p in params if p not in read | {"self", "cls"}
+            ]
+    return sorted(found)
+
+
+def test_the_check_finds_an_unread_parameter():
+    source = (
+        "class A:\n    def m(self, x, y):\n        return x\n"
+        "def f(a, *rest, b=1, **extra):\n    g = lambda u, v: u + b\n"
+        "    def inner():\n        return a, rest\n    return g, inner\n"
+    )
+    assert unread_parameters("a", source) == ["a.<lambda>.v", "a.f.extra", "a.m.y"]
+
+
+# Parameters kept unread on purpose, each with its reason.
+UNREAD_BY_DESIGN = {
+    "qmetric.epsilon_full.search": "kept for callers that pass a search, as the benchmark's "
+    "sweep-heis workload does; eps_full is the Folner epsilon, which no search changes",
+}
+
+
+def test_every_parameter_is_read():
+    found = [n for p in SOURCES for n in unread_parameters(p.stem, p.read_text())]
+    assert sorted(found) == sorted(UNREAD_BY_DESIGN)
