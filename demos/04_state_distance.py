@@ -2,7 +2,9 @@
 
 The distance between two states is the largest gap they can show on a
 self-adjoint operator of seminorm at most one.  The solver runs ADMM on the
-trace-norm dual of that convex problem and reports both ends of a bracket: a
+trace-norm dual of that convex problem, accelerated by safeguarded Anderson
+mixing (each evaluation is one eigendecomposition, and a mixed point is kept
+only if it shrinks the residual), and reports both ends of a bracket: a
 value attained by a feasible witness (a certified lower bound) and a dual
 certificate (a certified upper bound).  A brute-force grid oracle, which must
 fall inside the bracket, cross-checks instances with at most four symbol

@@ -32,9 +32,9 @@ from .truncation import (
 )
 from .groupalg import spectral_norm
 from .harness import ExperimentConfig, _check_gnuplot_target, _fmt12, export_report
-from .harness import _CONFIG_TYPES, _typed, run_convergence
+from .harness import _CONFIG_TYPES, run_convergence
 from .qmetric import SearchParams, SolverParams, epsilon_full, epsilon_truncated, gh_bound
-from .qmetric import lip_distance, vector_state
+from .qmetric import _typed, lip_distance, vector_state
 
 
 def _parse_coords(text: str) -> tuple:

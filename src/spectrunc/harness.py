@@ -6,8 +6,9 @@ the resulting distance bound.  The truncated constant's ascent draws its
 randomness from a seed derived by hashing (seed, radius, stage), so any
 subset of radii reproduces the same rows in any order.  One growth fit per
 sweep picks the derivative order under ``s = auto`` and is the one the
-report's metadata carries.  One type rule, ``_typed``, checks every config
-value, whether a sweep's configuration or a command's tuning key.
+report's metadata carries.  One type rule, ``qmetric._typed``, checks every
+config value, whether a sweep's configuration, a command's tuning key or a
+solver or search budget.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 from typing import Optional, TextIO, Union
 
 from .cayley import DEFAULT_BALL_CAP, ResourceCapError, ball, group_from_key, growth_report
-from .qmetric import SearchParams, epsilon_full, epsilon_truncated, gh_bound
+from .qmetric import SearchParams, _typed, epsilon_full, epsilon_truncated, gh_bound
 
 __all__ = [
     "ExperimentConfig",
@@ -43,19 +44,6 @@ def _fmt12(v: float) -> str:
 # The type of each config key's value; a key = value file gives every value as a string.
 _CONFIG_TYPES = {"seed": int, "trials": int, "max_iters": int, "ball_cap": int, "s": int,
                  "tol": float, "group": str, "output": str, "format": str}
-
-
-def _typed(key: str, value, kind):
-    """A config value as ``kind``: a string is parsed, and any other value must have the kind.
-
-    Raises ValueError on a bool, a non-integral number for an int and a non-string for a str.
-    """
-    if isinstance(value, str):
-        return value if kind is str else kind(value)
-    integral = type(value) is int or type(value) is float and value.is_integer()
-    if kind is int and integral or kind is float and type(value) in (int, float):
-        return kind(value)
-    raise ValueError(f"config key {key!r} must be of type {kind.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,12 @@ States evaluate algebra elements (full side) or truncated operators
 (compressed side).  The distance between two states is the supremum of their
 difference over the self-adjoint unit ball of the Lipschitz seminorm; on a
 truncation that is a convex problem whose dual is a trace-norm minimization
-over an affine set, so one ADMM solve brackets it between an attained witness
-value and a dual certificate, with an exhaustive grid oracle available in low
-dimension.  Of the two Lipschitz approximation constants that drive the
-quantitative convergence bound, the full-algebra one is the Folner epsilon,
+over an affine set, so one ADMM solve, accelerated by safeguarded Anderson
+mixing, brackets it between an attained witness value and a dual
+certificate, with an exhaustive grid oracle available in low dimension.  The
+solver's budget counts evaluations of the ADMM map, one ``eigh`` each.  Of
+the two Lipschitz approximation constants that drive the quantitative
+convergence bound, the full-algebra one is the Folner epsilon,
 its exact basis floor, and the truncated one is probed by ratio ascent from
 that floor.  The ascent runs on pencils of ball compressions, each stored as
 the symbol position and weight of every complex parameter, evaluated and
@@ -159,18 +161,40 @@ def random_density_state(group, lam: int, rng: np.random.Generator) -> State:
     return density_state(group, rho, lam)
 
 
+def _typed(key: str, value, kind):
+    """A config value as ``kind``: a string is parsed, and any other value must have the kind.
+
+    Raises ValueError on a bool, a non-integral number for an int and a non-string for a str.
+    Every sweep configuration, command tuning key, solver budget and search budget is typed
+    by this one rule.
+    """
+    if isinstance(value, str):
+        return value if kind is str else kind(value)
+    integral = type(value) is int or type(value) is float and value.is_integer()
+    if kind is int and integral or kind is float and type(value) in (int, float):
+        return kind(value)
+    raise ValueError(f"config key {key!r} must be of type {kind.__name__}, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # distance solver
 
 
 @dataclass(frozen=True)
 class SolverParams:
-    """ADMM steps of :func:`lip_distance`, and the relative duality gap that stops them."""
+    """Budget and stop rule of :func:`lip_distance`.
+
+    ``max_iters`` counts solver evaluations, one ``eigh`` each, rejected
+    Anderson candidates included; ``tol`` is the relative duality gap that
+    stops the solve.
+    """
 
     max_iters: int = 2000
     tol: float = 1e-9
 
     def __post_init__(self):
+        for key, kind in (("max_iters", int), ("tol", float)):
+            object.__setattr__(self, key, _typed(key, getattr(self, key), kind))
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         if not (math.isfinite(self.tol) and self.tol > 0):
@@ -301,8 +325,10 @@ def _norms_and_grads(pencils: list, X: np.ndarray):
     return np.concatenate(sigma, axis=1), np.concatenate(grad, axis=1)
 
 
-# The duality gap is checked every this many ADMM steps.
+# The duality gap is checked every this many solver evaluations, and Anderson
+# mixing keeps this many differences of past evaluations.
 _GAP_EVERY = 10
+_AA_MEMORY = 10
 
 
 def _trace_norm_dual(pencil: _Pencil, t: np.ndarray, params: SolverParams):
@@ -310,14 +336,24 @@ def _trace_norm_dual(pencil: _Pencil, t: np.ndarray, params: SolverParams):
 
     The dual is min ||Y||_1 (trace norm) over Hermitian Y whose sum over each
     position z != e of the index map, g_Y(z), is t(z).  Scaled ADMM with
-    rho = 1 / ||Pi(0)|| solves it: Y = Pi(Z - U), Z = Y + U with its
-    eigenvalues soft-thresholded at 1 / rho, U += Y - Z, where Pi adds
+    rho = 1 / ||Pi(0)|| solves it as a fixed-point iteration on the
+    Douglas-Rachford point s = Y + U.  One evaluation is one ``eigh``: Z is s
+    with its eigenvalues soft-thresholded at 1 / rho, U = s - Z,
+    Y = Pi(Z - U) and the map's output is Y + U, where Pi adds
     (t - g_Y) / count through the map and leaves the identity position alone.
-    Every ``_GAP_EVERY`` steps, the Hermitian part of the position means of
-    conj(rho U), with no identity part, rescaled to norm one, is a feasible p
-    and gives the lower bound; ||Y||_1 + sum_{z != e} |t(z) - g_Y(z)| is an
-    upper bound, because every feasible p has |p(z)| <= 1.  Returns the best
-    p and value (p = 0 attains 0), the best upper bound and the status.
+    Type-II Anderson mixing (Walker and Ni 2011) extrapolates the next point
+    from the last ``_AA_MEMORY`` differences of the output and of the residual
+    Y - Z.  As a safeguard (Zhang, O'Donoghue and Boyd 2020), a mixed point is
+    taken only if its residual is no larger than the last accepted one;
+    otherwise the plain step is taken and the memory cleared.  Every
+    evaluation, rejected ones included, counts against ``max_iters``.  Every
+    ``_GAP_EVERY`` evaluations, the Hermitian part of the position means of
+    conj(rho U) of the accepted point, with no identity part, rescaled to
+    norm one, is a feasible p and gives the lower bound;
+    ||Y||_1 + sum_{z != e} |t(z) - g_Y(z)| is an upper bound, because every
+    feasible p has |p(z)| <= 1.  Both hold at any point, so mixing cannot
+    weaken them.  Returns the best p and value (p = 0 attains 0), the best
+    upper bound and the status.
     """
     idx, slots = pencil.idx, len(t)
     share = np.zeros(slots)
@@ -326,26 +362,61 @@ def _trace_norm_dual(pencil: _Pencil, t: np.ndarray, params: SolverParams):
     def project(Y):
         return Y + ((t - pencil.sums(Y)) * share)[idx]
 
-    Z = U = np.zeros(idx.shape, dtype=complex)
-    rho = 1.0 / spectral_norm(project(Z))
-    value, best, upper, status = 0.0, np.zeros(slots, dtype=complex), math.inf, "iteration-cap"
-    for k in range(1, params.max_iters + 1):
-        Y = project(Z - U)
-        mu, V = np.linalg.eigh(Y + U)
+    start = project(np.zeros(idx.shape, dtype=complex))
+    rho = 1.0 / spectral_norm(start)
+
+    def evaluate(x):
+        """Y, U, the output Y + U and the residual Y - Z as real rows, and its squared norm."""
+        s = x.view(complex).reshape(idx.shape)
+        mu, V = np.linalg.eigh(s)
         Z = (V * (np.sign(mu) * np.maximum(np.abs(mu) - 1.0 / rho, 0.0))) @ V.conj().T
-        U = U + Y - Z
-        if k % _GAP_EVERY and k < params.max_iters:
-            continue
-        residual = np.abs(t - pencil.sums(Y))[1:].sum()
-        upper = min(upper, float(np.abs(np.linalg.eigvalsh(Y)).sum() + residual))
-        q = (rho * pencil.sums(U)).conj() * share
-        p = (q + q[pencil.inverse].conj()) / 2
-        norm = spectral_norm(p[idx])
-        if norm > 0 and (reached := float((p @ t).real) / norm) > value:
-            value, best = reached, p / norm
-        if upper - value <= params.tol * upper:
-            status = "converged"
+        U = s - Z
+        Y = project(Z - U)
+        f = (Y - Z).ravel().view(float)
+        return Y, U, (Y + U).ravel().view(float), f, f @ f
+
+    # ring buffers of output and residual differences, and the residual differences' Gram
+    dg = np.zeros((_AA_MEMORY, 2 * idx.size))
+    df = np.zeros_like(dg)
+    gram = np.zeros((_AA_MEMORY, _AA_MEMORY))
+    held = slot = 0
+
+    value, best, upper, status = 0.0, np.zeros(slots, dtype=complex), math.inf, "iteration-cap"
+    Y, U, g, f, r = evaluate(start.ravel().view(float))
+    evals, check = 1, _GAP_EVERY
+    while True:
+        if evals >= check or evals >= params.max_iters:
+            check = evals + _GAP_EVERY
+            residual = np.abs(t - pencil.sums(Y))[1:].sum()
+            upper = min(upper, float(np.abs(np.linalg.eigvalsh(Y)).sum() + residual))
+            q = (rho * pencil.sums(U)).conj() * share
+            p = (q + q[pencil.inverse].conj()) / 2
+            norm = spectral_norm(p[idx])
+            if norm > 0 and (reached := float((p @ t).real) / norm) > value:
+                value, best = reached, p / norm
+            if upper - value <= params.tol * upper:
+                status = "converged"
+                break
+        if evals >= params.max_iters:
             break
+        x = g
+        if held:
+            # a relative ridge, floored so that G stays invertible if the residual stops moving
+            G = gram[:held, :held].copy()
+            G.flat[:: held + 1] += 1e-10 * G.diagonal().max() + 1e-300
+            x = g - np.linalg.solve(G, df[:held] @ f) @ dg[:held]
+        new = evaluate(x)
+        evals += 1
+        if held and new[4] > r:
+            held = slot = 0
+            if evals >= params.max_iters:
+                continue  # the bounds are read at the accepted point, then the loop stops
+            new = evaluate(g)
+            evals += 1
+        dg[slot], df[slot] = new[2] - g, new[3] - f
+        gram[slot, :] = gram[:, slot] = df @ df[slot]
+        slot, held = (slot + 1) % _AA_MEMORY, min(held + 1, _AA_MEMORY)
+        Y, U, g, f, r = new
     return best, value, upper, status
 
 
@@ -483,6 +554,8 @@ class SearchParams:
     seed: int = 0
 
     def __post_init__(self):
+        for key in ("starts", "max_iters", "seed"):
+            object.__setattr__(self, key, _typed(key, getattr(self, key), int))
         if self.starts < 1:
             raise ValueError(f"starts must be at least 1, got {self.starts}")
         if self.max_iters < 0:

@@ -24,6 +24,7 @@ from spectrunc import (
     group_from_key,
     l1_norm,
     lip_distance,
+    qmetric,
     random_density_state,
     random_element,
     random_psd,
@@ -253,10 +254,13 @@ def _distance_mix_pairs(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_distance_bracket_holds_and_the_witness_attains_the_lower_end(seed):
+    # a fifth of the default budget: plain ADMM needs all 2,000 steps for the
+    # seed-2 Heisenberg vector pair
     for key, lam, s, kind, phi, psi in _distance_mix_pairs(seed):
-        res = lip_distance(phi, psi, s, lam)
+        res = lip_distance(phi, psi, s, lam, SolverParams(max_iters=400))
+        assert res.status == "converged", (key, kind)
         assert 0 < res.value <= res.upper, (key, kind)
-        assert res.upper - res.value <= 1e-6 * res.upper, (key, kind)
+        assert res.upper - res.value <= 1e-9 * res.upper, (key, kind)
         assert truncated_lipnorm(res.witness, s) <= 1.0 + 1e-9
         reached = (state_eval(phi, res.witness) - state_eval(psi, res.witness)).real
         assert abs(reached - res.value) <= 1e-9
@@ -273,15 +277,33 @@ def test_distance_closes_the_gap_on_a_pair_that_defeats_ratio_ascent():
     assert res.upper - res.value <= 1e-9 * res.upper
 
 
-def test_distance_stopped_at_the_iteration_cap_still_brackets():
+def test_distance_stopped_at_the_iteration_cap_still_brackets(monkeypatch):
+    # the budget ends before the first gap check (1, 5), between two (15, 17)
+    # and on a rejected Anderson candidate (15, the 15th evaluation); each
+    # evaluation is one eigh, so the budget bounds the eigh calls
     key, lam, s, kind, phi, psi = list(_distance_mix_pairs(0))[4]
-    res = lip_distance(phi, psi, s, lam, SolverParams(max_iters=5))
     full = lip_distance(phi, psi, s, lam)
-    assert res.status == "iteration-cap"
-    assert 0 <= res.value <= full.value and full.upper <= res.upper
-    assert truncated_lipnorm(res.witness, s) <= 1.0 + 1e-9
-    reached = (state_eval(phi, res.witness) - state_eval(psi, res.witness)).real
-    assert abs(reached - res.value) <= 1e-9
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(qmetric.np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    for budget in (1, 5, 15, 17, 60):
+        calls.clear()
+        res = lip_distance(phi, psi, s, lam, SolverParams(max_iters=budget))
+        assert 1 <= len(calls) <= budget
+        assert res.status == "iteration-cap"
+        assert 0 <= res.value <= full.value and full.upper <= res.upper
+        assert truncated_lipnorm(res.witness, s) <= 1.0 + 1e-9
+        reached = (state_eval(phi, res.witness) - state_eval(psi, res.witness)).real
+        assert abs(reached - res.value) <= 1e-9
+
+
+def test_distance_converges_on_a_pair_plain_admm_leaves_at_the_cap():
+    # plain ADMM stops at the 2,000-step cap here with a relative gap of 9e-6
+    rng = np.random.default_rng(42)
+    phi, psi = random_vector_state(Z2, 4, rng), random_vector_state(Z2, 4, rng)
+    res = lip_distance(phi, psi, 1, 4)
+    assert res.status == "converged"
+    assert res.upper - res.value <= 1e-9 * res.upper
 
 
 def test_state_proximity_under_smoothing():
@@ -366,6 +388,10 @@ def test_derivative_order_below_one_is_rejected(solve, s):
         (lambda: SearchParams(seed=-1), "seed must be nonnegative, got -1"),
         (lambda: SolverParams(max_iters=0), "max_iters must be at least 1, got 0"),
         (lambda: SolverParams(tol=0.0), "tol must be finite and positive, got 0.0"),
+        (lambda: SolverParams(max_iters=2.5), "config key 'max_iters' must be of type int, got 2.5"),
+        (lambda: SolverParams(max_iters=True), "config key 'max_iters' must be of type int, got True"),
+        (lambda: SearchParams(starts=True), "config key 'starts' must be of type int, got True"),
+        (lambda: SearchParams(seed=1.5), "config key 'seed' must be of type int, got 1.5"),
     ],
 )
 def test_search_and_solver_budgets_are_checked(make, message):
