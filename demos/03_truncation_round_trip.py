@@ -2,21 +2,16 @@
 
 Compression restricts an algebra element to a finite symbol; reconstruction
 weights the symbol with the overlap kernel and lands back in the algebra.
-The round trip is exactly the kernel smoothing, its defect on the unit shift
-has the closed form 1/(2L+1), and the averaging identity certifies that
-reconstruction is a positivity-preserving average of translates.  The naive
-length-commutator, by contrast, is blind to symbols at the double radius.
+The round trip is exactly the kernel smoothing, and its defect on the unit
+shift has the closed form 1/(2L+1).  The naive length-commutator, by
+contrast, is blind to symbols at the double radius.
 """
-
-import numpy as np
 
 from spectrunc import (
     FreeAbelian,
-    averaging_check,
     compress,
     delta,
     dirac_commutator,
-    random_selfadjoint,
     reconstruct,
     spectral_norm,
     truncated_lipnorm,
@@ -40,16 +35,6 @@ for lam in (2, 4):
     c_norm = spectral_norm(dirac_commutator(T))
     lip = truncated_lipnorm(T, 1)
     print(f"  L={lam}: commutator norm {c_norm:.1f}, true seminorm {lip:.1f}")
-
-print()
-print("Averaging identity residuals (random self-adjoint operators):")
-rng = np.random.default_rng(1)
-for group in (FreeAbelian(2),):
-    for lam in (1, 2, 3):
-        T = random_selfadjoint(group, lam, rng)
-        xi = {group.identity(): 1.0, (1, 0): 0.5 - 0.25j}
-        resid = averaging_check(T, xi, pad=lam + 1)
-        print(f"  {group.name} L={lam}: residual {resid:.3e}")
 
 print()
 print("Reconstruction shrinks symbols by their kernel weight:")

@@ -3,14 +3,12 @@
 The group contract.  Elements are integer tuples of one fixed length in a
 unique normal form, so they hash and compare cheaply.  A group exposes
 ``identity()``, ``multiply(g, h)``, ``inverse(g)``, ``validate(g)``, its
-``generators`` and a ``name``.  It may also expose ``multiply_array(g, h)``
-and ``inverse_array(g)``: the same law on int64 coordinate arrays of shape
+``generators`` and a ``name``, and also ``multiply_array(g, h)`` and
+``inverse_array(g)``: the same law on int64 coordinate arrays of shape
 ``(..., k)``, broadcasting like numpy arithmetic.  Balls and index maps are
-built from the array forms; a group without them is driven through one
-adapter that applies its scalar methods row by row.  The built-in groups,
-the free abelian groups Z^d and the discrete Heisenberg group, have both
-forms, and any other object meeting the contract can be dropped in beside
-them.
+built from the array forms.  The built-in groups are the free abelian groups
+Z^d and the discrete Heisenberg group; any other object meeting the contract
+can be dropped in beside them.
 """
 
 from __future__ import annotations
@@ -155,31 +153,6 @@ def group_from_key(key: str):
     raise ValueError(f"unknown group key {key!r} (expected 'z:<d>' or 'heisenberg')")
 
 
-class _ScalarLaw:
-    """Array form of a group law that has only the scalar methods."""
-
-    def __init__(self, group):
-        self.group = group
-
-    def multiply_array(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-        g, h = np.broadcast_arrays(g, h)
-        k = g.shape[-1]
-        rows = map(self.group.multiply, map(tuple, g.reshape(-1, k).tolist()),
-                   map(tuple, h.reshape(-1, k).tolist()))
-        return np.array(list(rows), dtype=np.int64).reshape(g.shape)
-
-    def inverse_array(self, g: np.ndarray) -> np.ndarray:
-        rows = map(self.group.inverse, map(tuple, g.reshape(-1, g.shape[-1]).tolist()))
-        return np.array(list(rows), dtype=np.int64).reshape(g.shape)
-
-
-def _array_law(group):
-    """The group itself when it has the array methods, else the scalar adapter."""
-    if hasattr(group, "multiply_array") and hasattr(group, "inverse_array"):
-        return group
-    return _ScalarLaw(group)
-
-
 def _packing(coords: np.ndarray) -> tuple:
     """Offsets and strides that pack each coordinate row into one int64 key.
 
@@ -238,7 +211,6 @@ class _Enumeration:
 
     def __init__(self, group):
         self.group = group
-        self.law = _array_law(group)
         e = group.identity()
         self.generators = np.array(group.generators, dtype=np.int64).reshape(-1, len(e))
         self.coords = np.array([e], dtype=np.int64)
@@ -276,7 +248,7 @@ class _Enumeration:
         group contract does not ask for one.
         """
         k = self.coords.shape[1]
-        grown = self.law.multiply_array(self.frontier[:, None, :], self.generators[None, :, :])
+        grown = self.group.multiply_array(self.frontier[:, None, :], self.generators[None, :, :])
         candidates = np.concatenate([self.coords, grown.reshape(-1, k)])
         _, first = np.unique(_pack(candidates, _packing(candidates)), return_index=True)
         return candidates[first[first >= len(self.coords)]]
@@ -341,11 +313,14 @@ def ball(group, radius: int, cap: Optional[int] = None) -> Ball:
 
     Raises ResourceCapError if the ball has more than ``cap`` elements
     (default 200,000); the group's enumeration stops at the first sphere
-    that passes the cap.  Results are cached per (group, radius).
+    that passes the cap.  A cap below 1 is a ValueError.  Results are cached
+    per (group, radius).
     """
     if not isinstance(radius, _INT_TYPES) or radius < 0:
         raise ValueError(f"radius must be a nonnegative integer, got {radius!r}")
     cap = DEFAULT_BALL_CAP if cap is None else cap
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     b = _BALL_CACHE.get((group, radius))
     if b is None:
         with _ENUMERATIONS_LOCK:

@@ -26,7 +26,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .cayley import _array_law, _position_finder, ball, word_length
+from .cayley import _position_finder, ball, word_length
 
 __all__ = [
     "AlgebraElement",
@@ -197,16 +197,16 @@ _CHUNK_BYTES = 1 << 22
 
 def _product_positions(group, left: np.ndarray, right: np.ndarray, target: np.ndarray):
     """Chunks (start, positions in ``target``, or -1, of left[start:stop, None] * right[None])."""
-    law, position = _array_law(group), _position_finder(target)
+    position = _position_finder(target)
     rows = max(1, _CHUNK_BYTES // (right.itemsize * right.size))
     for start in range(0, len(left), rows):
-        yield start, position(law.multiply_array(left[start : start + rows, None, :], right[None]))
+        yield start, position(group.multiply_array(left[start : start + rows, None, :], right[None]))
 
 
 @lru_cache(maxsize=None)
 def _index_map(b, double) -> np.ndarray:
     xs = b.coords
-    inverses = _array_law(b.group).inverse_array(xs)
+    inverses = b.group.inverse_array(xs)
     idx = np.empty((len(b), len(b)), dtype=np.int32)
     for start, pos in _product_positions(b.group, xs, inverses, double.coords):
         idx[start : start + len(pos)] = pos
@@ -231,7 +231,7 @@ symbol_positions.cache_info = _index_map.cache_info
 
 def _inverse_positions(double) -> np.ndarray:
     """Position of each element's inverse in a ball's order (word-metric balls are symmetric)."""
-    return _position_finder(double.coords)(_array_law(double.group).inverse_array(double.coords))
+    return _position_finder(double.coords)(double.group.inverse_array(double.coords))
 
 
 def compress_rep(f: AlgebraElement, radius: int, cap: Optional[int] = None) -> np.ndarray:

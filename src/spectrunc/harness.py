@@ -78,6 +78,8 @@ class ExperimentConfig:
             raise ValueError(f"s must be 'auto' or a positive integer, got {self.s!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
+        if self.ball_cap is not None and self.ball_cap < 1:
+            raise ValueError(f"ball_cap must be at least 1, got {self.ball_cap}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be 'csv' or 'json', got {self.format!r}")
 

@@ -6,10 +6,9 @@ difference over the self-adjoint unit ball of the Lipschitz seminorm; on a
 truncation that is a convex problem whose dual is a trace-norm minimization
 over an affine set, so one ADMM solve, accelerated by safeguarded Anderson
 mixing, brackets it between an attained witness value and a dual
-certificate, with an exhaustive grid oracle available in low dimension.  The
-solver's budget counts evaluations of the ADMM map, one ``eigh`` each.  Of
-the two Lipschitz approximation constants that drive the quantitative
-convergence bound, the full-algebra one is the Folner epsilon,
+certificate.  The solver's budget counts evaluations of the ADMM map, one
+``eigh`` each.  Of the two Lipschitz approximation constants that drive the
+quantitative convergence bound, the full-algebra one is the Folner epsilon,
 its exact basis floor, and the truncated one is probed by ratio ascent from
 that floor.  The ascent runs on pencils of ball compressions, each stored as
 the symbol position and weight of every complex parameter, evaluated and
@@ -46,7 +45,6 @@ __all__ = [
     "SolverParams",
     "DistanceResult",
     "lip_distance",
-    "brute_distance",
     "SearchParams",
     "epsilon_full",
     "epsilon_truncated",
@@ -474,66 +472,6 @@ def lip_distance(
     symbol = np.divide(p, weight, out=np.zeros_like(p), where=weight > 0)
     witness = ToeplitzOperator(group, lam, dict(zip(ball(group, 2 * lam).elements, symbol)))
     return DistanceResult(value=value, witness=witness, status=status, upper=upper)
-
-
-def brute_distance(
-    phi: State,
-    psi: State,
-    s: int,
-    lam: int,
-    grid: int = 24,
-) -> float:
-    """Independent oracle for :func:`lip_distance` in up to 4 real parameters.
-
-    Exhaustive hyperspherical grid over the symbol directions followed by
-    local simplex refinement of the best candidates.  Refuses instances whose
-    self-adjoint symbol space has more than 4 real dimensions.
-    """
-    pencil, _, t = _distance_setup(phi, psi, s, lam)
-    c = pencil.adjoint(t)
-    # the imaginary part of a self-inverse element's parameter reaches no symbol
-    live = np.ones(pencil.size, dtype=bool)
-    live[1::2] = pencil.pos != pencil.mirror
-    m = int(live.sum())
-    if m > 4:
-        raise ValueError(f"oracle refuses dimension {m} > 4")
-    c = c[live]
-    if np.linalg.norm(c) == 0:
-        return 0.0
-    mats = pencil(np.eye(pencil.size)[live])
-
-    def value(x: np.ndarray) -> float:
-        sigma = spectral_norm(np.tensordot(x, mats, axes=1))
-        if sigma == 0:
-            return -math.inf
-        return float(c @ x) / sigma
-
-    if m == 1:
-        return abs(value(np.array([1.0])))
-
-    axes = [np.linspace(0.0, math.pi, grid, endpoint=False) for _ in range(m - 2)]
-    axes.append(np.linspace(0.0, 2 * math.pi, 2 * grid, endpoint=False))
-    angles = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m - 1)
-    ones = np.ones((len(angles), 1))
-    sines = np.concatenate([ones, np.cumprod(np.sin(angles), axis=1)], axis=1)
-    points = sines * np.concatenate([np.cos(angles), ones], axis=1)
-    sigma = np.max(np.abs(np.linalg.eigvalsh(np.tensordot(points, mats, axes=1))), axis=1)
-    scores = np.full(len(points), -math.inf)
-    np.divide(points @ c, sigma, out=scores, where=sigma > 0)
-    order = np.argsort(-scores, kind="stable")
-
-    from scipy import optimize
-
-    best = float(scores[order[0]])
-    for x0 in points[order[:8]]:
-        res = optimize.minimize(
-            lambda x: -value(x),
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-13, "maxiter": 4000},
-        )
-        best = max(best, -float(res.fun))
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,11 @@ to a ball of radius lam: the matrix entry at (x, y) depends only on
 x y^{-1}, so the whole operator is determined by a symbol supported on the
 double ball.  ``compress`` restricts an algebra element to such a symbol,
 ``reconstruct`` maps a truncated operator back to the algebra by weighting
-the symbol with the ball-overlap kernel, and ``averaging_check`` verifies the
-finite averaging identity that makes the reconstruction completely positive.
-Each operator's symbol keys are validated once, by the algebra, and must lie
-in the double ball; random self-adjoint symbols pair inverses through the
-double ball's inverse-position table.
+the symbol with the ball-overlap kernel, and ``truncation_defect`` measures
+how far that round trip moves an operator.  Each operator's symbol keys are
+validated once, by the algebra, and must lie in the double ball; random
+self-adjoint symbols pair inverses through the double ball's inverse-position
+table.
 """
 
 from __future__ import annotations
@@ -19,22 +19,19 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .cayley import ball, word_length
+from .cayley import ball
 from .groupalg import (
     AlgebraElement,
     compress_rep,
-    convolve,
     derivative,
     fejer_apply,
     fejer_kernel,
     format_algebra_element,
     involution,
     parse_algebra_element,
-    random_element,
     spectral_norm,
     symbol_positions,  # noqa: F401, an import site the benchmark's tracer test wraps
     _inverse_positions,
-    _quadratic_form,
 )
 
 __all__ = [
@@ -45,11 +42,9 @@ __all__ = [
     "truncated_lipnorm",
     "reconstruct",
     "dirac_commutator",
-    "averaging_check",
     "DefectResult",
     "truncation_defect",
     "random_selfadjoint",
-    "random_psd",
     "format_toeplitz",
     "parse_toeplitz",
 ]
@@ -153,44 +148,6 @@ def dirac_commutator(T: ToeplitzOperator) -> np.ndarray:
     return lengths[:, None] * M - M * lengths[None, :]
 
 
-def averaging_check(T: ToeplitzOperator, xi: Mapping, pad: int) -> float:
-    """Residual of the translate-averaging identity for the reconstruction.
-
-    Sums the quadratic forms of T over all ball-compressed right translates
-    of the vector xi and compares against the ball size times the quadratic
-    form of the reconstructed algebra element.  The translate enumeration is
-    exact; ``pad`` must bound the word length of every contributing
-    translation or a ValueError is raised.
-    """
-    grp = T.group
-    for g in xi:
-        grp.validate(g)
-    support = [g for g, v in xi.items() if v != 0]
-    if not support:
-        return 0.0
-    b = ball(grp, T.radius)
-    mul = grp.multiply
-    inv = grp.inverse
-
-    alphas = {mul(inv(s), x) for s in support for x in b.elements}
-    worst = max(word_length(grp, a) for a in alphas)
-    if worst > pad:
-        raise ValueError(
-            f"pad {pad} does not cover the contributing translations (need {worst})"
-        )
-
-    M = materialize(T)
-    lhs = 0.0 + 0.0j
-    for a in alphas:
-        ainv = inv(a)
-        u = np.array([complex(xi.get(mul(x, ainv), 0)) for x in b.elements])
-        if np.any(u):
-            lhs += np.vdot(u, M @ u)
-
-    rhs = _quadratic_form(reconstruct(T), xi) * len(b)
-    return abs(lhs - rhs)
-
-
 @dataclass(frozen=True)
 class DefectResult:
     """Distance from a truncated operator to its round-tripped reconstruction."""
@@ -238,17 +195,6 @@ def random_selfadjoint(group, lam: int, rng: np.random.Generator) -> ToeplitzOpe
     keys = np.stack([lead, inverse[lead]], axis=1).ravel().tolist()
     vals = np.stack([values, np.where(pair, values.conj(), values)], axis=1).ravel().tolist()
     return ToeplitzOperator(group, lam, dict(zip(map(double.elements.__getitem__, keys), vals)))
-
-
-def random_psd(group, lam: int, rng: np.random.Generator) -> ToeplitzOperator:
-    """Random positive truncated operator, compressed from a convolution square.
-
-    Built as the compression of g* conv g for a random g supported in the
-    radius-lam ball, so the product's support already fits the double ball
-    and the compression is exactly positive semidefinite.
-    """
-    g = random_element(group, lam, rng)
-    return compress(convolve(g, involution(g)), lam)
 
 
 def format_toeplitz(T: ToeplitzOperator, exact: bool = False) -> str:

@@ -9,14 +9,38 @@ pairs the double ball with.  ``two_loop_growth_fit`` is the growth fit that
 grows its range, lifts it to radius 4 unchecked and walks back down on the
 cap, which the one-pass fit must reproduce.  ``Cyclic`` is a finite group
 with elements of order two, which the built-in torsion-free groups lack.
+
+``brute_distance`` cross-checks ``lip_distance`` by an exhaustive grid in
+low dimension, ``averaging_check`` checks the translate-averaging identity
+that makes the reconstruction completely positive, and ``random_psd`` draws
+positive truncated operators for the state and positivity tests.
 """
 
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
+from scipy import optimize
 
-from spectrunc import DEFAULT_BALL_CAP, ResourceCapError, ToeplitzOperator, ball, growth_report
+from spectrunc import (
+    DEFAULT_BALL_CAP,
+    ResourceCapError,
+    State,
+    ToeplitzOperator,
+    ball,
+    compress,
+    convolve,
+    growth_report,
+    involution,
+    materialize,
+    random_element,
+    reconstruct,
+    spectral_norm,
+    word_length,
+)
+from spectrunc.groupalg import _quadratic_form
+from spectrunc.qmetric import _distance_setup
 
 
 def ball_overlap(group, x, radius: int) -> int:
@@ -102,7 +126,7 @@ def two_loop_growth_fit(group, cap=None):
 
 @dataclass(frozen=True)
 class Cyclic:
-    """Z/order through the scalar methods only, with generators 1 and -1."""
+    """Z/order with generators 1 and -1."""
 
     order: int
 
@@ -123,6 +147,114 @@ class Cyclic:
     def inverse(self, g):
         return (-g[0] % self.order,)
 
+    def multiply_array(self, g, h):
+        return (g + h) % self.order
+
+    def inverse_array(self, g):
+        return -g % self.order
+
     def validate(self, g):
         if not (isinstance(g, tuple) and len(g) == 1 and 0 <= g[0] < self.order):
             raise ValueError(f"{g!r} is not a valid element of {self.name}")
+
+
+def brute_distance(phi: State, psi: State, s: int, lam: int) -> float:
+    """Independent oracle for ``lip_distance`` in up to 4 real parameters.
+
+    Exhaustive hyperspherical grid over the symbol directions followed by
+    local simplex refinement of the best candidates.  Refuses instances whose
+    self-adjoint symbol space has more than 4 real dimensions.
+    """
+    grid = 24
+    pencil, _, t = _distance_setup(phi, psi, s, lam)
+    c = pencil.adjoint(t)
+    # the imaginary part of a self-inverse element's parameter reaches no symbol
+    live = np.ones(pencil.size, dtype=bool)
+    live[1::2] = pencil.pos != pencil.mirror
+    m = int(live.sum())
+    if m > 4:
+        raise ValueError(f"oracle refuses dimension {m} > 4")
+    c = c[live]
+    if np.linalg.norm(c) == 0:
+        return 0.0
+    mats = pencil(np.eye(pencil.size)[live])
+
+    def value(x: np.ndarray) -> float:
+        sigma = spectral_norm(np.tensordot(x, mats, axes=1))
+        if sigma == 0:
+            return -math.inf
+        return float(c @ x) / sigma
+
+    if m == 1:
+        return abs(value(np.array([1.0])))
+
+    axes = [np.linspace(0.0, math.pi, grid, endpoint=False) for _ in range(m - 2)]
+    axes.append(np.linspace(0.0, 2 * math.pi, 2 * grid, endpoint=False))
+    angles = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m - 1)
+    ones = np.ones((len(angles), 1))
+    sines = np.concatenate([ones, np.cumprod(np.sin(angles), axis=1)], axis=1)
+    points = sines * np.concatenate([np.cos(angles), ones], axis=1)
+    sigma = np.max(np.abs(np.linalg.eigvalsh(np.tensordot(points, mats, axes=1))), axis=1)
+    scores = np.full(len(points), -math.inf)
+    np.divide(points @ c, sigma, out=scores, where=sigma > 0)
+    order = np.argsort(-scores, kind="stable")
+
+    best = float(scores[order[0]])
+    for x0 in points[order[:8]]:
+        res = optimize.minimize(
+            lambda x: -value(x),
+            x0,
+            method="Nelder-Mead",
+            options={"xatol": 1e-12, "fatol": 1e-13, "maxiter": 4000},
+        )
+        best = max(best, -float(res.fun))
+    return best
+
+
+def averaging_check(T: ToeplitzOperator, xi: Mapping, pad: int) -> float:
+    """Residual of the translate-averaging identity for the reconstruction.
+
+    Sums the quadratic forms of T over all ball-compressed right translates
+    of the vector xi and compares against the ball size times the quadratic
+    form of the reconstructed algebra element.  The translate enumeration is
+    exact; ``pad`` must bound the word length of every contributing
+    translation or a ValueError is raised.
+    """
+    grp = T.group
+    for g in xi:
+        grp.validate(g)
+    support = [g for g, v in xi.items() if v != 0]
+    if not support:
+        return 0.0
+    b = ball(grp, T.radius)
+    mul = grp.multiply
+    inv = grp.inverse
+
+    alphas = {mul(inv(s), x) for s in support for x in b.elements}
+    worst = max(word_length(grp, a) for a in alphas)
+    if worst > pad:
+        raise ValueError(
+            f"pad {pad} does not cover the contributing translations (need {worst})"
+        )
+
+    M = materialize(T)
+    lhs = 0.0 + 0.0j
+    for a in alphas:
+        ainv = inv(a)
+        u = np.array([complex(xi.get(mul(x, ainv), 0)) for x in b.elements])
+        if np.any(u):
+            lhs += np.vdot(u, M @ u)
+
+    rhs = _quadratic_form(reconstruct(T), xi) * len(b)
+    return abs(lhs - rhs)
+
+
+def random_psd(group, lam: int, rng: np.random.Generator) -> ToeplitzOperator:
+    """Random positive truncated operator, compressed from a convolution square.
+
+    Built as the compression of g* conv g for a random g supported in the
+    radius-lam ball, so the product's support already fits the double ball
+    and the compression is exactly positive semidefinite.
+    """
+    g = random_element(group, lam, rng)
+    return compress(convolve(g, involution(g)), lam)

@@ -16,7 +16,6 @@ from spectrunc import (
     Heisenberg,
     SearchParams,
     ball,
-    brute_distance,
     compress,
     compress_rep,
     delta,
@@ -32,18 +31,18 @@ from spectrunc import (
     lip_distance,
     random_density_state,
     random_element,
-    random_psd,
     random_selfadjoint,
     random_vector_state,
     reconstruct,
     spectral_norm,
-    averaging_check,
     truncated_derivative,
     truncated_lipnorm,
     truncation_defect,
     vector_state,
     word_length,
 )
+
+from oracles import averaging_check, brute_distance, random_psd
 
 Z1 = FreeAbelian(1)
 Z2 = FreeAbelian(2)

@@ -59,6 +59,14 @@ def test_cap_exceeded_exits_3(capsys):
     assert "resource cap" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_cap_below_one_exits_2(capsys, cap):
+    code, out, err = _run(capsys, "ball", "--group", "z:1", "--radius", "1", "--cap", cap)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cap must be at least 1, got {cap}\n"
+
+
 def test_bad_group_exits_2(capsys):
     code, out, err = _run(capsys, "ball", "--group", "su:2", "--radius", "1")
     assert code == 2
@@ -592,6 +600,18 @@ def test_converge_auto_s_under_a_tight_cap_exits_3(capsys, tmp_path):
     assert code == 3
     assert out == ""
     assert "resource cap" in err and "cap of 6" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_converge_config_cap_below_one_exits_2(capsys, tmp_path, cap):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"ball_cap = {cap}\n")
+    code, out, err = _run(
+        capsys, "converge", "--group", "z:1", "--lambdas", "2", "--s", "1", "--config", str(cfg),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: ball_cap must be at least 1, got {cap}\n"
 
 
 def test_converge_rejects_unknown_config_key(capsys, tmp_path):

@@ -154,15 +154,17 @@ def test_auto_s_comes_from_the_reported_fit(group, monkeypatch):
 def _fit_or_error(fit, group, cap, monkeypatch):
     """A growth fit, or its error's type and message, from empty ball caches.
 
-    Also returns how many radii the group's enumeration reached.
+    Also returns how many radii the group's enumeration reached, or None
+    when a cap below 1 was refused before any enumeration started.
     """
     monkeypatch.setattr(cayley, "_BALL_CACHE", {})
     monkeypatch.setattr(cayley, "_ENUMERATIONS", {})
     try:
         outcome = fit(group, cap)
-    except ResourceCapError as exc:
+    except (ResourceCapError, ValueError) as exc:
         outcome = (type(exc), str(exc))
-    return outcome, len(cayley._ENUMERATIONS[group].sizes)
+    enumeration = cayley._ENUMERATIONS.get(group)
+    return outcome, None if enumeration is None else len(enumeration.sizes)
 
 
 @pytest.mark.parametrize("key", ["z:1", "z:2", "z:3", "z:4", "heisenberg", "z:10"])

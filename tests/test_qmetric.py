@@ -12,7 +12,6 @@ from spectrunc import (
     SearchParams,
     SolverParams,
     ball,
-    brute_distance,
     compress,
     delta,
     density_state,
@@ -27,7 +26,6 @@ from spectrunc import (
     qmetric,
     random_density_state,
     random_element,
-    random_psd,
     random_vector_state,
     state_eval,
     truncated_lipnorm,
@@ -36,7 +34,7 @@ from spectrunc import (
     word_length,
 )
 
-from oracles import Cyclic
+from oracles import Cyclic, brute_distance, random_psd
 
 Z1 = FreeAbelian(1)
 Z2 = FreeAbelian(2)

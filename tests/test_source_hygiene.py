@@ -1,7 +1,8 @@
 """Source checks that need no linter: every module-level import is used,
 every f-string has a placeholder, every module-level private name is read
-somewhere in the package, every function reads each of its parameters, and
-importing the package leaves the heavy optional modules unloaded.
+somewhere in the package, every function reads each of its parameters,
+importing the package leaves the heavy optional modules unloaded, and the
+package imports nothing beyond the standard library and numpy.
 
 An import marked ``# noqa: F401`` on its line is kept on purpose, as a
 linter would read the mark.
@@ -95,6 +96,32 @@ def test_importing_the_package_loads_no_lazy_module():
     )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def third_party_imports(source: str) -> list[str]:
+    """Top-level modules imported anywhere in a source, function bodies too,
+    that are neither the standard library, numpy nor the package itself."""
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return sorted(found - allowed)
+
+
+def test_the_check_finds_a_third_party_import():
+    source = (
+        "import os.path\nimport numpy as np\nfrom . import cayley\n"
+        "def f():\n    from scipy import optimize\n    import pytest\n"
+    )
+    assert third_party_imports(source) == ["pytest", "scipy"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_only_the_standard_library_and_numpy(path):
+    assert third_party_imports(path.read_text()) == []
 
 
 def orphaned_private_names(sources: dict[str, str]) -> list[str]:

@@ -11,7 +11,6 @@ from spectrunc import (
     FreeAbelian,
     Heisenberg,
     ToeplitzOperator,
-    averaging_check,
     ball,
     compress,
     compress_rep,
@@ -26,7 +25,6 @@ from spectrunc import (
     opnorm,
     parse_toeplitz,
     random_element,
-    random_psd,
     random_selfadjoint,
     reconstruct,
     spectral_norm,
@@ -36,7 +34,7 @@ from spectrunc import (
     unit,
 )
 
-from oracles import Cyclic
+from oracles import Cyclic, averaging_check, random_psd
 from oracles import random_selfadjoint as scalar_random_selfadjoint
 
 Z1 = FreeAbelian(1)
