@@ -5,10 +5,17 @@ unique normal form, so they hash and compare cheaply.  A group exposes
 ``identity()``, ``multiply(g, h)``, ``inverse(g)``, ``validate(g)``, its
 ``generators`` and a ``name``, and also ``multiply_array(g, h)`` and
 ``inverse_array(g)``: the same law on int64 coordinate arrays of shape
-``(..., k)``, broadcasting like numpy arithmetic.  Balls and index maps are
-built from the array forms.  The built-in groups are the free abelian groups
-Z^d and the discrete Heisenberg group; any other object meeting the contract
-can be dropped in beside them.
+``(..., k)``, broadcasting like numpy arithmetic.  The generating set must be
+closed under inversion, so that word-metric balls are symmetric; ball
+enumeration raises ValueError otherwise.  Balls and index maps are built from
+the array forms.  A group may also set ``central_last_coordinate = True`` when
+its product has the normal form (g', s)(h', t) = (g'h', s + t + c(g', h')):
+the base g'h' and the cocycle c depend only on the other coordinates, so left
+multiplication translates each fiber {t : (h', t) in B} rigidly.  The overlap
+kernel then counts along those fibers instead of through an index map.  The
+built-in groups are the free abelian groups Z^d and the discrete Heisenberg
+group, and both declare it; any other object meeting the contract can be
+dropped in beside them.
 """
 
 from __future__ import annotations
@@ -49,6 +56,8 @@ class FreeAbelian:
     """Z^d with the 2d standard generators, plus and minus each unit vector."""
 
     dim: int
+
+    central_last_coordinate = True
 
     def __post_init__(self) -> None:
         if not isinstance(self.dim, _INT_TYPES) or self.dim < 1:
@@ -101,8 +110,11 @@ class Heisenberg:
     The product is (x1,y1,z1)(x2,y2,z2) = (x1+x2, y1+y2, z1+z2+x1*y2), which
     matches upper unitriangular integer matrices with x above the diagonal in
     the first row, y in the second, and z in the corner.  Generators are
-    a = (1,0,0), b = (0,1,0) and their inverses.
+    a = (1,0,0), b = (0,1,0) and their inverses.  The last coordinate is
+    central, with cocycle x1*y2.
     """
+
+    central_last_coordinate = True
 
     @property
     def name(self) -> str:
@@ -213,8 +225,12 @@ class _Enumeration:
         self.group = group
         e = group.identity()
         self.generators = np.array(group.generators, dtype=np.int64).reshape(-1, len(e))
+        generators = set(map(tuple, self.generators.tolist()))
+        if not generators.issuperset(map(tuple, group.inverse_array(self.generators).tolist())):
+            raise ValueError(f"the generators of {group.name} are not closed under inversion")
         self.coords = np.array([e], dtype=np.int64)
         self.coords.setflags(write=False)
+        self.previous = self.coords[:0]
         self.frontier = self.coords
         self.elements = [e]
         self.lengths = [0]
@@ -234,24 +250,25 @@ class _Enumeration:
             depth = len(self.sizes)
             self.coords = np.concatenate([self.coords, sphere])
             self.coords.setflags(write=False)
-            self.frontier = sphere
+            self.previous, self.frontier = self.frontier, sphere
             self.elements.extend(map(tuple, sphere.tolist()))
             self.lengths.extend([depth] * len(sphere))
             self.sizes.append(len(self.elements))
 
     def _next_sphere(self) -> np.ndarray:
-        """The frontier times the generators, less everything already enumerated.
+        """The frontier times the generators, less the last two spheres.
 
-        ``np.unique`` keeps the first occurrence of each key, so a product
-        that is already enumerated keeps its old position and drops out.  For
-        a symmetric generating set the last two spheres would do, but the
-        group contract does not ask for one.
+        The generating set is symmetric, so a neighbour of the radius-r
+        sphere lies at radius r - 1, r or r + 1, and only the spheres r - 1
+        and r can already hold a product.  ``np.unique`` keeps the first
+        occurrence of each key, so such a product drops out, and the new
+        sphere comes out sorted by key, that is lexicographically.
         """
         k = self.coords.shape[1]
         grown = self.group.multiply_array(self.frontier[:, None, :], self.generators[None, :, :])
-        candidates = np.concatenate([self.coords, grown.reshape(-1, k)])
+        candidates = np.concatenate([self.previous, self.frontier, grown.reshape(-1, k)])
         _, first = np.unique(_pack(candidates, _packing(candidates)), return_index=True)
-        return candidates[first[first >= len(self.coords)]]
+        return candidates[first[first >= len(self.previous) + len(self.frontier)]]
 
 
 class Ball:
@@ -313,8 +330,9 @@ def ball(group, radius: int, cap: Optional[int] = None) -> Ball:
 
     Raises ResourceCapError if the ball has more than ``cap`` elements
     (default 200,000); the group's enumeration stops at the first sphere
-    that passes the cap.  A cap below 1 is a ValueError.  Results are cached
-    per (group, radius).
+    that passes the cap.  A cap below 1 is a ValueError, and so is a
+    generating set not closed under inversion.  Results are cached per
+    (group, radius).
     """
     if not isinstance(radius, _INT_TYPES) or radius < 0:
         raise ValueError(f"radius must be a nonnegative integer, got {radius!r}")

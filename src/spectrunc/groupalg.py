@@ -7,8 +7,12 @@ below by compressions to balls of growing radius; the multiplication
 operator by word length acts as a Dirac-type derivative and induces the
 Lipschitz seminorms used throughout.  A compression reads its symbol over
 the double ball through one cached index map; an operator-norm scan reads it
-from the products of f's support with the ball alone.  The adjoint pairs each
-double-ball element with its inverse through one position table, and an
+from the products of f's support with the ball alone.  The overlap kernel is
+an integer count array over the double ball, counted along the fibers of a
+central last coordinate where the group declares one and through the index
+map otherwise.  Kernel reads, kernel weighting and compressions find their
+support in the double ball by one packed-key lookup, and the adjoint pairs
+each double-ball element with its inverse through the same lookup.  An
 element cap bounds every ball a call enumerates, double balls included.
 
 Coefficients may be ints, floats, complexes, or ``fractions.Fraction``
@@ -21,12 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Mapping, Optional
 
 import numpy as np
 
-from .cayley import _position_finder, ball, word_length
+from .cayley import Ball, _pack, _packing, _position_finder, ball, word_length
 
 __all__ = [
     "AlgebraElement",
@@ -229,9 +234,30 @@ def symbol_positions(group, radius: int, cap: Optional[int] = None) -> np.ndarra
 symbol_positions.cache_info = _index_map.cache_info
 
 
+@lru_cache(maxsize=None)
+def _finder(b):
+    """The member-aware position lookup of a ball, built once per ball."""
+    return _position_finder(b.coords)
+
+
+# Clips coordinates past int64: a clipped row lies far outside every enumerable ball.
+_FAR = 2**62
+
+
+def _positions(b, elements) -> np.ndarray:
+    """Position of each group element in the ball's order, or -1, from one packed-key lookup."""
+    k = b.coords.shape[1]
+    try:
+        rows = np.fromiter(chain.from_iterable(elements), np.int64, len(elements) * k)
+    except OverflowError:
+        clipped = (max(-_FAR, min(c, _FAR)) for c in chain.from_iterable(elements))
+        rows = np.fromiter(clipped, np.int64, len(elements) * k)
+    return _finder(b)(rows.reshape(len(elements), k))
+
+
 def _inverse_positions(double) -> np.ndarray:
     """Position of each element's inverse in a ball's order (word-metric balls are symmetric)."""
-    return _position_finder(double.coords)(double.group.inverse_array(double.coords))
+    return _finder(double)(double.group.inverse_array(double.coords))
 
 
 def compress_rep(f: AlgebraElement, radius: int, cap: Optional[int] = None) -> np.ndarray:
@@ -242,11 +268,9 @@ def compress_rep(f: AlgebraElement, radius: int, cap: Optional[int] = None) -> n
     """
     idx = symbol_positions(f.group, radius, cap=cap)
     double = ball(f.group, 2 * radius, cap=cap)
+    pos = _positions(double, list(f.support))
     vec = np.zeros(len(double), dtype=complex)
-    for z, v in f.items():
-        i = double.index.get(z)
-        if i is not None:
-            vec[i] = complex(v)
+    vec[pos[pos >= 0]] = [complex(v) for v, i in zip(f._coeffs.values(), pos.tolist()) if i >= 0]
     return vec[idx]
 
 
@@ -416,33 +440,113 @@ def random_element(group, radius: int, rng: np.random.Generator) -> AlgebraEleme
     return AlgebraElement(group, coeffs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FejerKernel:
-    """Ball-overlap averaging kernel, exact rational values on the double ball.
+    """Ball-overlap averaging kernel, exact integer counts on the double ball.
 
-    ``values[x]`` is #(B ∩ xB)/#B for the ball B of the given radius; it is 1
-    at the identity, symmetric under inversion, and vanishes off the double
-    ball.  ``folner_epsilon`` is the worst single-generator boundary ratio
-    max_g #(B \\ gB)/#B.
+    ``counts[i]`` is #(B ∩ zB) for the i-th element z of ``double``, the ball
+    of twice the radius, and ``size`` is #B, so K(z) = counts / size is 1 at
+    the identity, symmetric under inversion, and vanishes off the double ball.
+    Calling the kernel on an element, and ``values`` (a dict over the double
+    ball, built on first read), give exact Fractions.  ``folner_epsilon`` is
+    the worst single-generator boundary ratio max_g #(B \\ gB)/#B.
     """
 
     group: object
     radius: int
-    values: dict
+    double: Ball
+    counts: np.ndarray
+    size: int
     folner_epsilon: Fraction
 
+    def counts_at(self, elements) -> np.ndarray:
+        """#(B ∩ zB) for each element z, 0 off the double ball."""
+        pos = _positions(self.double, elements)
+        return np.where(pos >= 0, self.counts[pos], 0)
+
     def __call__(self, x) -> Fraction:
-        return self.values.get(x, Fraction(0))
+        return Fraction(int(self.counts_at([x])[0]), self.size)
+
+    @cached_property
+    def values(self) -> dict:
+        counts = self.counts.tolist()
+        return {x: Fraction(c, self.size) for x, c in zip(self.double.elements, counts)}
 
 
 _FEJER_CACHE: dict = {}
 
 
+def _sorted_rows(coords: np.ndarray) -> tuple:
+    """(order, rows, new_base, new_run): the rows sorted lexicographically and where runs start.
+
+    ``rows = coords[order]``.  A base is a row less its last coordinate;
+    ``new_base`` marks the first row of each base and ``new_run`` the first
+    row of each run, a maximal stretch of one base with consecutive last
+    coordinates.
+    """
+    order = np.argsort(_pack(coords, _packing(coords)), kind="stable")
+    rows = coords[order]
+    new_base = np.ones(len(rows), dtype=bool)
+    new_base[1:] = np.any(rows[1:, :-1] != rows[:-1, :-1], axis=1)
+    new_run = new_base.copy()
+    new_run[1:] |= rows[1:, -1] != rows[:-1, -1] + 1
+    return order, rows, new_base, new_run
+
+
+def _fiber_counts(b, double) -> np.ndarray:
+    """#(B ∩ zB) for every z in the double ball, counted along the central last coordinate.
+
+    The ball's sorted rows fall into runs (base y', last coordinates lo..hi).
+    Left multiplication by z = (z', t) sends the run onto base z'y', shifted
+    by t + c(z', y'), so it overlaps a run of the ball at that base in a
+    trapezoid of t whose second difference is four +-1 kinks.  The kinks of
+    every run pair, for every base z' of the double ball, land on a (z', t)
+    grid; summed twice along t, the grid holds the counts.  A fiber of many
+    runs only adds run pairs.  The group products are taken in chunks of at
+    most ``_CHUNK_BYTES``.
+    """
+    group, k = b.group, b.coords.shape[1]
+    base_part = np.append(np.ones(k - 1, dtype=np.int64), 0)  # (y', t) -> (y', 0)
+    _, rows, new_base, new_run = _sorted_rows(b.coords)
+    starts = np.flatnonzero(new_run)
+    lo, hi = rows[starts, -1], rows[np.append(starts[1:], len(rows)) - 1, -1]
+    runs = rows[starts] * base_part
+    # the runs of the ball's j-th base are first_run[j] .. first_run[j + 1] - 1
+    first_run = np.append(np.flatnonzero(new_base[starts]), len(starts))
+    base_position = _position_finder(runs[first_run[:-1], :-1])
+
+    order, drows, dnew_base, _ = _sorted_rows(double.coords)
+    grid_row = np.empty(len(double), dtype=np.int64)
+    grid_row[order] = np.cumsum(dnew_base) - 1
+    bases = drows[dnew_base] * base_part
+    t_min = int(double.coords[:, -1].min())
+    width = int(double.coords[:, -1].max()) - t_min + 3  # the last kink lies 2 past the top
+    kinks = np.zeros(len(bases) * width, dtype=np.int64)
+    chunk = max(1, _CHUNK_BYTES // (runs.itemsize * runs.size))
+    for start in range(0, len(bases), chunk):
+        prod = group.multiply_array(bases[start : start + chunk, None, :], runs[None])
+        j = base_position(prod[..., :-1])
+        z, s = np.nonzero(j >= 0)
+        j = j[z, s]
+        # pair each (z', source run s) with every run r at its image base
+        many = first_run[j + 1] - first_run[j]
+        r = np.repeat(first_run[j] - np.cumsum(many) + many, many) + np.arange(many.sum())
+        cell = np.repeat((start + z) * width - prod[z, s, -1] - t_min, many)
+        s = np.repeat(s, many)
+        up = np.concatenate([cell + lo[r] - hi[s], cell + hi[r] - lo[s] + 2])
+        down = np.concatenate([cell + lo[r] - lo[s] + 1, cell + hi[r] - hi[s] + 1])
+        kinks += np.bincount(up, minlength=len(kinks)) - np.bincount(down, minlength=len(kinks))
+    grid = kinks.reshape(len(bases), width).cumsum(axis=1).cumsum(axis=1)
+    return grid[grid_row, double.coords[:, -1] - t_min]
+
+
 def fejer_kernel(group, lam: int, cap: Optional[int] = None) -> FejerKernel:
     """Exact overlap kernel of the radius-lam ball, cached per (group, lam).
 
-    #(B ∩ zB) counts the entries of the ball's index map that read z, so
-    the kernel is one bincount of the map.  The element cap applies to the
+    On a group that declares its last coordinate central, the counts come
+    from the ball's fibers along it (``_fiber_counts``), with no index map.
+    On any other group, #(B ∩ zB) counts the entries of the ball's index map
+    that read z, one bincount of the map.  The element cap applies to the
     double ball and is checked before the cache lookup.
     """
     if lam < 1:
@@ -451,12 +555,16 @@ def fejer_kernel(group, lam: int, cap: Optional[int] = None) -> FejerKernel:
     cached = _FEJER_CACHE.get((group, lam))
     if cached is not None:
         return cached
-    idx = symbol_positions(group, lam, cap=cap)
-    size = len(idx)
-    counts = np.bincount(idx.ravel(), minlength=len(double)).tolist()
-    values = {x: Fraction(c, size) for x, c in zip(double.elements, counts)}
-    eps = max(Fraction(size - counts[double.index[g]], size) for g in group.generators)
-    kern = FejerKernel(group=group, radius=lam, values=values, folner_epsilon=eps)
+    b = ball(group, lam, cap=cap)
+    if getattr(group, "central_last_coordinate", False):
+        counts = _fiber_counts(b, double)
+    else:
+        counts = np.bincount(symbol_positions(group, lam, cap=cap).ravel(), minlength=len(double))
+    counts.setflags(write=False)
+    size = len(b)
+    at_generators = counts[_positions(double, group.generators)].tolist()
+    eps = max(Fraction(size - c, size) for c in at_generators)
+    kern = FejerKernel(group, lam, double, counts, size, eps)
     _FEJER_CACHE[(group, lam)] = kern
     return kern
 
@@ -464,12 +572,10 @@ def fejer_kernel(group, lam: int, cap: Optional[int] = None) -> FejerKernel:
 def fejer_apply(f: AlgebraElement, lam: int, cap: Optional[int] = None) -> AlgebraElement:
     """Pointwise multiplication by the overlap kernel (a unital CP map)."""
     kern = fejer_kernel(f.group, lam, cap=cap)
-    out = {}
-    for g, v in f.items():
-        w = kern.values.get(g)
-        if w:
-            out[g] = w * v
-    return AlgebraElement(f.group, out)
+    counts = kern.counts_at(list(f.support)).tolist()
+    return AlgebraElement(
+        f.group, {g: Fraction(c, kern.size) * v for (g, v), c in zip(f.items(), counts) if c}
+    )
 
 
 def _quadratic_form(f: AlgebraElement, xi: Mapping) -> complex:

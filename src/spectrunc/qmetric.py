@@ -552,7 +552,7 @@ def _epsilon_pencils(group, lam: int, s: int, cap: Optional[int]):
     """
     kern = fejer_kernel(group, lam, cap=cap)
     double = ball(group, 2 * lam, cap=cap)
-    wnum = np.array([float(1 - kern.values[z]) for z in double.elements[1:]])
+    wnum = (kern.size - kern.counts[1:]) / kern.size
     wden = np.array([float(length**s) for length in double.lengths[1:]])
     idx = symbol_positions(group, lam, cap=cap)
     pos = np.arange(1, len(double))

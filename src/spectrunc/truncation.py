@@ -15,6 +15,7 @@ table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, Optional
 
 import numpy as np
@@ -168,7 +169,8 @@ def truncation_defect(T: ToeplitzOperator, s: int = 1) -> DefectResult:
     if all(z == ident for z in T.support):
         raise ValueError("defect ratio is undefined for scalar operators")
     kern = fejer_kernel(T.group, T.radius)
-    residual = {z: v * (1 - kern.values.get(z, 0)) for z, v in T.items()}
+    counts = kern.counts_at(list(T.support)).tolist()
+    residual = {z: v * Fraction(kern.size - c, kern.size) for (z, v), c in zip(T.items(), counts)}
     defect = spectral_norm(materialize(ToeplitzOperator(T.group, T.radius, residual)))
     lip = truncated_lipnorm(T, s)
     return DefectResult(defect_norm=defect, lipnorm=lip, ratio=defect / lip)

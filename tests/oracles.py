@@ -1,8 +1,8 @@
 """Scalar references that the kernel, index-map and pencil tests compare against.
 
 Each overlap count applies the group's scalar ``multiply`` to one ball
-element at a time, independently of the index maps the package counts
-overlaps with.  The self-adjoint basis and the random self-adjoint symbol
+element at a time, independently of the fiber counts and index maps the
+package counts overlaps with.  The self-adjoint basis and the random self-adjoint symbol
 pair each element with its inverse through the scalar ``inverse``, one
 element at a time, independently of the inverse-position table the package
 pairs the double ball with.  ``two_loop_growth_fit`` is the growth fit that

@@ -191,6 +191,29 @@ def test_ball_rejects_negative_radius():
         ball(Z1, -1)
 
 
+class ForwardLine:
+    """Z generated by +1 alone, a generating set not closed under inversion."""
+
+    name = "forward-line"
+    generators = ((1,),)
+
+    def identity(self):
+        return (0,)
+
+    def multiply_array(self, g, h):
+        return g + h
+
+    def inverse_array(self, g):
+        return -g
+
+
+def test_ball_rejects_a_generating_set_not_closed_under_inversion():
+    group = ForwardLine()
+    with pytest.raises(ValueError, match="not closed under inversion"):
+        ball(group, 2)
+    assert group not in cayley._ENUMERATIONS
+
+
 # ---------------------------------------------------------------------------
 # word length
 

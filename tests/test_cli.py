@@ -250,6 +250,23 @@ def test_heisenberg_lipnorm_scan_fits_in_one_gib(tmp_path):
     assert int(proc.stderr.splitlines()[-1]) < 256 * 1024
 
 
+def test_heisenberg_kernel_at_radius_12_fits_in_one_gib():
+    # the kernel counts along the central fibers; read as a bincount of the
+    # 8,871² index map, it took about 18 s and 963 MB resident
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI_WITH_PEAK_RSS, "fejer", "--group", "heisenberg",
+         "--lambda", "12", "--at", "1,0,0"],
+        capture_output=True, text=True, preexec_fn=limit_address_space,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "7408/8871\n"
+    assert int(proc.stderr.splitlines()[-1]) < 256 * 1024
+
+
 # ---------------------------------------------------------------------------
 # solver commands
 

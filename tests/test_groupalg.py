@@ -447,6 +447,7 @@ def test_fejer_closed_form_on_z():
     assert kern((3,)) == Fraction(2, 5)
     assert kern((4,)) == Fraction(1, 5)
     assert kern((5,)) == 0
+    assert kern((10**30,)) == 0
     assert kern.folner_epsilon == Fraction(1, 5)
 
 
@@ -478,8 +479,9 @@ def test_fejer_apply_scales_coefficients():
     out = fejer_apply(f, 2)
     assert out[(1,)] == Fraction(4, 5)
     assert out[(4,)] == Fraction(2, 5)
-    g = delta(Z1, (5,))
+    g = delta(Z1, (5,)) + delta(Z1, (-(2**70),))
     assert len(fejer_apply(g, 2)) == 0
+    assert fejer_apply(f + g, 2) == out
 
 
 def test_fejer_apply_commutes_with_derivative_exactly():

@@ -9,7 +9,9 @@ must agree with the same references row by row; the top-pair solver must
 also hold on repeated, balanced, zero, rank-one and 1x1 matrices, and the
 epsilon ascent must agree with a per-start reference that runs its starts one
 after another.  Balls and maps built from the array group law must equal a BFS
-and a map built with the scalar law.
+and a map built with the scalar law.  The overlap counts taken along central
+fibers must equal the map's bincount, also where fibers are not intervals,
+and a group that declares no central coordinate must count through the map.
 """
 
 import math
@@ -33,7 +35,7 @@ from spectrunc import (
     random_element,
     word_length,
 )
-from spectrunc import cayley, qmetric
+from spectrunc import cayley, groupalg, qmetric
 from spectrunc.groupalg import spectral_norm, symbol_positions
 from spectrunc.qmetric import (
     SearchParams,
@@ -309,7 +311,69 @@ def test_epsilon_floor_is_the_best_basis_direction(group, lam):
     assert epsilon_full(group, lam, 3) == floor
 
 
-@pytest.mark.parametrize("group,lam", [(H, 1), (H, 2), (H, 3), (Z2, 1), (Z2, 2), (Z2, 3), (Z2, 4)])
+class EvenPlane:
+    """Z x 2Z inside Z^2, generated by +-(1, 0) and +-(0, 2).
+
+    Its last coordinate is central, but its ball fibers are sets of even
+    numbers, not intervals, so every fiber of the overlap count is many runs.
+    Instances hash by identity.
+    """
+
+    name = "z-by-2z"
+    generators = ((1, 0), (-1, 0), (0, 2), (0, -2))
+    central_last_coordinate = True
+
+    def identity(self):
+        return Z2.identity()
+
+    def multiply(self, g, h):
+        return Z2.multiply(g, h)
+
+    def inverse(self, g):
+        return Z2.inverse(g)
+
+    def multiply_array(self, g, h):
+        return Z2.multiply_array(g, h)
+
+    def inverse_array(self, g):
+        return Z2.inverse_array(g)
+
+    def validate(self, g):
+        Z2.validate(g)
+
+
+CENTRAL_GROUPS = [Z1, Z2, FreeAbelian(3), H, EvenPlane()]
+
+
+@pytest.mark.parametrize("group", CENTRAL_GROUPS, ids=lambda g: g.name)
+def test_fiber_counts_equal_the_map_bincount(group):
+    for lam in range(1, 7):
+        b, double = ball(group, lam), ball(group, 2 * lam)
+        want = np.bincount(symbol_positions(group, lam).ravel(), minlength=len(double))
+        assert np.array_equal(groupalg._fiber_counts(b, double), want)
+        assert np.array_equal(fejer_kernel(group, lam).counts, want)
+
+
+def test_a_group_without_a_central_coordinate_counts_through_the_map(monkeypatch):
+    def refuse(b, double):
+        raise AssertionError("the fiber count ran on a group that does not declare it")
+
+    monkeypatch.setattr(groupalg, "_fiber_counts", refuse)
+    monkeypatch.setattr(groupalg, "_FEJER_CACHE", {})
+    for lam in (1, 2):
+        kern = fejer_kernel(Cyclic(4), lam)
+        assert kern.size == len(ball(Cyclic(4), lam))
+        assert kern.values == {
+            x: Fraction(ball_overlap(Cyclic(4), x, lam), kern.size)
+            for x in ball(Cyclic(4), 2 * lam).elements
+        }
+
+
+@pytest.mark.parametrize(
+    "group,lam",
+    [(H, 1), (H, 2), (H, 3), (Z2, 1), (Z2, 2), (Z2, 3), (Z2, 4)]
+    + [(g, lam) for g in (Z1, FreeAbelian(3), EvenPlane()) for lam in (1, 2, 3)],
+)
 def test_kernel_counts_equal_ball_overlaps(group, lam):
     kern = fejer_kernel(group, lam)
     size = len(ball(group, lam))
@@ -330,7 +394,7 @@ def test_compress_rep_matches_dense_matrix(group, radius):
 
 def test_compress_rep_drops_support_outside_the_double_ball():
     inside = AlgebraElement(Z1, {(1,): 2.0, (-2,): 0.5j})
-    f = inside + delta(Z1, (5,), 3.0) + delta(Z1, (-3,), 1.0)
+    f = inside + delta(Z1, (5,), 3.0) + delta(Z1, (-3,), 1.0) + delta(Z1, (2**64,), 1.0)
     assert np.array_equal(compress_rep(f, 1), compress_rep(inside, 1))
     assert np.array_equal(compress_rep(f, 1), _dense_matrix(Z1, 1, f.coeffs()))
 
