@@ -15,7 +15,9 @@ multiplication translates each fiber {t : (h', t) in B} rigidly.  The overlap
 kernel then counts along those fibers instead of through an index map.  The
 built-in groups are the free abelian groups Z^d and the discrete Heisenberg
 group, and both declare it; any other object meeting the contract can be
-dropped in beside them.
+dropped in beside them.  A ball answers every position, membership and length
+query through one packed-key lookup, ``Ball.positions``, and the word lengths
+of many elements come from one walk over balls of growing radius.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator, Optional
 
 import numpy as np
@@ -280,7 +283,7 @@ class Ball:
     ``coords`` holds the same elements as a read-only (n, k) int64 array.
     """
 
-    __slots__ = ("group", "radius", "elements", "lengths", "_enumeration", "_index")
+    __slots__ = ("group", "radius", "elements", "lengths", "_enumeration", "_finder")
 
     def __init__(self, enumeration: _Enumeration, radius: int):
         n = enumeration.size(radius)
@@ -289,31 +292,52 @@ class Ball:
         self.elements = tuple(enumeration.elements[:n])
         self.lengths = tuple(enumeration.lengths[:n])
         self._enumeration = enumeration
-        self._index = None
-
-    @property
-    def index(self) -> dict:
-        """Position of each element in the ball's order."""
-        if self._index is None:
-            self._index = dict(zip(self.elements, range(len(self.elements))))
-        return self._index
+        self._finder = None
 
     @property
     def coords(self) -> np.ndarray:
         return self._enumeration.coords[: len(self.elements)]
 
+    def positions(self, elements) -> np.ndarray:
+        """Position of each element in the ball's order, or -1 for a nonmember.
+
+        ``elements`` is an int64 array of coordinate rows of shape (..., k), or
+        a sequence of element tuples, whose coordinates past int64 read as
+        nonmembers.
+        """
+        if self._finder is None:
+            self._finder = _position_finder(self.coords)
+        if isinstance(elements, np.ndarray):
+            return self._finder(elements)
+        flat = list(chain.from_iterable(elements))
+        try:
+            rows = np.array(flat, dtype=np.int64)
+        except OverflowError:  # clipped, a coordinate lies far outside every enumerable ball
+            rows = np.array([max(-(2**62), min(c, 2**62)) for c in flat], dtype=np.int64)
+        return self._finder(rows.reshape(len(elements), self.coords.shape[1]))
+
+    def _position(self, g) -> int:
+        """Position of one element, or -1 for a nonmember or anything not an element."""
+        k = self.coords.shape[1]
+        if isinstance(g, tuple) and len(g) == k and all(isinstance(a, _INT_TYPES) for a in g):
+            return int(self.positions([g])[0])
+        return -1
+
     def __len__(self) -> int:
         return len(self.elements)
 
     def __contains__(self, g) -> bool:
-        return g in self.index
+        return self._position(g) >= 0
 
     def __iter__(self) -> Iterator:
         return iter(self.elements)
 
     def length_of(self, g) -> int:
-        """Exact word length of a ball member."""
-        return self.lengths[self.index[g]]
+        """Exact word length of a ball member; KeyError for anything else."""
+        i = self._position(g)
+        if i < 0:
+            raise KeyError(g)
+        return self.lengths[i]
 
     def __repr__(self) -> str:
         return f"Ball({self.group.name}, radius={self.radius}, size={len(self)})"
@@ -355,23 +379,31 @@ def ball(group, radius: int, cap: Optional[int] = None) -> Ball:
     return b
 
 
-def _length_lower_bound(group, g) -> int:
-    if isinstance(group, Heisenberg):
-        return abs(g[0]) + abs(g[1])
-    return 0
+def _word_lengths(group, elements, cap: Optional[int] = None) -> list:
+    """Word length of each element, from one walk over balls of growing radius.
+
+    The walk starts at the largest lower bound, |x| + |y| on Heisenberg and 0
+    elsewhere, and looks up the elements it has not yet found once per radius.
+    """
+    if isinstance(group, FreeAbelian):
+        return [int(sum(abs(a) for a in g)) for g in elements]
+    on_heisenberg = isinstance(group, Heisenberg)
+    radius = max((abs(g[0]) + abs(g[1]) for g in elements if on_heisenberg), default=0)
+    lengths = [None] * len(elements)
+    while None in lengths:
+        todo = [i for i, n in enumerate(lengths) if n is None]
+        b = ball(group, radius, cap=cap)
+        for i, p in zip(todo, b.positions([elements[i] for i in todo]).tolist()):
+            if p >= 0:
+                lengths[i] = b.lengths[p]
+        radius += 1
+    return lengths
 
 
 def word_length(group, g, cap: Optional[int] = None) -> int:
     """Length of a shortest generator word for g (0 for the identity)."""
     group.validate(g)
-    if isinstance(group, FreeAbelian):
-        return int(sum(abs(a) for a in g))
-    radius = _length_lower_bound(group, g)
-    while True:
-        b = ball(group, radius, cap=cap)
-        if g in b:
-            return b.length_of(g)
-        radius += 1
+    return _word_lengths(group, [g], cap=cap)[0]
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,9 @@ the double ball through one cached index map; an operator-norm scan reads it
 from the products of f's support with the ball alone.  The overlap kernel is
 an integer count array over the double ball, counted along the fibers of a
 central last coordinate where the group declares one and through the index
-map otherwise.  Kernel reads, kernel weighting and compressions find their
-support in the double ball by one packed-key lookup, and the adjoint pairs
-each double-ball element with its inverse through the same lookup.  An
+map otherwise.  Every group element is found through its ball's one lookup,
+``Ball.positions``, which index maps, kernel reads and norm scans share, and
+a whole support's word lengths come from one walk over growing balls.  An
 element cap bounds every ball a call enumerates, double balls included.
 
 Coefficients may be ints, floats, complexes, or ``fractions.Fraction``
@@ -26,12 +26,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain
 from typing import Mapping, Optional
 
 import numpy as np
 
-from .cayley import Ball, _pack, _packing, _position_finder, ball, word_length
+from .cayley import Ball, _position_finder, _word_lengths, ball
 
 __all__ = [
     "AlgebraElement",
@@ -179,13 +178,8 @@ def derivative(f: AlgebraElement, s: int = 1) -> AlgebraElement:
     are exactly the kernel of every induced seminorm.
     """
     _check_order(s)
-    grp = f.group
-    out = {}
-    for g, v in f.items():
-        length = word_length(grp, g)
-        if length:
-            out[g] = v * length**s
-    return AlgebraElement(grp, out)
+    lengths = _word_lengths(f.group, list(f.support))
+    return AlgebraElement(f.group, {g: v * n**s for (g, v), n in zip(f.items(), lengths) if n})
 
 
 def l1_norm(f: AlgebraElement) -> float:
@@ -200,12 +194,12 @@ def l2_norm(f: AlgebraElement) -> float:
 _CHUNK_BYTES = 1 << 22
 
 
-def _product_positions(group, left: np.ndarray, right: np.ndarray, target: np.ndarray):
+def _product_positions(left: np.ndarray, right: np.ndarray, target: Ball):
     """Chunks (start, positions in ``target``, or -1, of left[start:stop, None] * right[None])."""
-    position = _position_finder(target)
     rows = max(1, _CHUNK_BYTES // (right.itemsize * right.size))
     for start in range(0, len(left), rows):
-        yield start, position(group.multiply_array(left[start : start + rows, None, :], right[None]))
+        prod = target.group.multiply_array(left[start : start + rows, None, :], right[None])
+        yield start, target.positions(prod)
 
 
 @lru_cache(maxsize=None)
@@ -213,7 +207,7 @@ def _index_map(b, double) -> np.ndarray:
     xs = b.coords
     inverses = b.group.inverse_array(xs)
     idx = np.empty((len(b), len(b)), dtype=np.int32)
-    for start, pos in _product_positions(b.group, xs, inverses, double.coords):
+    for start, pos in _product_positions(xs, inverses, double):
         idx[start : start + len(pos)] = pos
     idx.setflags(write=False)
     return idx
@@ -234,32 +228,6 @@ def symbol_positions(group, radius: int, cap: Optional[int] = None) -> np.ndarra
 symbol_positions.cache_info = _index_map.cache_info
 
 
-@lru_cache(maxsize=None)
-def _finder(b):
-    """The member-aware position lookup of a ball, built once per ball."""
-    return _position_finder(b.coords)
-
-
-# Clips coordinates past int64: a clipped row lies far outside every enumerable ball.
-_FAR = 2**62
-
-
-def _positions(b, elements) -> np.ndarray:
-    """Position of each group element in the ball's order, or -1, from one packed-key lookup."""
-    k = b.coords.shape[1]
-    try:
-        rows = np.fromiter(chain.from_iterable(elements), np.int64, len(elements) * k)
-    except OverflowError:
-        clipped = (max(-_FAR, min(c, _FAR)) for c in chain.from_iterable(elements))
-        rows = np.fromiter(clipped, np.int64, len(elements) * k)
-    return _finder(b)(rows.reshape(len(elements), k))
-
-
-def _inverse_positions(double) -> np.ndarray:
-    """Position of each element's inverse in a ball's order (word-metric balls are symmetric)."""
-    return _finder(double)(double.group.inverse_array(double.coords))
-
-
 def compress_rep(f: AlgebraElement, radius: int, cap: Optional[int] = None) -> np.ndarray:
     """Matrix of the left convolution operator compressed to a ball.
 
@@ -268,7 +236,7 @@ def compress_rep(f: AlgebraElement, radius: int, cap: Optional[int] = None) -> n
     """
     idx = symbol_positions(f.group, radius, cap=cap)
     double = ball(f.group, 2 * radius, cap=cap)
-    pos = _positions(double, list(f.support))
+    pos = double.positions(list(f.support))
     vec = np.zeros(len(double), dtype=complex)
     vec[pos[pos >= 0]] = [complex(v) for v, i in zip(f._coeffs.values(), pos.tolist()) if i >= 0]
     return vec[idx]
@@ -349,7 +317,7 @@ def _compression_norm(f: AlgebraElement, radius: int, cap: Optional[int]) -> flo
     n = len(b)
     weights = np.array([complex(v) for _, v in f.items()])
     triplets = []
-    for start, pos in _product_positions(f.group, np.array(list(f.support)), b.coords, b.coords):
+    for start, pos in _product_positions(np.array(list(f.support)), b.coords, b):
         z, col = np.nonzero(pos >= 0)
         triplets.append((pos[z, col], col, weights[start + z]))
     rows, cols, w = map(np.concatenate, zip(*triplets))
@@ -398,7 +366,7 @@ def opnorm(
         raise ValueError(f"r_max must be nonnegative, got {r_max}")
     if len(f) == 0:
         return OpnormResult(estimate=0.0, converged=True, last_radius=0)
-    reach = max(word_length(f.group, g) for g in f.support)
+    reach = max(_word_lengths(f.group, list(f.support)))
     r_floor = max(r_min, (reach + 1) // 2)
     estimate = 0.0
     prev = None
@@ -461,7 +429,7 @@ class FejerKernel:
 
     def counts_at(self, elements) -> np.ndarray:
         """#(B ∩ zB) for each element z, 0 off the double ball."""
-        pos = _positions(self.double, elements)
+        pos = self.double.positions(elements)
         return np.where(pos >= 0, self.counts[pos], 0)
 
     def __call__(self, x) -> Fraction:
@@ -484,7 +452,7 @@ def _sorted_rows(coords: np.ndarray) -> tuple:
     row of each run, a maximal stretch of one base with consecutive last
     coordinates.
     """
-    order = np.argsort(_pack(coords, _packing(coords)), kind="stable")
+    order = np.lexsort(coords.T[::-1])
     rows = coords[order]
     new_base = np.ones(len(rows), dtype=bool)
     new_base[1:] = np.any(rows[1:, :-1] != rows[:-1, :-1], axis=1)
@@ -562,7 +530,7 @@ def fejer_kernel(group, lam: int, cap: Optional[int] = None) -> FejerKernel:
         counts = np.bincount(symbol_positions(group, lam, cap=cap).ravel(), minlength=len(double))
     counts.setflags(write=False)
     size = len(b)
-    at_generators = counts[_positions(double, group.generators)].tolist()
+    at_generators = counts[double.positions(group.generators)].tolist()
     eps = max(Fraction(size - c, size) for c in at_generators)
     kern = FejerKernel(group, lam, double, counts, size, eps)
     _FEJER_CACHE[(group, lam)] = kern

@@ -13,7 +13,8 @@ its exact basis floor, and the truncated one is probed by ratio ascent from
 that floor.  The ascent runs on pencils of ball compressions, each stored as
 the symbol position and weight of every complex parameter, evaluated and
 differentiated through the index map; the distance solver's self-adjoint
-pencil also carries the double ball's inverse-position table.
+pencil also carries the double ball's inverse-position table.  A truncated
+vector state finds its support in the ball by one position lookup.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .groupalg import (
     spectral_norm,
     symbol_positions,
     _check_order,
-    _inverse_positions,
     _quadratic_form,
     _start_vector,
 )
@@ -89,10 +89,10 @@ def vector_state(group, coeffs: Mapping, lam: Optional[int] = None) -> State:
     if not clean:
         raise ValueError("a vector state needs a nonzero vector")
     if lam is not None:
-        b = ball(group, lam)
-        for g in clean:
-            if g not in b:
-                raise ValueError(f"support element {g} is outside the radius-{lam} ball")
+        keys = list(clean)
+        outside = np.flatnonzero(ball(group, lam).positions(keys) < 0)
+        if len(outside):
+            raise ValueError(f"support element {keys[outside[0]]} is outside the radius-{lam} ball")
     norm = math.sqrt(sum(abs(v) ** 2 for v in clean.values()))
     return State(group, "vector", lam, vector={g: v / norm for g, v in clean.items()})
 
@@ -115,9 +115,11 @@ def density_state(group, rho: np.ndarray, lam: int, tol: float = 1e-10) -> State
 
 def _truncated_vector(state: State, lam: int) -> np.ndarray:
     b = ball(state.group, lam)
+    pos = b.positions(list(state.vector))
+    if (pos < 0).any():
+        raise KeyError(next(g for g, i in zip(state.vector, pos) if i < 0))
     v = np.zeros(len(b), dtype=complex)
-    for g, c in state.vector.items():
-        v[b.index[g]] = c
+    v[pos] = list(state.vector.values())
     return v
 
 
@@ -268,7 +270,7 @@ def _selfadjoint_pencil(group, lam: int, s: int) -> _Pencil:
     pair's first BFS position.
     """
     double = ball(group, 2 * lam)
-    inverse = _inverse_positions(double)
+    inverse = double.positions(group.inverse_array(double.coords))  # balls are symmetric
     pos = np.flatnonzero(np.arange(len(double)) <= inverse)[1:]
     w = (np.array(double.lengths)[pos] ** s).astype(float)
     return _Pencil(symbol_positions(group, lam), pos, w, inverse)

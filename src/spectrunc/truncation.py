@@ -7,9 +7,8 @@ double ball.  ``compress`` restricts an algebra element to such a symbol,
 ``reconstruct`` maps a truncated operator back to the algebra by weighting
 the symbol with the ball-overlap kernel, and ``truncation_defect`` measures
 how far that round trip moves an operator.  Each operator's symbol keys are
-validated once, by the algebra, and must lie in the double ball; random
-self-adjoint symbols pair inverses through the double ball's inverse-position
-table.
+validated once, by the algebra, and placed in the double ball by one position
+lookup, which also pairs the inverses of random self-adjoint symbols.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .groupalg import (
     parse_algebra_element,
     spectral_norm,
     symbol_positions,  # noqa: F401, an import site the benchmark's tracer test wraps
-    _inverse_positions,
 )
 
 __all__ = [
@@ -66,12 +64,11 @@ class ToeplitzOperator(AlgebraElement):
         if radius < 1:
             raise ValueError(f"truncation radius must be at least 1, got {radius}")
         super().__init__(group, symbol)
-        double = ball(group, 2 * radius)
-        for z in symbol:  # the raw keys: a zero value outside the double ball is an error too
-            if z not in double:
-                raise ValueError(
-                    f"symbol entry at {z} lies outside the double ball of radius {2 * radius}"
-                )
+        keys = list(symbol)  # the raw keys: a zero value outside the double ball is an error too
+        outside = np.flatnonzero(ball(group, 2 * radius).positions(keys) < 0)
+        if len(outside):
+            z, r = keys[outside[0]], 2 * radius
+            raise ValueError(f"symbol entry at {z} lies outside the double ball of radius {r}")
         self.radius = radius
 
     def is_selfadjoint(self) -> bool:
@@ -102,8 +99,8 @@ def compress(f: AlgebraElement, lam: int) -> ToeplitzOperator:
     The compressed matrix keeps exactly the coefficients of f on the double
     ball, so the symbol is the plain restriction of f.
     """
-    double = ball(f.group, 2 * lam)
-    symbol = {g: v for g, v in f.items() if g in double}
+    inside = ball(f.group, 2 * lam).positions(list(f.support)) >= 0
+    symbol = {g: v for (g, v), keep in zip(f.items(), inside.tolist()) if keep}
     return ToeplitzOperator(f.group, lam, symbol)
 
 
@@ -184,7 +181,7 @@ def random_selfadjoint(group, lam: int, rng: np.random.Generator) -> ToeplitzOpe
     (re + i im) / sqrt(2) at z and its conjugate at z^{-1}.
     """
     double = ball(group, 2 * lam)
-    inverse = _inverse_positions(double)
+    inverse = double.positions(group.inverse_array(double.coords))  # balls are symmetric
     lead = np.flatnonzero(np.arange(len(double)) <= inverse)
     pair = inverse[lead] != lead
     draws = rng.standard_normal(len(lead) + int(pair.sum()))

@@ -45,9 +45,9 @@ from spectrunc.qmetric import _distance_setup
 
 def ball_overlap(group, x, radius: int) -> int:
     """Size of the intersection of the ball with its left translate by x."""
-    b = ball(group, radius)
+    members = set(ball(group, radius).elements)
     xi = group.inverse(x)
-    return sum(group.multiply(xi, y) in b for y in b.elements)
+    return sum(group.multiply(xi, y) in members for y in members)
 
 
 def folner_deficit(group, x, radius: int) -> int:

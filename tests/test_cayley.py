@@ -7,16 +7,18 @@ from fractions import Fraction
 from spectrunc import cayley
 from spectrunc import (
     DEFAULT_BALL_CAP,
+    AlgebraElement,
     FreeAbelian,
     Heisenberg,
     ResourceCapError,
     ball,
+    derivative,
     group_from_key,
     growth_report,
     word_length,
 )
 
-from oracles import ball_overlap, folner_deficit
+from oracles import Cyclic, ball_overlap, folner_deficit
 
 Z1 = FreeAbelian(1)
 Z2 = FreeAbelian(2)
@@ -172,6 +174,7 @@ def test_ball_cap_applies_to_a_prefix_of_a_larger_enumeration():
 @pytest.mark.parametrize("group, radius", [(Z1, 5), (Z2, 4), (FreeAbelian(3), 3), (H3, 3)])
 def test_position_lookup_reads_ball_index_or_minus_one(group, radius):
     b = ball(group, radius)
+    index = dict(zip(b.elements, range(len(b))))
     rng = np.random.default_rng(radius)
     k = b.coords.shape[1]
     lo, hi = b.coords.min(axis=0), b.coords.max(axis=0)
@@ -180,10 +183,31 @@ def test_position_lookup_reads_ball_index_or_minus_one(group, radius):
     axis = rng.integers(0, k, 300)
     outside[np.arange(300), axis] += rng.choice([-1, 1], 300) * (hi - lo + 1)[axis]
     rows = np.concatenate([b.coords, inside, outside, np.full((1, k), 2**40)])
-    got = cayley._position_finder(b.coords)(rows[:, None, :])[:, 0]
-    want = [b.index.get(tuple(r), -1) for r in rows.tolist()]
-    assert got.tolist() == want
+    want = [index.get(tuple(r), -1) for r in rows.tolist()]
+    assert b.positions(rows[:, None, :])[:, 0].tolist() == want
+    assert b.positions(list(map(tuple, rows.tolist()))).tolist() == want
     assert -1 in want[len(b):] and any(w >= 0 for w in want[len(b) : len(b) + 300])
+
+
+@pytest.mark.parametrize(
+    "group, probe",
+    [
+        (Z1, (4,)),  # an element outside the ball
+        (H3, (0, 0, 9)),
+        (Z1, (0, 0)),  # a tuple of the wrong length
+        (H3, (0, 0)),
+        (Z1, (10**23,)),  # coordinates past int64
+        (H3, (-(2**70), 0, 0)),
+        (Z1, [0]),  # not a tuple
+        (Z1, 0),
+        (Z1, (0.0,)),  # not integer coordinates
+    ],
+)
+def test_a_nonmember_is_not_in_the_ball_and_has_no_length(group, probe):
+    b = ball(group, 3)
+    assert probe not in b
+    with pytest.raises(KeyError):
+        b.length_of(probe)
 
 
 def test_ball_rejects_negative_radius():
@@ -255,6 +279,21 @@ def test_bfs_depth_equals_word_length():
         b = ball(grp, 5)
         for g, depth in zip(b.elements, b.lengths):
             assert word_length(grp, g) == depth
+
+
+@pytest.mark.parametrize("group, radius", [(H3, 8), (FreeAbelian(3), 4), (Cyclic(7), 5)])
+def test_batched_word_lengths_equal_bfs_depths(group, radius):
+    b = ball(group, radius)
+    # reversed, so that the walk meets the longest elements first
+    assert cayley._word_lengths(group, b.elements[::-1]) == list(b.lengths[::-1])
+
+
+def test_a_word_too_long_for_the_cap_raises():
+    far = (30, 0, 0)
+    with pytest.raises(ResourceCapError):
+        word_length(H3, far)
+    with pytest.raises(ResourceCapError):
+        derivative(AlgebraElement(H3, {(1, 0, 0): 1, far: 1}))
 
 
 # ---------------------------------------------------------------------------

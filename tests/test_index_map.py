@@ -32,6 +32,7 @@ from spectrunc import (
     delta,
     epsilon_full,
     fejer_kernel,
+    opnorm,
     random_element,
     word_length,
 )
@@ -519,6 +520,27 @@ def test_packed_keys_keep_row_order_and_refuse_to_wrap():
     assert cayley._pack(widest, cayley._packing(widest)).tolist() == [0, 2**63 - 1]
     with pytest.raises(ResourceCapError, match="64-bit"):
         cayley._packing(np.array([[0, 0], [2**32, 2**31]]))
+
+
+def test_each_ball_builds_one_position_finder(monkeypatch):
+    built = []
+    finder = cayley._position_finder
+
+    def counting(coords):
+        built.append(len(coords))
+        return finder(coords)
+
+    monkeypatch.setattr(cayley, "_position_finder", counting)
+    group = ScalarHeisenberg()
+    b = ball(group, 2)
+    for _ in range(3):
+        assert b.positions(b.elements).tolist() == list(range(len(b)))
+    for _ in range(2):
+        symbol_positions(group, 2)
+        opnorm(random_element(group, 2, np.random.default_rng(15)), r_max=4)
+    # ball sizes grow strictly, so a size names its ball
+    assert len(built) == len(set(built))
+    assert {len(b), len(ball(group, 4))} <= set(built) <= {len(ball(group, r)) for r in range(5)}
 
 
 def test_threads_share_one_enumeration():

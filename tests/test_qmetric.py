@@ -11,6 +11,7 @@ from spectrunc import (
     Heisenberg,
     SearchParams,
     SolverParams,
+    State,
     ball,
     compress,
     delta,
@@ -117,6 +118,10 @@ def test_state_eval_domain_mismatches():
         state_eval(trunc, compress(unit(Z2), 1))
     with pytest.raises(TypeError):
         state_eval(full, 3.0)
+    # a state built by hand, past vector_state's support check
+    stray = State(Z1, "vector", 1, vector={(0,): 0.6, (2,): 0.8})
+    with pytest.raises(KeyError):
+        state_eval(stray, compress(unit(Z1), 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Source checks that need no linter: every module-level import is used,
 every f-string has a placeholder, every module-level private name is read
 somewhere in the package, every function reads each of its parameters,
-importing the package leaves the heavy optional modules unloaded, and the
-package imports nothing beyond the standard library and numpy.
+importing the package leaves the heavy optional modules unloaded, the
+package imports nothing beyond the standard library and numpy, and only
+``cayley`` knows the packed-key format of ball lookups.
 
 An import marked ``# noqa: F401`` on its line is kept on purpose, as a
 linter would read the mark.
@@ -211,3 +212,30 @@ UNREAD_BY_DESIGN = {
 def test_every_parameter_is_read():
     found = [n for p in SOURCES for n in unread_parameters(p.stem, p.read_text())]
     assert sorted(found) == sorted(UNREAD_BY_DESIGN)
+
+
+# The packed-key format behind every ball lookup; other modules reach it through ``Ball.positions``.
+PACKED_KEY_NAMES = {"_pack", "_packing"}
+
+
+def packed_key_references(source: str) -> list[str]:
+    """Packed-key names that a source loads, reads as an attribute or imports."""
+    found = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Name):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        elif isinstance(n, ast.alias):
+            found.add(n.name)
+    return sorted(found & PACKED_KEY_NAMES)
+
+
+def test_the_check_finds_a_packed_key_reference():
+    source = "from .cayley import _pack\nimport spectrunc.cayley as c\nc._packing(x)\n_packed = 1\n"
+    assert packed_key_references(source) == ["_pack", "_packing"]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "cayley.py"], ids=lambda p: p.name)
+def test_only_cayley_knows_the_packed_key_format(path):
+    assert packed_key_references(path.read_text()) == []
