@@ -15,9 +15,10 @@ multiplication translates each fiber {t : (h', t) in B} rigidly.  The overlap
 kernel then counts along those fibers instead of through an index map.  The
 built-in groups are the free abelian groups Z^d and the discrete Heisenberg
 group, and both declare it; any other object meeting the contract can be
-dropped in beside them.  A ball answers every position, membership and length
-query through one packed-key lookup, ``Ball.positions``, and the word lengths
-of many elements come from one walk over balls of growing radius.
+dropped in beside them.  A ball is a prefix of its group's one enumeration,
+int64 rows and sphere sizes, and answers every position, membership and length
+query through one packed-key lookup, ``Ball.positions``; the word lengths of
+many elements come from one walk over balls of growing radius.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from typing import Iterator, Optional
 
@@ -72,12 +74,8 @@ class FreeAbelian:
 
     @property
     def generators(self) -> tuple[Element, ...]:
-        gens = []
-        for i in range(self.dim):
-            unit = tuple(1 if j == i else 0 for j in range(self.dim))
-            gens.append(unit)
-            gens.append(tuple(-c for c in unit))
-        return tuple(gens)
+        d = range(self.dim)
+        return tuple(tuple(sign * (j == i) for j in d) for i in d for sign in (1, -1))
 
     def identity(self) -> Element:
         return (0,) * self.dim
@@ -98,11 +96,8 @@ class FreeAbelian:
         return -g
 
     def validate(self, g) -> None:
-        if (
-            not isinstance(g, tuple)
-            or len(g) != self.dim
-            or not all(isinstance(a, _INT_TYPES) for a in g)
-        ):
+        ints = isinstance(g, tuple) and all(isinstance(a, _INT_TYPES) for a in g)
+        if not ints or len(g) != self.dim:
             raise ValueError(f"{g!r} is not a valid element of {self.name}")
 
 
@@ -194,6 +189,16 @@ def _pack(coords: np.ndarray, packing: tuple) -> np.ndarray:
     return (coords - lo) @ strides
 
 
+def _rows(elements, k: int) -> np.ndarray:
+    """Element tuples as (n, k) int64 rows; a coordinate past int64 reads +-2**62, in no ball."""
+    flat = list(chain.from_iterable(elements))
+    try:
+        rows = np.array(flat, dtype=np.int64)
+    except OverflowError:
+        rows = np.array([max(-(2**62), min(c, 2**62)) for c in flat], dtype=np.int64)
+    return rows.reshape(len(elements), k)
+
+
 def _position_finder(coords: np.ndarray):
     """Map coordinate rows to their row numbers in ``coords``, or -1 for nonmembers.
 
@@ -220,8 +225,8 @@ class _Enumeration:
     """Breadth-first enumeration of one group, grown one sphere at a time.
 
     Each sphere is sorted lexicographically, so the ball of radius r is the
-    first ``sizes[r]`` elements, and every ball of the group is a prefix of
-    this one list.
+    first ``sizes[r]`` rows of ``coords``, and every ball of the group is a
+    prefix of this one array.
     """
 
     def __init__(self, group):
@@ -235,12 +240,14 @@ class _Enumeration:
         self.coords.setflags(write=False)
         self.previous = self.coords[:0]
         self.frontier = self.coords
-        self.elements = [e]
-        self.lengths = [0]
         self.sizes = [1]
 
     def size(self, radius: int) -> int:
         return self.sizes[min(radius, len(self.sizes) - 1)]
+
+    def lengths(self, positions) -> np.ndarray:
+        """Word length of the rows at these positions, the radius of their spheres."""
+        return np.searchsorted(self.sizes, positions, side="right")
 
     def extend(self, radius: int, cap: int) -> None:
         """Enumerate up to the radius, stopping at a sphere that passes the cap."""
@@ -250,13 +257,10 @@ class _Enumeration:
                 raise ResourceCapError(
                     f"ball of radius {radius} in {self.group.name} exceeds the cap of {cap} elements"
                 )
-            depth = len(self.sizes)
             self.coords = np.concatenate([self.coords, sphere])
             self.coords.setflags(write=False)
             self.previous, self.frontier = self.frontier, sphere
-            self.elements.extend(map(tuple, sphere.tolist()))
-            self.lengths.extend([depth] * len(sphere))
-            self.sizes.append(len(self.elements))
+            self.sizes.append(len(self.coords))
 
     def _next_sphere(self) -> np.ndarray:
         """The frontier times the generators, less the last two spheres.
@@ -278,25 +282,34 @@ class Ball:
     """Enumerated closed ball with a fixed element order and exact word lengths.
 
     Elements appear in BFS layer order with each layer sorted
-    lexicographically, so indexing is deterministic across runs.  A ball is
-    a prefix of its group's one enumeration and shares its element tuples;
-    ``coords`` holds the same elements as a read-only (n, k) int64 array.
+    lexicographically, so indexing is deterministic across runs.  ``coords``
+    is a read-only (n, k) int64 view of a prefix of the group's enumeration,
+    whose sphere sizes give word lengths.  The tuples ``elements`` and
+    ``lengths`` are built on first read and cached; counts, lookups and
+    length queries build neither.
     """
 
-    __slots__ = ("group", "radius", "elements", "lengths", "_enumeration", "_finder")
-
     def __init__(self, enumeration: _Enumeration, radius: int):
-        n = enumeration.size(radius)
         self.group = enumeration.group
         self.radius = radius
-        self.elements = tuple(enumeration.elements[:n])
-        self.lengths = tuple(enumeration.lengths[:n])
+        self._size = enumeration.size(radius)
         self._enumeration = enumeration
-        self._finder = None
 
     @property
     def coords(self) -> np.ndarray:
-        return self._enumeration.coords[: len(self.elements)]
+        return self._enumeration.coords[: self._size]
+
+    @cached_property
+    def elements(self) -> tuple:
+        return tuple(map(tuple, self.coords.tolist()))
+
+    @cached_property
+    def lengths(self) -> tuple:
+        return tuple(self._enumeration.lengths(np.arange(self._size)).tolist())
+
+    @cached_property
+    def _finder(self):
+        return _position_finder(self.coords)
 
     def positions(self, elements) -> np.ndarray:
         """Position of each element in the ball's order, or -1 for a nonmember.
@@ -305,16 +318,9 @@ class Ball:
         a sequence of element tuples, whose coordinates past int64 read as
         nonmembers.
         """
-        if self._finder is None:
-            self._finder = _position_finder(self.coords)
-        if isinstance(elements, np.ndarray):
-            return self._finder(elements)
-        flat = list(chain.from_iterable(elements))
-        try:
-            rows = np.array(flat, dtype=np.int64)
-        except OverflowError:  # clipped, a coordinate lies far outside every enumerable ball
-            rows = np.array([max(-(2**62), min(c, 2**62)) for c in flat], dtype=np.int64)
-        return self._finder(rows.reshape(len(elements), self.coords.shape[1]))
+        if not isinstance(elements, np.ndarray):
+            elements = _rows(elements, self.coords.shape[1])
+        return self._finder(elements)
 
     def _position(self, g) -> int:
         """Position of one element, or -1 for a nonmember or anything not an element."""
@@ -324,7 +330,7 @@ class Ball:
         return -1
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self._size
 
     def __contains__(self, g) -> bool:
         return self._position(g) >= 0
@@ -337,7 +343,7 @@ class Ball:
         i = self._position(g)
         if i < 0:
             raise KeyError(g)
-        return self.lengths[i]
+        return int(self._enumeration.lengths(i))
 
     def __repr__(self) -> str:
         return f"Ball({self.group.name}, radius={self.radius}, size={len(self)})"
@@ -383,21 +389,24 @@ def _word_lengths(group, elements, cap: Optional[int] = None) -> list:
     """Word length of each element, from one walk over balls of growing radius.
 
     The walk starts at the largest lower bound, |x| + |y| on Heisenberg and 0
-    elsewhere, and looks up the elements it has not yet found once per radius.
+    elsewhere, looks up the elements it has not yet found once per radius, and
+    reads their lengths off the enumeration's sphere sizes.
     """
     if isinstance(group, FreeAbelian):
         return [int(sum(abs(a) for a in g)) for g in elements]
     on_heisenberg = isinstance(group, Heisenberg)
     radius = max((abs(g[0]) + abs(g[1]) for g in elements if on_heisenberg), default=0)
-    lengths = [None] * len(elements)
-    while None in lengths:
-        todo = [i for i, n in enumerate(lengths) if n is None]
+    rows = _rows(elements, len(group.identity()))
+    lengths = np.zeros(len(rows), dtype=np.int64)
+    todo = np.arange(len(rows))
+    while len(todo):
         b = ball(group, radius, cap=cap)
-        for i, p in zip(todo, b.positions([elements[i] for i in todo]).tolist()):
-            if p >= 0:
-                lengths[i] = b.lengths[p]
+        pos = b.positions(rows[todo])
+        found = pos >= 0
+        lengths[todo[found]] = b._enumeration.lengths(pos[found])
+        todo = todo[~found]
         radius += 1
-    return lengths
+    return lengths.tolist()
 
 
 def word_length(group, g, cap: Optional[int] = None) -> int:
@@ -442,17 +451,7 @@ def growth_report(group, lam_max: int, fit_min: int = 2, cap: Optional[int] = No
     logs = np.log(radii.astype(float))
     ratio_logs = np.log([float(ratios[r - 1]) for r in radii])
     size_logs = np.log([float(sizes[r]) for r in radii])
-    if len(radii) < 2:
-        beta = float("nan")
-        degree = float("nan")
-    else:
-        beta = -float(np.polyfit(logs, ratio_logs, 1)[0])
-        degree = float(np.polyfit(logs, size_logs, 1)[0])
-    return GrowthReport(
-        group_name=group.name,
-        ball_sizes=tuple(sizes),
-        boundary_ratios=tuple(ratios),
-        fitted_beta=beta,
-        fitted_degree=degree,
-        fit_window=(int(lo), int(hi)),
-    )
+    fits = len(radii) >= 2
+    beta = -float(np.polyfit(logs, ratio_logs, 1)[0]) if fits else float("nan")
+    degree = float(np.polyfit(logs, size_logs, 1)[0]) if fits else float("nan")
+    return GrowthReport(group.name, tuple(sizes), tuple(ratios), beta, degree, (int(lo), int(hi)))

@@ -12,8 +12,10 @@ an integer count array over the double ball, counted along the fibers of a
 central last coordinate where the group declares one and through the index
 map otherwise.  Every group element is found through its ball's one lookup,
 ``Ball.positions``, which index maps, kernel reads and norm scans share, and
-a whole support's word lengths come from one walk over growing balls.  An
-element cap bounds every ball a call enumerates, double balls included.
+a whole support's word lengths come from one walk over growing balls.  A
+full vector state's quadratic form looks its products up in the state's own
+support with the same packed-key finder.  An element cap bounds every ball a
+call enumerates, double balls included.
 
 Coefficients may be ints, floats, complexes, or ``fractions.Fraction``
 values.  Arithmetic preserves exact types, so identities that hold in
@@ -30,7 +32,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .cayley import Ball, _position_finder, _word_lengths, ball
+from .cayley import Ball, ResourceCapError, _position_finder, _rows, _word_lengths, ball
 
 __all__ = [
     "AlgebraElement",
@@ -194,12 +196,12 @@ def l2_norm(f: AlgebraElement) -> float:
 _CHUNK_BYTES = 1 << 22
 
 
-def _product_positions(left: np.ndarray, right: np.ndarray, target: Ball):
-    """Chunks (start, positions in ``target``, or -1, of left[start:stop, None] * right[None])."""
+def _product_positions(group, left: np.ndarray, right: np.ndarray, position):
+    """Chunks (start, ``position`` of the products left[start:stop, None] * right[None])."""
     rows = max(1, _CHUNK_BYTES // (right.itemsize * right.size))
     for start in range(0, len(left), rows):
-        prod = target.group.multiply_array(left[start : start + rows, None, :], right[None])
-        yield start, target.positions(prod)
+        prod = group.multiply_array(left[start : start + rows, None, :], right[None])
+        yield start, position(prod)
 
 
 @lru_cache(maxsize=None)
@@ -207,7 +209,7 @@ def _index_map(b, double) -> np.ndarray:
     xs = b.coords
     inverses = b.group.inverse_array(xs)
     idx = np.empty((len(b), len(b)), dtype=np.int32)
-    for start, pos in _product_positions(xs, inverses, double):
+    for start, pos in _product_positions(b.group, xs, inverses, double.positions):
         idx[start : start + len(pos)] = pos
     idx.setflags(write=False)
     return idx
@@ -317,7 +319,7 @@ def _compression_norm(f: AlgebraElement, radius: int, cap: Optional[int]) -> flo
     n = len(b)
     weights = np.array([complex(v) for _, v in f.items()])
     triplets = []
-    for start, pos in _product_positions(np.array(list(f.support)), b.coords, b):
+    for start, pos in _product_positions(f.group, np.array(list(f.support)), b.coords, b.positions):
         z, col = np.nonzero(pos >= 0)
         triplets.append((pos[z, col], col, weights[start + z]))
     rows, cols, w = map(np.concatenate, zip(*triplets))
@@ -400,11 +402,11 @@ def random_element(group, radius: int, rng: np.random.Generator) -> AlgebraEleme
     b = ball(group, radius)
     n = len(b)
     k = int(rng.integers(1, n + 1))
-    picks = rng.choice(n, size=k, replace=False)
+    picks = np.sort(rng.choice(n, size=k, replace=False))
     coeffs = {}
-    for i in sorted(int(p) for p in picks):
+    for g in map(tuple, b.coords[picks].tolist()):
         re, im = rng.standard_normal(2)
-        coeffs[b.elements[i]] = complex(re, im) / math.sqrt(2)
+        coeffs[g] = complex(re, im) / math.sqrt(2)
     return AlgebraElement(group, coeffs)
 
 
@@ -549,22 +551,25 @@ def fejer_apply(f: AlgebraElement, lam: int, cap: Optional[int] = None) -> Algeb
 def _quadratic_form(f: AlgebraElement, xi: Mapping) -> complex:
     """<xi, f xi> for left convolution by f on a finitely supported vector xi.
 
-    Sums conj(xi(x)) f(z) xi(z^{-1} x) over the support of xi and of f.
+    Sums conj(xi(x)) f(z) xi(z^{-1} x) over the support of xi and of f: the
+    array-law products of f's inverted support with xi's, in chunks of at most
+    ``_CHUNK_BYTES``, each looked up in xi's support.  Coordinates must lie
+    within +-2**30, where the built-in groups' int64 products stay exact.
     """
+    if not xi or not len(f):
+        return 0j
     grp = f.group
-    mul = grp.multiply
-    terms = [(grp.inverse(z), complex(fz)) for z, fz in f.items()]
-    total = 0.0 + 0.0j
-    for x, vx in xi.items():
-        if vx == 0:
-            continue
-        acc = 0.0 + 0.0j
-        for zinv, fz in terms:
-            vy = xi.get(mul(zinv, x), 0)
-            if vy != 0:
-                acc += fz * complex(vy)
-        total += complex(vx).conjugate() * acc
-    return total
+    k = len(grp.identity())
+    support, zs = _rows(list(xi), k), _rows(list(f.support), k)
+    if max(np.abs(support).max(), np.abs(zs).max()) > 2**30:
+        raise ResourceCapError("a quadratic form needs coordinates within +-2**30")
+    v = np.array([complex(c) for c in xi.values()])
+    w = np.array([complex(c) for c in f._coeffs.values()])
+    zinv = grp.inverse_array(zs)
+    acc = np.zeros(len(v), dtype=complex)
+    for start, pos in _product_positions(grp, zinv, support, _position_finder(support)):
+        acc += np.where(pos >= 0, w[start : start + len(pos), None] * v[pos], 0).sum(axis=0)
+    return complex(np.vdot(v, acc))
 
 
 def _format_value(v, exact: bool) -> tuple[str, str]:

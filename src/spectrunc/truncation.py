@@ -55,17 +55,18 @@ class ToeplitzOperator(AlgebraElement):
     The symbol is an algebra element supported on the double ball of the
     radius; the materialized matrix over the radius-lam ball has entry
     symbol(x y^{-1}) at position (x, y).  Arithmetic is the algebra's, and
-    only operators on the same truncation combine or compare equal.
+    only operators on the same truncation combine or compare equal.  The
+    element cap bounds the double ball that the symbol is checked against.
     """
 
     __slots__ = ("radius",)
 
-    def __init__(self, group, radius: int, symbol: Mapping):
+    def __init__(self, group, radius: int, symbol: Mapping, cap: Optional[int] = None):
         if radius < 1:
             raise ValueError(f"truncation radius must be at least 1, got {radius}")
         super().__init__(group, symbol)
         keys = list(symbol)  # the raw keys: a zero value outside the double ball is an error too
-        outside = np.flatnonzero(ball(group, 2 * radius).positions(keys) < 0)
+        outside = np.flatnonzero(ball(group, 2 * radius, cap=cap).positions(keys) < 0)
         if len(outside):
             z, r = keys[outside[0]], 2 * radius
             raise ValueError(f"symbol entry at {z} lies outside the double ball of radius {r}")
@@ -93,20 +94,21 @@ class ToeplitzOperator(AlgebraElement):
         )
 
 
-def compress(f: AlgebraElement, lam: int) -> ToeplitzOperator:
+def compress(f: AlgebraElement, lam: int, cap: Optional[int] = None) -> ToeplitzOperator:
     """Compression of a convolution operator to the radius-lam ball.
 
     The compressed matrix keeps exactly the coefficients of f on the double
-    ball, so the symbol is the plain restriction of f.
+    ball, so the symbol is the plain restriction of f.  The element cap
+    bounds the double ball.
     """
-    inside = ball(f.group, 2 * lam).positions(list(f.support)) >= 0
+    inside = ball(f.group, 2 * lam, cap=cap).positions(list(f.support)) >= 0
     symbol = {g: v for (g, v), keep in zip(f.items(), inside.tolist()) if keep}
-    return ToeplitzOperator(f.group, lam, symbol)
+    return ToeplitzOperator(f.group, lam, symbol, cap=cap)
 
 
-def materialize(T: ToeplitzOperator) -> np.ndarray:
+def materialize(T: ToeplitzOperator, cap: Optional[int] = None) -> np.ndarray:
     """Dense matrix of the truncated operator over the ball's element order."""
-    return compress_rep(T, T.radius)
+    return compress_rep(T, T.radius, cap=cap)
 
 
 def truncated_derivative(T: ToeplitzOperator, s: int = 1) -> ToeplitzOperator:

@@ -10,6 +10,8 @@ grows its range, lifts it to radius 4 unchecked and walks back down on the
 cap, which the one-pass fit must reproduce.  ``Cyclic`` is a finite group
 with elements of order two, which the built-in torsion-free groups lack.
 
+``quadratic_form`` applies the scalar law one support pair at a time, the
+reference for the array-law quadratic form of full vector states.
 ``brute_distance`` cross-checks ``lip_distance`` by an exhaustive grid in
 low dimension, ``averaging_check`` checks the translate-averaging identity
 that makes the reconstruction completely positive, and ``random_psd`` draws
@@ -39,8 +41,25 @@ from spectrunc import (
     spectral_norm,
     word_length,
 )
-from spectrunc.groupalg import _quadratic_form
 from spectrunc.qmetric import _distance_setup
+
+
+def quadratic_form(f, xi: Mapping) -> complex:
+    """<xi, f xi>: sums conj(xi(x)) f(z) xi(z^{-1} x) with the scalar law."""
+    grp = f.group
+    mul = grp.multiply
+    terms = [(grp.inverse(z), complex(fz)) for z, fz in f.items()]
+    total = 0.0 + 0.0j
+    for x, vx in xi.items():
+        if vx == 0:
+            continue
+        acc = 0.0 + 0.0j
+        for zinv, fz in terms:
+            vy = xi.get(mul(zinv, x), 0)
+            if vy != 0:
+                acc += fz * complex(vy)
+        total += complex(vx).conjugate() * acc
+    return total
 
 
 def ball_overlap(group, x, radius: int) -> int:
@@ -245,7 +264,7 @@ def averaging_check(T: ToeplitzOperator, xi: Mapping, pad: int) -> float:
         if np.any(u):
             lhs += np.vdot(u, M @ u)
 
-    rhs = _quadratic_form(reconstruct(T), xi) * len(b)
+    rhs = quadratic_form(reconstruct(T), xi) * len(b)
     return abs(lhs - rhs)
 
 

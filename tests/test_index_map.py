@@ -17,6 +17,7 @@ and a group that declares no central coordinate must count through the map.
 import math
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +33,7 @@ from spectrunc import (
     delta,
     epsilon_full,
     fejer_kernel,
+    growth_report,
     opnorm,
     random_element,
     word_length,
@@ -495,7 +497,9 @@ def test_balls_and_maps_equal_the_scalar_law(group):
     for radius in range(7):
         b = ball(group, radius)
         assert (b.elements, b.lengths) == _scalar_ball(group, radius)
-        assert all(type(c) is int for c in b.elements[-1])
+        assert all(type(c) is int for c in b.elements[-1]) and type(b.lengths[-1]) is int
+        assert type(b.length_of(b.elements[-1])) is int
+        assert type(word_length(group, b.elements[-1])) is int
         assert np.array_equal(b.coords, np.array(b.elements))
         assert np.array_equal(symbol_positions(group, radius), _scalar_index_map(group, radius))
 
@@ -570,3 +574,62 @@ def test_threads_share_one_enumeration():
     assert cayley._ENUMERATIONS[group].sizes == [len(ball(H, r)) for r in range(6)]
     for r in range(6):
         assert ball(group, r).elements == ball(H, r).elements
+
+
+def test_growth_report_keeps_no_element_tuples(monkeypatch):
+    monkeypatch.setattr(cayley, "_BALL_CACHE", {})
+    monkeypatch.setattr(cayley, "_ENUMERATIONS", {})
+    tracemalloc.start()
+    try:
+        report = growth_report(H, 24)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ball_sizes[-1] == len(ball(H, 24))
+    # the coordinates alone take 24 B per element (3 int64), 4.3 MB at radius 24;
+    # tuple copies of every ball's elements and lengths would keep about 33 MB
+    assert kept <= 8e6
+
+
+@pytest.mark.parametrize("group", [H, ScalarHeisenberg()], ids=["fibers", "index-map"])
+def test_counts_lookups_and_walks_build_no_element_tuples(group, monkeypatch):
+    monkeypatch.setattr(cayley, "_BALL_CACHE", {})
+    monkeypatch.setattr(cayley, "_ENUMERATIONS", {})
+    monkeypatch.setattr(groupalg, "_FEJER_CACHE", {})
+    b = ball(group, 4)
+    assert len(b) == len(b.coords) == 135
+    assert b.positions(b.coords[::-1]).tolist() == list(range(len(b)))[::-1]
+    assert b.positions([(1, 2, 3), (99, 0, 0)]).tolist()[1] == -1
+    assert (1, 1, 0) in b and b.length_of((1, 1, 0)) == 2
+    assert word_length(group, (0, 0, 9)) == 12
+    growth_report(group, 6)
+    symbol_positions(group, 2)
+    kern = fejer_kernel(group, 3)
+    assert kern((1, 0, 0)) == Fraction(int(kern.counts_at([(1, 0, 0)])[0]), kern.size)
+    f = random_element(group, 2, np.random.default_rng(16))
+    opnorm(f, r_max=5)
+    tuples = {"elements", "lengths"}
+    assert [r for (_, r), b in cayley._BALL_CACHE.items() if tuples & vars(b).keys()] == []
+
+
+def test_concurrent_first_reads_of_tuples_agree_with_the_scalar_bfs():
+    group = ScalarHeisenberg()
+    b = ball(group, 5)
+    start = threading.Barrier(6)
+    seen = []
+
+    def read():
+        start.wait()
+        seen.append((b.elements, b.lengths))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(seen) == 6 and all(pair == _scalar_ball(H, 5) for pair in seen)

@@ -9,12 +9,14 @@ from spectrunc import (
     AlgebraElement,
     FreeAbelian,
     Heisenberg,
+    ResourceCapError,
     SearchParams,
     SolverParams,
     State,
     ball,
     compress,
     delta,
+    derivative,
     density_state,
     epsilon_full,
     epsilon_truncated,
@@ -35,7 +37,7 @@ from spectrunc import (
     word_length,
 )
 
-from oracles import Cyclic, brute_distance, random_psd
+from oracles import Cyclic, brute_distance, quadratic_form, random_psd
 
 Z1 = FreeAbelian(1)
 Z2 = FreeAbelian(2)
@@ -84,6 +86,25 @@ def test_state_eval_full_examples():
     assert state_eval(phi, delta(Z1, (1,))) == 0.0
     psi = vector_state(Z1, {(0,): 1.0, (1,): 1.0})
     assert abs(state_eval(psi, delta(Z1, (1,))) - 0.5) < 1e-15
+
+
+@pytest.mark.parametrize("group", [Z1, Z2, H3], ids=lambda g: g.name)
+def test_full_state_eval_matches_the_scalar_quadratic_form(group):
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        phi = vector_state(group, random_element(group, 3, rng).coeffs())
+        f = random_element(group, 2, rng)
+        for a in (f, derivative(f, 2), fejer_apply(f, 1), unit(group)):
+            want = quadratic_form(a, phi.vector)
+            assert abs(state_eval(phi, a) - want) <= 1e-12 * abs(want)
+    far = {group.identity(): 0.5, (7,) * len(group.identity()): 1j}
+    f = random_element(group, 2, rng)
+    assert abs(qmetric._quadratic_form(f, far) - quadratic_form(f, far)) <= 1e-15
+    assert qmetric._quadratic_form(AlgebraElement(group, {}), far) == 0
+    k = len(group.identity())
+    for huge in (2**31, 2**70):  # past the exact int64 range, and past int64 itself
+        with pytest.raises(ResourceCapError, match="2\\*\\*30"):
+            state_eval(vector_state(group, {(huge,) * k: 1, (0,) * k: 1}), unit(group))
 
 
 def test_state_eval_truncated_examples():

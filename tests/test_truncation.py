@@ -10,6 +10,7 @@ from spectrunc import (
     AlgebraElement,
     FreeAbelian,
     Heisenberg,
+    ResourceCapError,
     ToeplitzOperator,
     ball,
     compress,
@@ -376,3 +377,17 @@ def test_parse_toeplitz_names_file_lines():
     assert parse_toeplitz("lambda 2\n", Z1) == ToeplitzOperator(Z1, 2, {})
     text = "# shift\n\nlambda 1\n\n0.5 0.0 1\n"
     assert parse_toeplitz(text, Z1) == ToeplitzOperator(Z1, 1, {(1,): 0.5})
+
+
+def test_compress_materialize_and_operators_bound_their_double_ball_by_the_cap():
+    f = delta(H3, (1, 0, 0))
+    assert len(ball(H3, 10)) == 4309
+    with pytest.raises(ResourceCapError, match="cap of 1000"):
+        compress(f, 5, cap=1000)
+    with pytest.raises(ResourceCapError, match="cap of 1000"):
+        ToeplitzOperator(H3, 5, {(1, 0, 0): 1}, cap=1000)
+    T = compress(f, 5, cap=4309)
+    assert T == ToeplitzOperator(H3, 5, {(1, 0, 0): 1}, cap=4309)
+    with pytest.raises(ResourceCapError, match="cap of 1000"):
+        materialize(T, cap=1000)
+    assert np.array_equal(materialize(T, cap=4309), materialize(T))
