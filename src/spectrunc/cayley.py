@@ -74,8 +74,12 @@ class FreeAbelian:
 
     @property
     def generators(self) -> tuple[Element, ...]:
-        d = range(self.dim)
-        return tuple(tuple(sign * (j == i) for j in d) for i in d for sign in (1, -1))
+        gens = []
+        for i in range(self.dim):
+            unit = tuple(1 if j == i else 0 for j in range(self.dim))
+            gens.append(unit)
+            gens.append(tuple(-c for c in unit))
+        return tuple(gens)
 
     def identity(self) -> Element:
         return (0,) * self.dim
@@ -96,8 +100,11 @@ class FreeAbelian:
         return -g
 
     def validate(self, g) -> None:
-        ints = isinstance(g, tuple) and all(isinstance(a, _INT_TYPES) for a in g)
-        if not ints or len(g) != self.dim:
+        if (
+            not isinstance(g, tuple)
+            or len(g) != self.dim
+            or not all(isinstance(a, _INT_TYPES) for a in g)
+        ):
             raise ValueError(f"{g!r} is not a valid element of {self.name}")
 
 
@@ -451,7 +458,17 @@ def growth_report(group, lam_max: int, fit_min: int = 2, cap: Optional[int] = No
     logs = np.log(radii.astype(float))
     ratio_logs = np.log([float(ratios[r - 1]) for r in radii])
     size_logs = np.log([float(sizes[r]) for r in radii])
-    fits = len(radii) >= 2
-    beta = -float(np.polyfit(logs, ratio_logs, 1)[0]) if fits else float("nan")
-    degree = float(np.polyfit(logs, size_logs, 1)[0]) if fits else float("nan")
-    return GrowthReport(group.name, tuple(sizes), tuple(ratios), beta, degree, (int(lo), int(hi)))
+    if len(radii) < 2:
+        beta = float("nan")
+        degree = float("nan")
+    else:
+        beta = -float(np.polyfit(logs, ratio_logs, 1)[0])
+        degree = float(np.polyfit(logs, size_logs, 1)[0])
+    return GrowthReport(
+        group_name=group.name,
+        ball_sizes=tuple(sizes),
+        boundary_ratios=tuple(ratios),
+        fitted_beta=beta,
+        fitted_degree=degree,
+        fit_window=(int(lo), int(hi)),
+    )

@@ -143,7 +143,7 @@ def _cmd_lipnorm(args) -> int:
 def _cmd_truncate(args) -> int:
     group = group_from_key(args.group)
     f = parse_algebra_element(_read_text(args.input), group)
-    T = compress(f, args.lam)
+    T = compress(f, args.lam, cap=args.cap)
     _write_text(args.output, format_toeplitz(T, exact=args.exact))
     return 0
 
@@ -265,6 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default="-")
     p.add_argument("--output", default=None)
     p.add_argument("--exact", action="store_true")
+    p.add_argument("--cap", type=int, default=None, help="element cap on the double ball")
     p.set_defaults(func=_cmd_truncate)
 
     p = sub.add_parser("reconstruct", help="weight a symbol file back into the algebra")

@@ -13,8 +13,8 @@ central last coordinate where the group declares one and through the index
 map otherwise.  Every group element is found through its ball's one lookup,
 ``Ball.positions``, which index maps, kernel reads and norm scans share, and
 a whole support's word lengths come from one walk over growing balls.  A
-full vector state's quadratic form looks its products up in the state's own
-support with the same packed-key finder.  An element cap bounds every ball a
+full vector state's quadratic form matches its products against the state's
+own support by one lexicographic sort.  An element cap bounds every ball a
 call enumerates, double balls included.
 
 Coefficients may be ints, floats, complexes, or ``fractions.Fraction``
@@ -32,7 +32,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .cayley import Ball, ResourceCapError, _position_finder, _rows, _word_lengths, ball
+from .cayley import Ball, _position_finder, _word_lengths, ball
 
 __all__ = [
     "AlgebraElement",
@@ -548,26 +548,45 @@ def fejer_apply(f: AlgebraElement, lam: int, cap: Optional[int] = None) -> Algeb
     )
 
 
+def _matched_rows(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Row number in ``table`` of each row of ``rows`` (shape (..., k)), or -1 for none.
+
+    One lexicographic sort of both sets of rows groups equal rows together, so
+    any coordinate range works, Python integers in object arrays included.
+    """
+    both = np.concatenate([table, rows.reshape(-1, table.shape[1])])
+    order = np.lexsort(both.T[::-1])
+    ordered = both[order]
+    group_of = np.cumsum(np.r_[True, np.any(ordered[1:] != ordered[:-1], axis=1)]) - 1
+    owner = np.full(len(both), -1)
+    from_table = order < len(table)
+    owner[group_of[from_table]] = order[from_table]
+    pos = np.empty(len(both), dtype=np.int64)
+    pos[order] = owner[group_of]
+    return pos[len(table) :].reshape(rows.shape[:-1])
+
+
 def _quadratic_form(f: AlgebraElement, xi: Mapping) -> complex:
     """<xi, f xi> for left convolution by f on a finitely supported vector xi.
 
     Sums conj(xi(x)) f(z) xi(z^{-1} x) over the support of xi and of f: the
     array-law products of f's inverted support with xi's, in chunks of at most
-    ``_CHUNK_BYTES``, each looked up in xi's support.  Coordinates must lie
-    within +-2**30, where the built-in groups' int64 products stay exact.
+    ``_CHUNK_BYTES``, each matched against xi's support.  The built-in laws
+    are at most quadratic, so int64 products are exact for coordinates within
+    +-2**30; past that the same law runs on Python integers.
     """
     if not xi or not len(f):
         return 0j
     grp = f.group
-    k = len(grp.identity())
-    support, zs = _rows(list(xi), k), _rows(list(f.support), k)
-    if max(np.abs(support).max(), np.abs(zs).max()) > 2**30:
-        raise ResourceCapError("a quadratic form needs coordinates within +-2**30")
+    support = np.array(list(xi), dtype=object)
+    zs = np.array(list(f.support), dtype=object)
+    if max(np.abs(support).max(), np.abs(zs).max()) <= 2**30:
+        support, zs = support.astype(np.int64), zs.astype(np.int64)
     v = np.array([complex(c) for c in xi.values()])
     w = np.array([complex(c) for c in f._coeffs.values()])
-    zinv = grp.inverse_array(zs)
     acc = np.zeros(len(v), dtype=complex)
-    for start, pos in _product_positions(grp, zinv, support, _position_finder(support)):
+    zinv = grp.inverse_array(zs)
+    for start, pos in _product_positions(grp, zinv, support, lambda p: _matched_rows(p, support)):
         acc += np.where(pos >= 0, w[start : start + len(pos), None] * v[pos], 0).sum(axis=0)
     return complex(np.vdot(v, acc))
 

@@ -106,9 +106,9 @@ def compress(f: AlgebraElement, lam: int, cap: Optional[int] = None) -> Toeplitz
     return ToeplitzOperator(f.group, lam, symbol, cap=cap)
 
 
-def materialize(T: ToeplitzOperator, cap: Optional[int] = None) -> np.ndarray:
+def materialize(T: ToeplitzOperator) -> np.ndarray:
     """Dense matrix of the truncated operator over the ball's element order."""
-    return compress_rep(T, T.radius, cap=cap)
+    return compress_rep(T, T.radius)
 
 
 def truncated_derivative(T: ToeplitzOperator, s: int = 1) -> ToeplitzOperator:

@@ -146,6 +146,18 @@ def test_truncate_exact_reads_integer_coefficients(capsys, tmp_path):
     assert out == "lambda 1\n3 0 0\n"
 
 
+def test_truncate_cap_bounds_the_double_ball(capsys, monkeypatch):
+    args = ("truncate", "--group", "heisenberg", "--lambda", "5", "--cap")
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1 0 1 0 0\n"))
+    code, out, err = _run(capsys, *args, "1000")  # the radius-10 ball has 4,309 elements
+    assert (code, out) == (3, "")
+    assert "cap of 1000" in err
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1 0 1 0 0\n"))
+    code, out, err = _run(capsys, *args, "4309")
+    assert code == 0, err
+    assert out == "lambda 5\n1.0 0.0 1 0 0\n"
+
+
 @pytest.mark.parametrize("text", ["1/0 0 1\n", "# c\nnan 0 1\n", "1 x 1\n"])
 def test_truncate_bad_coefficient_exits_2(capsys, monkeypatch, text):
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))

@@ -9,7 +9,6 @@ from spectrunc import (
     AlgebraElement,
     FreeAbelian,
     Heisenberg,
-    ResourceCapError,
     SearchParams,
     SolverParams,
     State,
@@ -102,9 +101,16 @@ def test_full_state_eval_matches_the_scalar_quadratic_form(group):
     assert abs(qmetric._quadratic_form(f, far) - quadratic_form(f, far)) <= 1e-15
     assert qmetric._quadratic_form(AlgebraElement(group, {}), far) == 0
     k = len(group.identity())
-    for huge in (2**31, 2**70):  # past the exact int64 range, and past int64 itself
-        with pytest.raises(ResourceCapError, match="2\\*\\*30"):
-            state_eval(vector_state(group, {(huge,) * k: 1, (0,) * k: 1}), unit(group))
+    for huge in (2**21, 2**31, 2**62, 2**70):  # inside int64 products, past them, past int64
+        xi = {(huge,) * k: 1, (0,) * k: 0.5j, (1 - huge, huge, huge)[:k]: -0.25}
+        for a in (unit(group), f, AlgebraElement(group, {(huge,) * k: 2, (-huge,) * k: 1j})):
+            want = quadratic_form(a, xi)
+            assert abs(qmetric._quadratic_form(a, xi) - want) <= 1e-12 * max(1, abs(want))
+    # on Heisenberg, a packed-key box spanning these rows would hold more than 2**63 points
+    xi = {(0,) * k: 1.0, (2**21,) * k: 2j}
+    a = AlgebraElement(group, {(0,) * k: 1, (2**21,) * k: 3, (-(2**21),) * k: -1j})
+    assert abs(qmetric._quadratic_form(a, xi) - quadratic_form(a, xi)) <= 1e-12
+    assert quadratic_form(a, xi) != quadratic_form(unit(group), xi)
 
 
 def test_state_eval_truncated_examples():
