@@ -2,7 +2,7 @@
 
 For each truncation radius the sweep records the ball size, the boundary
 ratio of the averaging kernel, the two approximation constants (the exact
-basis floor on the full algebra, an ascent on the truncated side), and the
+basis floor on the full algebra, a sign witness on the truncated side), and the
 resulting distance bound, which decays as the radius grows.  Reports export
 as CSV or JSON, optionally with a gnuplot script; here they go to a
 temporary directory that is removed after the CSV's first lines are shown.
@@ -18,7 +18,6 @@ config = ExperimentConfig(
     lambda_range=(2, 4, 8, 16),
     s=2,
     seed=0,
-    trials=4,
 )
 report = run_convergence(config)
 

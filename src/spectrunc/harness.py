@@ -2,8 +2,8 @@
 
 A sweep evaluates, for each truncation radius in a range, the ball size, the
 worst single-generator boundary ratio, the two approximation constants, and
-the resulting distance bound.  The truncated constant's ascent draws its
-randomness from a seed derived by hashing (seed, radius, stage), so any
+the resulting distance bound.  The truncated constant's optional ascent draws
+its randomness from a seed derived by hashing (seed, radius, stage), so any
 subset of radii reproduces the same rows in any order.  One growth fit per
 sweep picks the derivative order under ``s = auto`` and is the one the
 report's metadata carries.  One type rule, ``qmetric._typed``, checks every
@@ -54,7 +54,7 @@ class ExperimentConfig:
     lambda_range: tuple
     s: Union[int, str] = "auto"
     seed: int = 0
-    trials: int = 6
+    trials: int = 0
     output: Optional[str] = None
     format: str = "csv"
     ball_cap: Optional[int] = None
@@ -76,8 +76,8 @@ class ExperimentConfig:
         object.__setattr__(self, "lambda_range", lams)
         if self.s != "auto" and self.s < 1:
             raise ValueError(f"s must be 'auto' or a positive integer, got {self.s!r}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
+        if self.trials < 0:
+            raise ValueError(f"trials must be nonnegative, got {self.trials}")
         if self.ball_cap is not None and self.ball_cap < 1:
             raise ValueError(f"ball_cap must be at least 1, got {self.ball_cap}")
         if self.format not in ("csv", "json"):

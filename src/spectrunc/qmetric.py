@@ -9,8 +9,9 @@ mixing, brackets it between an attained witness value and a dual
 certificate.  The solver's budget counts evaluations of the ADMM map, one
 ``eigh`` each.  Of the two Lipschitz approximation constants that drive the
 quantitative convergence bound, the full-algebra one is the Folner epsilon,
-its exact basis floor, and the truncated one is probed by ratio ascent from
-that floor.  The ascent runs on pencils of ball compressions, each stored as
+its exact basis floor, and the truncated one the best of that floor, a sign
+witness (the sign of the defect multiplier, averaged onto symbols) and an
+optional ratio ascent, all on pencils of ball compressions, each stored as
 the symbol position and weight of every complex parameter, evaluated and
 differentiated through the index map; the distance solver's self-adjoint
 pencil also carries the double ball's inverse-position table.  A truncated
@@ -20,12 +21,13 @@ vector state finds its support in the ball by one position lookup.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
 
-from .cayley import ball
+from .cayley import ResourceCapError, ball
 from .groupalg import (
     AlgebraElement,
     fejer_kernel,
@@ -147,7 +149,7 @@ def state_eval(state: State, a):
 def random_vector_state(group, lam: int, rng: np.random.Generator) -> State:
     b = ball(group, lam)
     coeffs = {}
-    for g in b.elements:
+    for g in map(tuple, b.coords.tolist()):
         re, im = rng.standard_normal(2)
         coeffs[g] = complex(re, im)
     return vector_state(group, coeffs, lam=lam)
@@ -272,7 +274,7 @@ def _selfadjoint_pencil(group, lam: int, s: int) -> _Pencil:
     double = ball(group, 2 * lam)
     inverse = double.positions(group.inverse_array(double.coords))  # balls are symmetric
     pos = np.flatnonzero(np.arange(len(double)) <= inverse)[1:]
-    w = (np.array(double.lengths)[pos] ** s).astype(float)
+    w = (double._enumeration.lengths(pos) ** s).astype(float)
     return _Pencil(symbol_positions(group, lam), pos, w, inverse)
 
 
@@ -472,7 +474,8 @@ def lip_distance(
         return DistanceResult(value=0.0, witness=zero, status="converged", upper=0.0)
     p, value, upper, status = _trace_norm_dual(pencil, t, params)
     symbol = np.divide(p, weight, out=np.zeros_like(p), where=weight > 0)
-    witness = ToeplitzOperator(group, lam, dict(zip(ball(group, 2 * lam).elements, symbol)))
+    elements = map(tuple, ball(group, 2 * lam).coords.tolist())
+    witness = ToeplitzOperator(group, lam, dict(zip(elements, symbol)))
     return DistanceResult(value=value, witness=witness, status=status, upper=upper)
 
 
@@ -487,17 +490,17 @@ _STEP_DECAY = 0.05
 
 @dataclass(frozen=True)
 class SearchParams:
-    """Budget for the ratio search of :func:`epsilon_truncated`."""
+    """Budget for the ratio ascent of :func:`epsilon_truncated`; no starts runs none."""
 
-    starts: int = 6
+    starts: int = 0
     max_iters: int = 150
     seed: int = 0
 
     def __post_init__(self):
         for key in ("starts", "max_iters", "seed"):
             object.__setattr__(self, key, _typed(key, getattr(self, key), int))
-        if self.starts < 1:
-            raise ValueError(f"starts must be at least 1, got {self.starts}")
+        if self.starts < 0:
+            raise ValueError(f"starts must be nonnegative, got {self.starts}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be nonnegative, got {self.max_iters}")
         if self.seed < 0:
@@ -555,10 +558,41 @@ def _epsilon_pencils(group, lam: int, s: int, cap: Optional[int]):
     kern = fejer_kernel(group, lam, cap=cap)
     double = ball(group, 2 * lam, cap=cap)
     wnum = (kern.size - kern.counts[1:]) / kern.size
-    wden = np.array([float(length**s) for length in double.lengths[1:]])
-    idx = symbol_positions(group, lam, cap=cap)
     pos = np.arange(1, len(double))
+    wden = (double._enumeration.lengths(pos) ** s).astype(float)
+    idx = symbol_positions(group, lam, cap=cap)
     return _Pencil(idx, pos, wnum), _Pencil(idx, pos, wden)
+
+
+_WITNESS_GROWTH = 4  # the sign witness's ball has at most this many times lam's elements
+
+
+def _sign_witness(group, lam: int, s: int, num: _Pencil, den: _Pencil, cap: Optional[int]):
+    """The sign witness's attained ratio and its symbol p over the double ball less e.
+
+    r = (1 - K) / len^s, extended by len^-s past the double ball, is compressed to the
+    largest radius R >= lam whose ball has at most ``_WITNESS_GROWTH`` times lam's elements
+    and whose double ball fits the cap.  p averages onto each symbol the sign matrix of that
+    compression shifted by its median eigenvalue, which minimizes the mean modulus, and the
+    pencils' exact norms score the point p / len^s.
+    """
+    kern, R = fejer_kernel(group, lam, cap=cap), lam
+    limit = _WITNESS_GROWTH * kern.size
+    with suppress(ResourceCapError):  # a ball that stops growing is a whole finite group
+        while len(ball(group, R, cap=cap)) < len(ball(group, R + 1, cap=cap)) <= limit:
+            ball(group, 2 * R + 2, cap=cap)
+            R += 1
+    double, m = ball(group, 2 * R, cap=cap), len(kern.double)
+    idx = symbol_positions(group, R, cap=cap)
+    lengths = double._enumeration.lengths(np.arange(len(double)))
+    r = np.append(kern.size - kern.counts, np.full(len(double) - m, kern.size)) / kern.size
+    r /= np.maximum(lengths, 1) ** s  # r(e) = 0, since K(e) = 1
+    mu, V = np.linalg.eigh(r[idx])
+    sign = (V * np.sign(mu - (mu[(len(mu) - 1) // 2] + mu[len(mu) // 2]) / 2)) @ V.T
+    p = (np.bincount(idx.ravel(), sign.ravel())[:m] / np.bincount(idx.ravel())[:m])[1:]
+    x = (p / lengths[1:m] ** s).astype(complex).view(float)  # zero imaginary parts
+    (sn, sd), _, _ = _top_singular(np.stack([num(x), den(x)]))
+    return (sn / sd if sd > 0 else 0.0), p
 
 
 def epsilon_full(
@@ -580,16 +614,16 @@ def epsilon_full(
 def epsilon_truncated(
     group, lam: int, s: int, search: Optional[SearchParams] = None, cap: Optional[int] = None
 ) -> float:
-    """Empirical Lipschitz constant of the round-trip defect on the truncation.
+    """Certified lower bound of the Lipschitz constant of the round-trip defect on the truncation.
 
-    Starts from the basis floor of :func:`epsilon_full` and runs multi-start
-    ratio ascent over complex symbols on the double ball; both norms are
-    exact finite matrix norms over the radius-lam ball, so every ascent value
-    is attained.  ``cap`` bounds that ball and its double ball.
+    The best of three attained ratios of exact matrix norms over the radius-lam ball: the basis
+    floor, ``_sign_witness`` and the ascent of ``search``, which runs only if it has starts.
+    ``cap`` bounds every ball, the witness's larger one included.
     """
     floor = epsilon_full(group, lam, s, cap=cap)
     num, den = _epsilon_pencils(group, lam, s, cap)
-    return max(floor, _two_norm_ascent(num, den, search or SearchParams())[0])
+    witness = _sign_witness(group, lam, s, num, den, cap)[0]
+    return max(floor, witness, _two_norm_ascent(num, den, search or SearchParams())[0])
 
 
 def gh_bound(eps_full: float, eps_truncated: float) -> float:

@@ -143,7 +143,7 @@ def dirac_commutator(T: ToeplitzOperator) -> np.ndarray:
     far edge of the double ball and is therefore not used as a Lip-norm.
     """
     b = ball(T.group, T.radius)
-    lengths = np.array(b.lengths, dtype=float)
+    lengths = b._enumeration.lengths(np.arange(len(b))).astype(float)
     M = materialize(T)
     return lengths[:, None] * M - M * lengths[None, :]
 
@@ -195,7 +195,7 @@ def random_selfadjoint(group, lam: int, rng: np.random.Generator) -> ToeplitzOpe
     values.imag = np.where(pair, draws[first + pair] / np.sqrt(2), 0.0)
     keys = np.stack([lead, inverse[lead]], axis=1).ravel().tolist()
     vals = np.stack([values, np.where(pair, values.conj(), values)], axis=1).ravel().tolist()
-    return ToeplitzOperator(group, lam, dict(zip(map(double.elements.__getitem__, keys), vals)))
+    return ToeplitzOperator(group, lam, dict(zip(map(tuple, double.coords[keys].tolist()), vals)))
 
 
 def format_toeplitz(T: ToeplitzOperator, exact: bool = False) -> str:

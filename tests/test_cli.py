@@ -383,8 +383,7 @@ def test_distance_config_rejects_the_random_start_keys(capsys, tmp_path, key):
 @pytest.mark.parametrize(
     "command, flag, value, message",
     [
-        ("epsilon", "--trials", "0", "starts must be at least 1, got 0"),
-        ("epsilon", "--trials", "-1", "starts must be at least 1, got -1"),
+        ("epsilon", "--trials", "-1", "starts must be nonnegative, got -1"),
         ("epsilon", "--seed", "-1", "seed must be nonnegative, got -1"),
         ("distance", "--max-iters", "0", "max_iters must be at least 1, got 0"),
         ("distance", "--max-iters", "-3", "max_iters must be at least 1, got -3"),
@@ -542,15 +541,41 @@ def test_converge_output_dash_writes_stdout(capsys, tmp_path, monkeypatch):
 
 def test_converge_line_row_reports_the_basis_floor_as_eps_full(capsys):
     # eps_full is the basis floor; an ascent scored by unconverged opnorm scans
-    # reported 0.2005648232 here, above what its own witness attains
+    # reported 0.2005648232 here, above what its own witness attains.  eps_trunc
+    # is the sign witness, above the 0.208744969398 of the former 6-start ascent
     code, out, _ = _run(capsys, "converge", "--group", "z:1", "--lambdas", "2", "--seed", "0")
     assert code == 0
     header, line = out.splitlines()
     assert header == CSV_HEADER
     lam, size, folner, ef, et, gh = line.split(",")
     assert (lam, size, folner, ef) == ("2", "5", "0.2", "0.2")
-    assert float(et) == pytest.approx(0.208744969398, rel=1e-9)
-    assert float(gh) == pytest.approx(0.417489938795, rel=1e-9)
+    assert float(et) == pytest.approx(0.212194037203, rel=1e-9)
+    assert float(gh) == pytest.approx(0.424388074405, rel=1e-9)
+
+
+def _eps_trunc_column(capsys, *argv):
+    code, out, _ = _run(capsys, "converge", *argv)
+    assert code == 0
+    return [float(line.split(",")[4]) for line in out.splitlines()[1:]]
+
+
+def test_default_sweep_rows_reach_the_former_ascent_rows_for_every_seed(capsys):
+    # the rows of the former 6-start ascent at seed 0; the default sweep draws nothing
+    former = [0.208744969398, 1 / 9, 1 / 17, 1 / 33]
+    sweep = ("--group", "z:1", "--lambdas", "2,4,8,16")
+    rows = _eps_trunc_column(capsys, *sweep)
+    assert all(new >= old * (1 - 1e-11) for new, old in zip(rows, former))
+    assert rows[0] > former[0]
+    for seed in ("1", "7"):
+        assert _eps_trunc_column(capsys, *sweep, "--seed", seed) == rows
+
+
+def test_trials_add_the_ascent_on_top_of_the_witness(capsys):
+    # the witness alone reaches 0.446583 here, the former 6-start ascent 0.458584
+    witness = _eps_trunc_column(capsys, "--group", "z:2", "--lambdas", "2")
+    searched = _eps_trunc_column(capsys, "--group", "z:2", "--lambdas", "2", "--trials", "6")
+    assert witness[0] == pytest.approx(0.446583, abs=1e-6)
+    assert searched[0] >= 0.45858374255 * (1 - 1e-11)
 
 
 def test_converge_requires_lambdas(capsys):

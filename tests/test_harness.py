@@ -56,7 +56,8 @@ def test_config_validates_knobs():
     with pytest.raises(ValueError):
         _small_config(s="three")
     with pytest.raises(ValueError):
-        _small_config(trials=0)
+        _small_config(trials=-1)
+    assert _small_config(trials=0).trials == 0
     with pytest.raises(ValueError):
         _small_config(format="yaml")
 

@@ -32,10 +32,12 @@ from spectrunc import (
     compress_rep,
     delta,
     epsilon_full,
+    epsilon_truncated,
     fejer_kernel,
     growth_report,
     opnorm,
     random_element,
+    random_selfadjoint,
     word_length,
 )
 from spectrunc import cayley, groupalg, qmetric
@@ -608,6 +610,8 @@ def test_counts_lookups_and_walks_build_no_element_tuples(group, monkeypatch):
     assert kern((1, 0, 0)) == Fraction(int(kern.counts_at([(1, 0, 0)])[0]), kern.size)
     f = random_element(group, 2, np.random.default_rng(16))
     opnorm(f, r_max=5)
+    epsilon_truncated(group, 2, 3)
+    random_selfadjoint(group, 3, np.random.default_rng(17))
     tuples = {"elements", "lengths"}
     assert [r for (_, r), b in cayley._BALL_CACHE.items() if tuples & vars(b).keys()] == []
 

@@ -12,6 +12,7 @@ from spectrunc import (
     SearchParams,
     SolverParams,
     State,
+    ToeplitzOperator,
     ball,
     compress,
     delta,
@@ -25,10 +26,12 @@ from spectrunc import (
     group_from_key,
     l1_norm,
     lip_distance,
+    materialize,
     qmetric,
     random_density_state,
     random_element,
     random_vector_state,
+    spectral_norm,
     state_eval,
     truncated_lipnorm,
     unit,
@@ -368,6 +371,37 @@ def test_epsilon_truncated_exact_floor_on_z():
         assert epsilon_truncated(Z1, lam, 2, search=search) >= 1 / (2 * lam + 1) - 1e-12
 
 
+@pytest.mark.parametrize("group, lam, s", [(Z1, 2, 2), (Z2, 2, 2), (H3, 3, 3)], ids=["z1", "z2", "heis"])
+def test_sign_witness_is_attained_by_its_symbol(group, lam, s):
+    # the two symbols r p and p, rebuilt as operators and normed by materialize and
+    # spectral_norm instead of the pencils, reproduce the witness's ratio
+    num, den = qmetric._epsilon_pencils(group, lam, s, None)
+    value, p = qmetric._sign_witness(group, lam, s, num, den, None)
+    kern, double = fejer_kernel(group, lam), ball(group, 2 * lam)
+    assert len(p) == len(double) - 1
+    terms = list(zip(double.elements[1:], double.lengths[1:], p))
+    r_p = {z: float(1 - kern(z)) / n**s * v for z, n, v in terms}
+    norms = [spectral_norm(materialize(ToeplitzOperator(group, lam, sym)))
+             for sym in (r_p, {z: v for z, _, v in terms})]
+    assert norms[0] / norms[1] == pytest.approx(value, rel=1e-9)
+    assert value > epsilon_full(group, lam, s)
+
+
+@pytest.mark.parametrize("lam", range(1, 9))
+def test_sign_witness_stays_under_the_exact_constant_on_z_at_first_order(lam):
+    # at s = 1 on Z the truncated constant is exactly 1 / (2 lam + 1), the basis floor
+    num, den = qmetric._epsilon_pencils(Z1, lam, 1, None)
+    value = qmetric._sign_witness(Z1, lam, 1, num, den, None)[0]
+    assert value <= (1 + 1e-12) / (2 * lam + 1)
+    assert epsilon_truncated(Z1, lam, 1) == pytest.approx(1 / (2 * lam + 1), rel=1e-12)
+
+
+def test_sign_witness_radius_stops_where_a_finite_group_stops_growing():
+    # the balls of Z/7 stop at 7 elements, under 4 times the 5 of radius 2, so only the
+    # growth check ends the search for the witness's radius
+    assert epsilon_truncated(Cyclic(7), 2, 2) >= epsilon_full(Cyclic(7), 2, 2)
+
+
 def test_epsilon_full_at_least_basis_floor():
     for grp, lam, search in ((Z1, 1, SearchParams(starts=1, seed=2)), (Z1, 2, None), (Z2, 2, None)):
         kern = fejer_kernel(grp, lam)
@@ -413,7 +447,7 @@ def test_derivative_order_below_one_is_rejected(solve, s):
 @pytest.mark.parametrize(
     "make, message",
     [
-        (lambda: SearchParams(starts=0), "starts must be at least 1, got 0"),
+        (lambda: SearchParams(starts=-1), "starts must be nonnegative, got -1"),
         (lambda: SearchParams(max_iters=-1), "max_iters must be nonnegative, got -1"),
         (lambda: SearchParams(seed=-1), "seed must be nonnegative, got -1"),
         (lambda: SolverParams(max_iters=0), "max_iters must be at least 1, got 0"),
@@ -431,7 +465,7 @@ def test_search_and_solver_budgets_are_checked(make, message):
 
 
 def test_the_smallest_budgets_are_accepted():
-    assert SearchParams(starts=1, max_iters=0, seed=0).max_iters == 0
+    assert SearchParams(starts=0, max_iters=0, seed=0).starts == 0
     assert SolverParams(max_iters=1, tol=5e-324).max_iters == 1
 
 
