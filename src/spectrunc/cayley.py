@@ -312,7 +312,11 @@ class Ball:
 
     @cached_property
     def lengths(self) -> tuple:
-        return tuple(self._enumeration.lengths(np.arange(self._size)).tolist())
+        return tuple(self.lengths_at(np.arange(self._size)).tolist())
+
+    def lengths_at(self, positions) -> np.ndarray:
+        """Word length of the members at these positions in the ball's order."""
+        return self._enumeration.lengths(positions)
 
     @cached_property
     def _finder(self):
@@ -350,7 +354,7 @@ class Ball:
         i = self._position(g)
         if i < 0:
             raise KeyError(g)
-        return int(self._enumeration.lengths(i))
+        return int(self.lengths_at(i))
 
     def __repr__(self) -> str:
         return f"Ball({self.group.name}, radius={self.radius}, size={len(self)})"
@@ -410,7 +414,7 @@ def _word_lengths(group, elements, cap: Optional[int] = None) -> list:
         b = ball(group, radius, cap=cap)
         pos = b.positions(rows[todo])
         found = pos >= 0
-        lengths[todo[found]] = b._enumeration.lengths(pos[found])
+        lengths[todo[found]] = b.lengths_at(pos[found])
         todo = todo[~found]
         radius += 1
     return lengths.tolist()

@@ -12,10 +12,8 @@ an integer count array over the double ball, counted along the fibers of a
 central last coordinate where the group declares one and through the index
 map otherwise.  Every group element is found through its ball's one lookup,
 ``Ball.positions``, which index maps, kernel reads and norm scans share, and
-a whole support's word lengths come from one walk over growing balls.  A
-full vector state's quadratic form matches its products against the state's
-own support by one lexicographic sort.  An element cap bounds every ball a
-call enumerates, double balls included.
+a whole support's word lengths come from one walk over growing balls.  An
+element cap bounds every ball a call enumerates, double balls included.
 
 Coefficients may be ints, floats, complexes, or ``fractions.Fraction``
 values.  Arithmetic preserves exact types, so identities that hold in
@@ -173,6 +171,11 @@ def _check_order(s: int) -> None:
         raise ValueError(f"derivative order must be a positive integer, got {s}")
 
 
+def _check_radius(lam: int) -> None:
+    if lam < 1:
+        raise ValueError(f"truncation radius must be at least 1, got {lam}")
+
+
 def derivative(f: AlgebraElement, s: int = 1) -> AlgebraElement:
     """Pointwise multiplication by the s-th power of word length.
 
@@ -196,12 +199,12 @@ def l2_norm(f: AlgebraElement) -> float:
 _CHUNK_BYTES = 1 << 22
 
 
-def _product_positions(group, left: np.ndarray, right: np.ndarray, position):
-    """Chunks (start, ``position`` of the products left[start:stop, None] * right[None])."""
+def _product_positions(left: np.ndarray, right: np.ndarray, target: Ball):
+    """Chunks (start, target positions of the products left[start:stop, None] * right[None])."""
     rows = max(1, _CHUNK_BYTES // (right.itemsize * right.size))
     for start in range(0, len(left), rows):
-        prod = group.multiply_array(left[start : start + rows, None, :], right[None])
-        yield start, position(prod)
+        prod = target.group.multiply_array(left[start : start + rows, None, :], right[None])
+        yield start, target.positions(prod)
 
 
 @lru_cache(maxsize=None)
@@ -209,7 +212,7 @@ def _index_map(b, double) -> np.ndarray:
     xs = b.coords
     inverses = b.group.inverse_array(xs)
     idx = np.empty((len(b), len(b)), dtype=np.int32)
-    for start, pos in _product_positions(b.group, xs, inverses, double.positions):
+    for start, pos in _product_positions(xs, inverses, double):
         idx[start : start + len(pos)] = pos
     idx.setflags(write=False)
     return idx
@@ -319,7 +322,7 @@ def _compression_norm(f: AlgebraElement, radius: int, cap: Optional[int]) -> flo
     n = len(b)
     weights = np.array([complex(v) for _, v in f.items()])
     triplets = []
-    for start, pos in _product_positions(f.group, np.array(list(f.support)), b.coords, b.positions):
+    for start, pos in _product_positions(np.array(list(f.support)), b.coords, b):
         z, col = np.nonzero(pos >= 0)
         triplets.append((pos[z, col], col, weights[start + z]))
     rows, cols, w = map(np.concatenate, zip(*triplets))
@@ -519,8 +522,7 @@ def fejer_kernel(group, lam: int, cap: Optional[int] = None) -> FejerKernel:
     that read z, one bincount of the map.  The element cap applies to the
     double ball and is checked before the cache lookup.
     """
-    if lam < 1:
-        raise ValueError(f"truncation radius must be at least 1, got {lam}")
+    _check_radius(lam)
     double = ball(group, 2 * lam, cap=cap)
     cached = _FEJER_CACHE.get((group, lam))
     if cached is not None:
@@ -546,49 +548,6 @@ def fejer_apply(f: AlgebraElement, lam: int, cap: Optional[int] = None) -> Algeb
     return AlgebraElement(
         f.group, {g: Fraction(c, kern.size) * v for (g, v), c in zip(f.items(), counts) if c}
     )
-
-
-def _matched_rows(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Row number in ``table`` of each row of ``rows`` (shape (..., k)), or -1 for none.
-
-    One lexicographic sort of both sets of rows groups equal rows together, so
-    any coordinate range works, Python integers in object arrays included.
-    """
-    both = np.concatenate([table, rows.reshape(-1, table.shape[1])])
-    order = np.lexsort(both.T[::-1])
-    ordered = both[order]
-    group_of = np.cumsum(np.r_[True, np.any(ordered[1:] != ordered[:-1], axis=1)]) - 1
-    owner = np.full(len(both), -1)
-    from_table = order < len(table)
-    owner[group_of[from_table]] = order[from_table]
-    pos = np.empty(len(both), dtype=np.int64)
-    pos[order] = owner[group_of]
-    return pos[len(table) :].reshape(rows.shape[:-1])
-
-
-def _quadratic_form(f: AlgebraElement, xi: Mapping) -> complex:
-    """<xi, f xi> for left convolution by f on a finitely supported vector xi.
-
-    Sums conj(xi(x)) f(z) xi(z^{-1} x) over the support of xi and of f: the
-    array-law products of f's inverted support with xi's, in chunks of at most
-    ``_CHUNK_BYTES``, each matched against xi's support.  The built-in laws
-    are at most quadratic, so int64 products are exact for coordinates within
-    +-2**30; past that the same law runs on Python integers.
-    """
-    if not xi or not len(f):
-        return 0j
-    grp = f.group
-    support = np.array(list(xi), dtype=object)
-    zs = np.array(list(f.support), dtype=object)
-    if max(np.abs(support).max(), np.abs(zs).max()) <= 2**30:
-        support, zs = support.astype(np.int64), zs.astype(np.int64)
-    v = np.array([complex(c) for c in xi.values()])
-    w = np.array([complex(c) for c in f._coeffs.values()])
-    acc = np.zeros(len(v), dtype=complex)
-    zinv = grp.inverse_array(zs)
-    for start, pos in _product_positions(grp, zinv, support, lambda p: _matched_rows(p, support)):
-        acc += np.where(pos >= 0, w[start : start + len(pos), None] * v[pos], 0).sum(axis=0)
-    return complex(np.vdot(v, acc))
 
 
 def _format_value(v, exact: bool) -> tuple[str, str]:

@@ -1,21 +1,23 @@
 """State spaces, Lip-norm distances, and truncation error estimates.
 
-States evaluate algebra elements (full side) or truncated operators
-(compressed side).  The distance between two states is the supremum of their
-difference over the self-adjoint unit ball of the Lipschitz seminorm; on a
-truncation that is a convex problem whose dual is a trace-norm minimization
-over an affine set, so one ADMM solve, accelerated by safeguarded Anderson
-mixing, brackets it between an attained witness value and a dual
-certificate.  The solver's budget counts evaluations of the ADMM map, one
-``eigh`` each.  Of the two Lipschitz approximation constants that drive the
-quantitative convergence bound, the full-algebra one is the Folner epsilon,
-its exact basis floor, and the truncated one the best of that floor, a sign
-witness (the sign of the defect multiplier, averaged onto symbols) and an
-optional ratio ascent, all on pencils of ball compressions, each stored as
-the symbol position and weight of every complex parameter, evaluated and
-differentiated through the index map; the distance solver's self-adjoint
-pencil also carries the double ball's inverse-position table.  A truncated
-vector state finds its support in the ball by one position lookup.
+Every state lives on a truncation, as a unit vector or a density matrix over
+the radius-lam ball, and evaluates a truncated operator of that radius as one
+contraction of its state matrix with the operator's matrix; a vector state
+finds its support in the ball by one position lookup.  The distance between
+two states is the supremum of their difference over the self-adjoint unit
+ball of the Lipschitz seminorm; on a truncation that is a convex problem
+whose dual is a trace-norm minimization over an affine set, so one ADMM
+solve, accelerated by safeguarded Anderson mixing, brackets it between an
+attained witness value and a dual certificate.  The solver's budget counts
+evaluations of the ADMM map, one ``eigh`` each.  Of the two Lipschitz
+approximation constants that drive the quantitative convergence bound, the
+full-algebra one is the Folner epsilon, its exact basis floor, and the
+truncated one the best of that floor, a sign witness (the sign of the defect
+multiplier, averaged onto symbols) and an optional ratio ascent, all on
+pencils of ball compressions, each stored as the symbol position and weight
+of every complex parameter, evaluated and differentiated through the index
+map; the distance solver's self-adjoint pencil also carries the double
+ball's inverse-position table.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .groupalg import (
     spectral_norm,
     symbol_positions,
     _check_order,
-    _quadratic_form,
+    _check_radius,
     _start_vector,
 )
 from .truncation import ToeplitzOperator, materialize
@@ -57,15 +59,16 @@ __all__ = [
 
 
 class State:
-    """A state on the full algebra (lam None) or on a truncation (lam set).
+    """A state on the truncation to the radius-lam ball.
 
-    Vector states hold a unit l2 coefficient dictionary; density states hold
-    a positive trace-one matrix over the ball's element order.
+    Vector states hold a unit l2 coefficient dictionary supported in the
+    ball; density states hold a positive trace-one matrix over the ball's
+    element order.
     """
 
     __slots__ = ("group", "kind", "lam", "vector", "rho")
 
-    def __init__(self, group, kind: str, lam: Optional[int], vector=None, rho=None):
+    def __init__(self, group, kind: str, lam: int, vector=None, rho=None):
         self.group = group
         self.kind = kind
         self.lam = lam
@@ -73,16 +76,12 @@ class State:
         self.rho = rho
 
     def __repr__(self) -> str:
-        where = "full" if self.lam is None else f"lam={self.lam}"
-        return f"State({self.group.name}, {self.kind}, {where})"
+        return f"State({self.group.name}, {self.kind}, lam={self.lam})"
 
 
-def vector_state(group, coeffs: Mapping, lam: Optional[int] = None) -> State:
-    """Unit vector state from a finitely supported coefficient dictionary.
-
-    The vector is normalized in l2.  For a truncated state the support must
-    lie inside the radius-lam ball.
-    """
+def vector_state(group, coeffs: Mapping, lam: int) -> State:
+    """Unit vector state, normalized in l2, from coefficients supported in the radius-lam ball."""
+    _check_radius(lam)
     clean = {}
     for g, v in coeffs.items():
         group.validate(g)
@@ -90,17 +89,17 @@ def vector_state(group, coeffs: Mapping, lam: Optional[int] = None) -> State:
             clean[g] = complex(v)
     if not clean:
         raise ValueError("a vector state needs a nonzero vector")
-    if lam is not None:
-        keys = list(clean)
-        outside = np.flatnonzero(ball(group, lam).positions(keys) < 0)
-        if len(outside):
-            raise ValueError(f"support element {keys[outside[0]]} is outside the radius-{lam} ball")
+    keys = list(clean)
+    outside = np.flatnonzero(ball(group, lam).positions(keys) < 0)
+    if len(outside):
+        raise ValueError(f"support element {keys[outside[0]]} is outside the radius-{lam} ball")
     norm = math.sqrt(sum(abs(v) ** 2 for v in clean.values()))
     return State(group, "vector", lam, vector={g: v / norm for g, v in clean.items()})
 
 
 def density_state(group, rho: np.ndarray, lam: int, tol: float = 1e-10) -> State:
     """Density-matrix state over the radius-lam ball."""
+    _check_radius(lam)
     b = ball(group, lam)
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (len(b), len(b)):
@@ -115,8 +114,8 @@ def density_state(group, rho: np.ndarray, lam: int, tol: float = 1e-10) -> State
     return State(group, "density", lam, rho=rho)
 
 
-def _truncated_vector(state: State, lam: int) -> np.ndarray:
-    b = ball(state.group, lam)
+def _truncated_vector(state: State) -> np.ndarray:
+    b = ball(state.group, state.lam)
     pos = b.positions(list(state.vector))
     if (pos < 0).any():
         raise KeyError(next(g for g, i in zip(state.vector, pos) if i < 0))
@@ -125,24 +124,22 @@ def _truncated_vector(state: State, lam: int) -> np.ndarray:
     return v
 
 
+def _state_matrix(state: State) -> np.ndarray:
+    """W with state(T) = sum_ij W_ij T_ij for every truncated operator T."""
+    if state.kind == "vector":
+        v = _truncated_vector(state)
+        return np.outer(v.conj(), v)
+    return state.rho.T
+
+
 def state_eval(state: State, a):
-    """Evaluate a state on an algebra element or a truncated operator."""
+    """Evaluate a state on a truncated operator of its radius."""
     if isinstance(a, ToeplitzOperator):
-        if state.lam is None:
-            raise ValueError("a full state cannot evaluate a truncated operator")
         if a.group != state.group or a.radius != state.lam:
             raise ValueError("state and operator live on different truncations")
-        M = materialize(a)
-        if state.kind == "vector":
-            v = _truncated_vector(state, state.lam)
-            return complex(np.vdot(v, M @ v))
-        return complex(np.trace(state.rho @ M))
+        return complex(np.sum(_state_matrix(state) * materialize(a)))
     if isinstance(a, AlgebraElement):
-        if state.lam is not None:
-            raise ValueError("a truncated state cannot evaluate a full algebra element")
-        if a.group != state.group:
-            raise ValueError("state and element live on different groups")
-        return _quadratic_form(a, state.vector)
+        raise ValueError("a truncated state cannot evaluate a full algebra element")
     raise TypeError(f"cannot evaluate a state on {type(a).__name__}")
 
 
@@ -274,7 +271,7 @@ def _selfadjoint_pencil(group, lam: int, s: int) -> _Pencil:
     double = ball(group, 2 * lam)
     inverse = double.positions(group.inverse_array(double.coords))  # balls are symmetric
     pos = np.flatnonzero(np.arange(len(double)) <= inverse)[1:]
-    w = (double._enumeration.lengths(pos) ** s).astype(float)
+    w = (double.lengths_at(pos) ** s).astype(float)
     return _Pencil(symbol_positions(group, lam), pos, w, inverse)
 
 
@@ -422,14 +419,6 @@ def _trace_norm_dual(pencil: _Pencil, t: np.ndarray, params: SolverParams):
     return best, value, upper, status
 
 
-def _state_matrix(state: State) -> np.ndarray:
-    """W with state(T) = sum_ij W_ij T_ij for every truncated operator T."""
-    if state.kind == "vector":
-        v = _truncated_vector(state, state.lam)
-        return np.outer(v.conj(), v)
-    return state.rho.T
-
-
 def _distance_setup(phi: State, psi: State, s: int, lam: int):
     """The s-th derivative pencil, len(z)^s and t(z) per double-ball position z.
 
@@ -559,7 +548,7 @@ def _epsilon_pencils(group, lam: int, s: int, cap: Optional[int]):
     double = ball(group, 2 * lam, cap=cap)
     wnum = (kern.size - kern.counts[1:]) / kern.size
     pos = np.arange(1, len(double))
-    wden = (double._enumeration.lengths(pos) ** s).astype(float)
+    wden = (double.lengths_at(pos) ** s).astype(float)
     idx = symbol_positions(group, lam, cap=cap)
     return _Pencil(idx, pos, wnum), _Pencil(idx, pos, wden)
 
@@ -584,7 +573,7 @@ def _sign_witness(group, lam: int, s: int, num: _Pencil, den: _Pencil, cap: Opti
             R += 1
     double, m = ball(group, 2 * R, cap=cap), len(kern.double)
     idx = symbol_positions(group, R, cap=cap)
-    lengths = double._enumeration.lengths(np.arange(len(double)))
+    lengths = double.lengths_at(np.arange(len(double)))
     r = np.append(kern.size - kern.counts, np.full(len(double) - m, kern.size)) / kern.size
     r /= np.maximum(lengths, 1) ** s  # r(e) = 0, since K(e) = 1
     mu, V = np.linalg.eigh(r[idx])

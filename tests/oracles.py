@@ -10,8 +10,8 @@ grows its range, lifts it to radius 4 unchecked and walks back down on the
 cap, which the one-pass fit must reproduce.  ``Cyclic`` is a finite group
 with elements of order two, which the built-in torsion-free groups lack.
 
-``quadratic_form`` applies the scalar law one support pair at a time, the
-reference for the array-law quadratic form of full vector states.
+``quadratic_form`` is <xi, f xi> by the scalar law, one support pair at a
+time, for the translate-averaging identity and the smoothing bound.
 ``brute_distance`` cross-checks ``lip_distance`` by an exhaustive grid in
 low dimension, ``averaging_check`` checks the translate-averaging identity
 that makes the reconstruction completely positive, and ``random_psd`` draws

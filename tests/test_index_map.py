@@ -374,6 +374,22 @@ def test_a_group_without_a_central_coordinate_counts_through_the_map(monkeypatch
         }
 
 
+@pytest.mark.parametrize("chunk_bytes", [1, 10_000])
+def test_chunked_products_match_one_chunk(chunk_bytes, monkeypatch):
+    # at 10,000 bytes the radius-3 map takes 8 chunks of 7 rows, the kernel's fibers 6
+    # chunks and the radius-5 scan one row per chunk; at 1 byte every loop takes one row
+    f = random_element(H, 3, np.random.default_rng(5))
+    want = (symbol_positions(H, 3), fejer_kernel(H, 3).counts, opnorm(f, tol=1e-300, r_max=5))
+    monkeypatch.setattr(groupalg, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(groupalg, "_FEJER_CACHE", {})
+    groupalg._index_map.cache_clear()
+    got = (symbol_positions(H, 3), fejer_kernel(H, 3).counts, opnorm(f, tol=1e-300, r_max=5))
+    groupalg._index_map.cache_clear()
+    assert got[0] is not want[0] and np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert got[2] == want[2] and got[2].last_radius == 5
+
+
 @pytest.mark.parametrize(
     "group,lam",
     [(H, 1), (H, 2), (H, 3), (Z2, 1), (Z2, 2), (Z2, 3), (Z2, 4)]

@@ -3,7 +3,8 @@ every f-string has a placeholder, every module-level private name is read
 somewhere in the package, every function reads each of its parameters,
 importing the package leaves the heavy optional modules unloaded, the
 package imports nothing beyond the standard library and numpy, and only
-``cayley`` knows the packed-key format of ball lookups.
+``cayley`` knows the packed-key format of ball lookups or reads a ball's
+enumeration.
 
 An import marked ``# noqa: F401`` on its line is kept on purpose, as a
 linter would read the mark.
@@ -214,12 +215,15 @@ def test_every_parameter_is_read():
     assert sorted(found) == sorted(UNREAD_BY_DESIGN)
 
 
-# The packed-key format behind every ball lookup; other modules reach it through ``Ball.positions``.
+# Names only ``cayley`` uses: the packed-key format behind every ball lookup, which other
+# modules reach through ``Ball.positions``, and a ball's enumeration, whose word lengths they
+# read through ``Ball.lengths_at``.
 PACKED_KEY_NAMES = {"_pack", "_packing"}
+ENUMERATION_NAMES = {"_enumeration"}
 
 
-def packed_key_references(source: str) -> list[str]:
-    """Packed-key names that a source loads, reads as an attribute or imports."""
+def cayley_references(source: str, names: set) -> list[str]:
+    """Which of ``names`` a source loads, reads as an attribute or imports."""
     found = set()
     for n in ast.walk(ast.parse(source)):
         if isinstance(n, ast.Name):
@@ -228,14 +232,24 @@ def packed_key_references(source: str) -> list[str]:
             found.add(n.attr)
         elif isinstance(n, ast.alias):
             found.add(n.name)
-    return sorted(found & PACKED_KEY_NAMES)
+    return sorted(found & names)
 
 
 def test_the_check_finds_a_packed_key_reference():
     source = "from .cayley import _pack\nimport spectrunc.cayley as c\nc._packing(x)\n_packed = 1\n"
-    assert packed_key_references(source) == ["_pack", "_packing"]
+    assert cayley_references(source, PACKED_KEY_NAMES) == ["_pack", "_packing"]
+    source = "b._enumeration.lengths(p)\n_enumerations = {}\n"
+    assert cayley_references(source, ENUMERATION_NAMES) == ["_enumeration"]
 
 
-@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "cayley.py"], ids=lambda p: p.name)
+OUTSIDE_CAYLEY = [p for p in SOURCES if p.name != "cayley.py"]
+
+
+@pytest.mark.parametrize("path", OUTSIDE_CAYLEY, ids=lambda p: p.name)
 def test_only_cayley_knows_the_packed_key_format(path):
-    assert packed_key_references(path.read_text()) == []
+    assert cayley_references(path.read_text(), PACKED_KEY_NAMES) == []
+
+
+@pytest.mark.parametrize("path", OUTSIDE_CAYLEY, ids=lambda p: p.name)
+def test_only_cayley_reads_a_balls_enumeration(path):
+    assert cayley_references(path.read_text(), ENUMERATION_NAMES) == []
