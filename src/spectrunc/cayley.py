@@ -315,7 +315,10 @@ class Ball:
         return tuple(self.lengths_at(np.arange(self._size)).tolist())
 
     def lengths_at(self, positions) -> np.ndarray:
-        """Word length of the members at these positions in the ball's order."""
+        """Word lengths at these positions in the ball's order; IndexError outside 0 .. len - 1."""
+        positions = np.asarray(positions)
+        if positions.size and not 0 <= positions.min() <= positions.max() < self._size:
+            raise IndexError(f"positions outside 0 .. {self._size - 1} of {self!r}")
         return self._enumeration.lengths(positions)
 
     @cached_property

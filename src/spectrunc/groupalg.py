@@ -249,7 +249,7 @@ def compress_rep(f: AlgebraElement, radius: int, cap: Optional[int] = None) -> n
 
 @lru_cache(maxsize=None)
 def _start_vector(n: int) -> np.ndarray:
-    """Fixed generic complex start vector of the inverse-iteration and Lanczos solves."""
+    """Fixed generic complex start vector of the opt-in ascent's inverse iteration and Lanczos."""
     rng = np.random.default_rng(0x5EC7)
     start = rng.standard_normal((n, 2)) @ np.array([1.0, 1.0j])
     start.flags.writeable = False

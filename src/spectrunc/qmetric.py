@@ -281,24 +281,28 @@ def _selfadjoint_pencil(group, lam: int, s: int) -> _Pencil:
 _STACK_BYTES = 1 << 22
 
 
+def _gram_top(M: np.ndarray):
+    """Fresh Gram stack H = M^H M of a (B, n, n) stack, its top eigenvalues and their roots."""
+    H = M.conj().transpose(0, 2, 1) @ M
+    top = np.linalg.eigvalsh(H)[:, -1]
+    return H, top, np.sqrt(np.maximum(top, 0.0))
+
+
 def _top_singular(M: np.ndarray):
     """Top singular values and pairs (u, v), Re(u^H M v) = sigma, of a (B, n, n) stack.
 
-    The top eigenvalue of the Gram stack H = M^H M comes from ``eigvalsh``,
-    and its eigenvector v from one solve of (H - mu I) v = start with the
+    sigma and the top eigenvalue of H = M^H M come from ``_gram_top``, and its
+    eigenvector v from one solve of (H - mu I) v = ``_start_vector`` with the
     shift mu just past that eigenvalue: inverse iteration with an accurate
-    shift converges in one step.  sigma is the root of that eigenvalue and
-    u = M v / sigma; a zero matrix gives sigma 0 and u = v.
+    shift converges in one step.  u = M v / sigma; a zero matrix gives sigma 0
+    and u = v.  Only the opt-in ascent's gradients need the pairs.
     """
     B, n = M.shape[:2]
-    # a fresh C-contiguous H, so the diagonal view below writes into it
-    H = M.conj().transpose(0, 2, 1) @ M
-    top = np.linalg.eigvalsh(H)[:, -1]
+    H, top, sigma = _gram_top(M)
     sign = np.where(top >= 0, 1.0, -1.0)
     H.reshape(B, n * n)[:, :: n + 1] -= (top + sign * (1e-12 * np.abs(top) + 1e-150))[:, None]
     v = np.linalg.solve(H, np.broadcast_to(_start_vector(n)[:, None], (B, n, 1)))[..., 0]
     v /= np.linalg.norm(v, axis=1)[:, None]
-    sigma = np.sqrt(np.maximum(top, 0.0))
     Mv = (M @ v[..., None])[..., 0]
     u = np.divide(Mv, sigma[:, None], out=v.copy(), where=sigma[:, None] > 0)
     return sigma, u, v
@@ -563,7 +567,7 @@ def _sign_witness(group, lam: int, s: int, num: _Pencil, den: _Pencil, cap: Opti
     largest radius R >= lam whose ball has at most ``_WITNESS_GROWTH`` times lam's elements
     and whose double ball fits the cap.  p averages onto each symbol the sign matrix of that
     compression shifted by its median eigenvalue, which minimizes the mean modulus, and the
-    pencils' exact norms score the point p / len^s.
+    pencils' exact norms, from ``_gram_top`` alone, score the point p / len^s.
     """
     kern, R = fejer_kernel(group, lam, cap=cap), lam
     limit = _WITNESS_GROWTH * kern.size
@@ -580,7 +584,7 @@ def _sign_witness(group, lam: int, s: int, num: _Pencil, den: _Pencil, cap: Opti
     sign = (V * np.sign(mu - (mu[(len(mu) - 1) // 2] + mu[len(mu) // 2]) / 2)) @ V.T
     p = (np.bincount(idx.ravel(), sign.ravel())[:m] / np.bincount(idx.ravel())[:m])[1:]
     x = (p / lengths[1:m] ** s).astype(complex).view(float)  # zero imaginary parts
-    (sn, sd), _, _ = _top_singular(np.stack([num(x), den(x)]))
+    sn, sd = _gram_top(np.stack([num(x), den(x)]))[2]
     return (sn / sd if sd > 0 else 0.0), p
 
 
@@ -606,13 +610,14 @@ def epsilon_truncated(
     """Certified lower bound of the Lipschitz constant of the round-trip defect on the truncation.
 
     The best of three attained ratios of exact matrix norms over the radius-lam ball: the basis
-    floor, ``_sign_witness`` and the ascent of ``search``, which runs only if it has starts.
-    ``cap`` bounds every ball, the witness's larger one included.
+    floor, ``_sign_witness`` and the ascent of ``search``, which runs only if it has starts, so
+    a default call draws no random number.  ``cap`` bounds every ball, the witness's included.
     """
     floor = epsilon_full(group, lam, s, cap=cap)
     num, den = _epsilon_pencils(group, lam, s, cap)
     witness = _sign_witness(group, lam, s, num, den, cap)[0]
-    return max(floor, witness, _two_norm_ascent(num, den, search or SearchParams())[0])
+    ascent = _two_norm_ascent(num, den, search)[0] if search and search.starts else 0.0
+    return max(floor, witness, ascent)
 
 
 def gh_bound(eps_full: float, eps_truncated: float) -> float:

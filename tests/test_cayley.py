@@ -210,6 +210,22 @@ def test_a_nonmember_is_not_in_the_ball_and_has_no_length(group, probe):
         b.length_of(probe)
 
 
+def test_lengths_at_rejects_a_position_outside_the_ball():
+    # the -1 of a nonmember would read the identity's length 0, and a position past
+    # the ball the length of a row of the larger enumerated ball
+    ball(H3, 3)
+    b = ball(H3, 1)
+    with pytest.raises(IndexError):
+        b.lengths_at([-1, 0, 4, 5, 40, 10**6])
+    for bad in (-1, 5, [5], [0, -1], np.array([4, 40])):
+        with pytest.raises(IndexError):
+            b.lengths_at(bad)
+    assert b.lengths_at(np.arange(5)).tolist() == [0, 1, 1, 1, 1]
+    assert b.lengths_at(4) == 1 and b.lengths_at([]).size == 0
+    big = ball(H3, 3)
+    assert big.lengths_at(np.arange(len(b))).tolist() == list(b.lengths)
+
+
 def test_ball_rejects_negative_radius():
     with pytest.raises(ValueError):
         ball(Z1, -1)

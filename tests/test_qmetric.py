@@ -381,6 +381,32 @@ def test_sign_witness_stays_under_the_exact_constant_on_z_at_first_order(lam):
     assert epsilon_truncated(Z1, lam, 1) == pytest.approx(1 / (2 * lam + 1), rel=1e-12)
 
 
+@pytest.mark.parametrize("group, s", [(Z1, 2), (Z2, 2), (H3, 3)], ids=["z1", "z2", "heis"])
+@pytest.mark.parametrize("lam", [1, 2, 3])
+def test_sign_witness_score_is_the_ratio_of_the_top_singular_values(group, lam, s):
+    # the witness reads only the top eigenvalues of its Gram stack; the singular-pair
+    # solve of the ascent gives the same sigmas on the same stack, bit for bit
+    num, den = qmetric._epsilon_pencils(group, lam, s, None)
+    value, p = qmetric._sign_witness(group, lam, s, num, den, None)
+    lengths = ball(group, 2 * lam).lengths_at(np.arange(1, len(p) + 1))
+    x = (p / lengths**s).astype(complex).view(float)
+    sn, sd = qmetric._top_singular(np.stack([num(x), den(x)]))[0]
+    assert value == sn / sd
+
+
+@pytest.mark.parametrize("group, lam, s", [(Z1, 2, 2), (Z2, 2, 2), (H3, 1, 3)], ids=["z1", "z2", "heis"])
+def test_a_search_without_starts_never_enters_the_ascent(monkeypatch, group, lam, s):
+    num, den = qmetric._epsilon_pencils(group, lam, s, None)
+    want = max(epsilon_full(group, lam, s), qmetric._sign_witness(group, lam, s, num, den, None)[0])
+
+    def entered(*args):
+        raise AssertionError("the ascent ran without starts")
+
+    monkeypatch.setattr(qmetric, "_two_norm_ascent", entered)
+    assert epsilon_truncated(group, lam, s, SearchParams()) == want
+    assert epsilon_truncated(group, lam, s) == want
+
+
 def test_sign_witness_radius_stops_where_a_finite_group_stops_growing():
     # the balls of Z/7 stop at 7 elements, under 4 times the 5 of radius 2, so only the
     # growth check ends the search for the witness's radius

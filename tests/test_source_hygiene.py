@@ -1,10 +1,10 @@
 """Source checks that need no linter: every module-level import is used,
 every f-string has a placeholder, every module-level private name is read
 somewhere in the package, every function reads each of its parameters,
-importing the package leaves the heavy optional modules unloaded, the
-package imports nothing beyond the standard library and numpy, and only
-``cayley`` knows the packed-key format of ball lookups or reads a ball's
-enumeration.
+importing the package, and a default ``converge`` or ``epsilon`` run, leave
+the heavy optional modules unloaded, the package imports nothing beyond the
+standard library and numpy, and only ``cayley`` knows the packed-key format
+of ball lookups or reads a ball's enumeration.
 
 An import marked ``# noqa: F401`` on its line is kept on purpose, as a
 linter would read the mark.
@@ -90,14 +90,37 @@ def test_no_placeholderless_fstrings(path):
 LAZY_MODULES = ("numpy.random", "scipy", "scipy.linalg", "scipy.optimize")
 
 
-def test_importing_the_package_loads_no_lazy_module():
+def lazy_modules_loaded(statement: str) -> list:
+    """``LAZY_MODULES`` entries that a fresh interpreter holds after importing the
+    package and running ``statement``."""
     src = str(SOURCES[0].parent.parent)
     probe = (
-        f"import sys; sys.path.insert(0, {src!r}); import spectrunc; "
+        f"import sys; sys.path.insert(0, {src!r}); import spectrunc; {statement}; "
         f"print(sorted(set({LAZY_MODULES!r}) & set(sys.modules)))"
     )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return ast.literal_eval(out.stdout.splitlines()[-1])
+
+
+def test_importing_the_package_loads_no_lazy_module():
+    assert lazy_modules_loaded("pass") == []
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["converge", "--group", "z:1", "--lambdas", "2,4"], []),
+        (["epsilon", "--group", "heisenberg", "--lambda", "1", "--s", "3"], []),
+        # the positive control: the opt-in ascent draws its starts from numpy.random
+        (["converge", "--group", "z:1", "--lambdas", "2,4", "--trials", "1"], ["numpy.random"]),
+        (["epsilon", "--group", "heisenberg", "--lambda", "1", "--s", "3", "--trials", "1"],
+         ["numpy.random"]),
+    ],
+    ids=["converge", "epsilon", "converge-trials", "epsilon-trials"],
+)
+def test_a_default_run_loads_no_lazy_module(argv, loaded):
+    statement = f"from spectrunc import cli; assert cli.run({argv!r}) == 0"
+    assert lazy_modules_loaded(statement) == loaded
 
 
 def third_party_imports(source: str) -> list[str]:
