@@ -32,8 +32,8 @@ from .truncation import (
 )
 from .groupalg import spectral_norm
 from .harness import ExperimentConfig, _check_gnuplot_target, _fmt12, export_report
-from .harness import _CONFIG_TYPES, run_convergence
-from .qmetric import SearchParams, SolverParams, epsilon_full, epsilon_truncated, gh_bound
+from .harness import _CONFIG_TYPES, _row, run_convergence
+from .qmetric import SearchParams, SolverParams
 from .qmetric import _typed, lip_distance, vector_state
 
 
@@ -196,12 +196,10 @@ def _cmd_distance(args) -> int:
 
 def _cmd_epsilon(args) -> int:
     group = group_from_key(args.group)
-    params = _params(SearchParams, args, _EPSILON_FIELDS)
-    ef = epsilon_full(group, args.lam, args.s)
-    et = epsilon_truncated(group, args.lam, args.s, params)
-    print(f"eps_full {_fmt12(ef)}")
-    print(f"eps_trunc {_fmt12(et)}")
-    print(f"gh_bound {_fmt12(gh_bound(ef, et))}")
+    row = _row(group, args.lam, args.s, _params(SearchParams, args, _EPSILON_FIELDS))
+    print(f"eps_full {_fmt12(row.eps_full)}")
+    print(f"eps_trunc {_fmt12(row.eps_trunc)}")
+    print(f"gh_bound {_fmt12(row.gh_bound)}")
     return 0
 
 

@@ -364,6 +364,7 @@ def opnorm(
     enough to see every support element of f (and never before ``r_min``); it
     starts one radius below that floor and ends at r_max at the latest, and it
     reads no index map or double ball at any radius (``_compression_norm``).
+    ``cap`` bounds every ball, the walk for the support's word lengths included.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -371,7 +372,7 @@ def opnorm(
         raise ValueError(f"r_max must be nonnegative, got {r_max}")
     if len(f) == 0:
         return OpnormResult(estimate=0.0, converged=True, last_radius=0)
-    reach = max(_word_lengths(f.group, list(f.support)))
+    reach = max(_word_lengths(f.group, list(f.support), cap=cap))
     r_floor = max(r_min, (reach + 1) // 2)
     estimate = 0.0
     prev = None

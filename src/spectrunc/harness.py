@@ -2,13 +2,13 @@
 
 A sweep evaluates, for each truncation radius in a range, the ball size, the
 worst single-generator boundary ratio, the two approximation constants, and
-the resulting distance bound.  The truncated constant's optional ascent draws
-its randomness from a seed derived by hashing (seed, radius, stage), so any
-subset of radii reproduces the same rows in any order.  One growth fit per
-sweep picks the derivative order under ``s = auto`` and is the one the
-report's metadata carries.  One type rule, ``qmetric._typed``, checks every
-config value, whether a sweep's configuration, a command's tuning key or a
-solver or search budget.
+the resulting distance bound; the ``epsilon`` command prints the same row.
+The truncated constant's optional ascent draws its randomness from a seed
+derived by hashing (seed, radius, stage), so any subset of radii reproduces
+the same rows in any order.  One growth fit per sweep picks the derivative
+order under ``s = auto`` and is the one the report's metadata carries.  One
+type rule, ``qmetric._typed``, checks every config value, whether a sweep's
+configuration, a command's tuning key or a solver or search budget.
 """
 
 from __future__ import annotations
@@ -16,11 +16,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, TextIO, Union
 
 from .cayley import DEFAULT_BALL_CAP, ResourceCapError, ball, group_from_key, growth_report
+from .groupalg import _check_order, _check_radius
 from .qmetric import SearchParams, _typed, epsilon_full, epsilon_truncated, gh_bound
 
 __all__ = [
@@ -156,21 +157,32 @@ def choose_s(group, cap: Optional[int] = None) -> int:
     return _order(_growth_fit(group, cap).fitted_degree)
 
 
-def _compute_row(config: ExperimentConfig, group, s: int, lam: int) -> ConvergenceRow:
+def _row(group, lam: int, s: int, search: SearchParams, cap: Optional[int] = None):
+    """The row at radius lam, for a sweep and the ``epsilon`` command alike.
+
+    The ascent of ``search``, if it has starts, draws from the seed derived from
+    (search.seed, lam, "eps-trunc").  Raises ResourceCapError when the cap stops the row.
+    """
+    _check_order(s)
+    _check_radius(lam)
+    size = len(ball(group, lam, cap=cap))
+    ef = epsilon_full(group, lam, s, cap=cap)
+    search = replace(search, seed=_derived_seed(search.seed, lam, "eps-trunc"))
+    et = epsilon_truncated(group, lam, s, search, cap=cap)
+    return ConvergenceRow(
+        lam=lam,
+        ball_size=size,
+        folner_eps=ef,
+        eps_full=ef,
+        eps_trunc=et,
+        gh_bound=gh_bound(ef, et),
+    )
+
+
+def _compute_row(group, lam: int, s: int, search: SearchParams, cap: Optional[int]):
+    """``_row``, or a skipped row with the reason when the cap stops it."""
     try:
-        size = len(ball(group, lam, cap=config.ball_cap))
-        ef = epsilon_full(group, lam, s, cap=config.ball_cap)
-        seed = _derived_seed(config.seed, lam, "eps-trunc")
-        search = SearchParams(starts=config.trials, seed=seed)
-        et = epsilon_truncated(group, lam, s, search, cap=config.ball_cap)
-        return ConvergenceRow(
-            lam=lam,
-            ball_size=size,
-            folner_eps=ef,
-            eps_full=ef,
-            eps_trunc=et,
-            gh_bound=gh_bound(ef, et),
-        )
+        return _row(group, lam, s, search, cap)
     except ResourceCapError as exc:
         return ConvergenceRow(lam=lam, skipped=True, reason=str(exc))
 
@@ -182,6 +194,7 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
     When the cap stops that fit, an auto sweep raises ResourceCapError and a
     sweep with a given s reports the fit as None.
     """
+    search = SearchParams(starts=config.trials, seed=config.seed)  # checks the seed
     group = group_from_key(config.group)
     try:
         fit = _growth_fit(group, cap=config.ball_cap)
@@ -190,7 +203,7 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
             raise
         fit = None
     s = _order(fit.fitted_degree) if config.s == "auto" else int(config.s)
-    rows = [_compute_row(config, group, s, lam) for lam in config.lambda_range]
+    rows = [_compute_row(group, lam, s, search, config.ball_cap) for lam in config.lambda_range]
     metadata = {
         "group": config.group,
         "s": s,

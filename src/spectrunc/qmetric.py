@@ -16,8 +16,8 @@ truncated one the best of that floor, a sign witness (the sign of the defect
 multiplier, averaged onto symbols) and an optional ratio ascent, all on
 pencils of ball compressions, each stored as the symbol position and weight
 of every complex parameter, evaluated and differentiated through the index
-map; the distance solver's self-adjoint pencil also carries the double
-ball's inverse-position table.
+map.  The distance solver reads the double ball's own arrays instead: the
+index map, the inverse-position table and the word lengths.
 """
 
 from __future__ import annotations
@@ -210,69 +210,46 @@ class DistanceResult:
     upper: float
 
 
+def _position_sums(idx: np.ndarray, W: np.ndarray, slots: int) -> np.ndarray:
+    """Sum of W's entries at each of the slots positions of the index map idx.
+
+    Row b of a stack of matrices sums into its own bins.
+    """
+    flat, w = idx.ravel(), W.ravel()
+    rows = len(w) // len(flat)
+    bins = (flat + slots * np.arange(rows)[:, None]).ravel()
+    g = np.bincount(bins, w.real, rows * slots) + 1j * np.bincount(bins, w.imag, rows * slots)
+    return g.reshape(*W.shape[:-2], slots)
+
+
 class _Pencil:
     """Matrix pencil x -> sum_k x_k M_k of compressions to one ball.
 
     Complex parameter k, zeta_k = x[2k] + i x[2k+1], puts zeta_k w[k] at
-    position pos[k] of the symbol over the double ball; a self-adjoint pencil
-    carries the double ball's ``inverse`` position table and also adds
-    conj(zeta_k) w[k] at mirror[k] = inverse[pos[k]], so a self-inverse
-    element gets 2 Re(zeta_k) w[k].  M(x) gathers the symbol through the index
-    map.  Points and vectors may be single or stacked along a leading axis.
+    position pos[k] of the symbol over the double ball, and M(x) gathers the
+    symbol through the index map.  Points and vectors may be single or
+    stacked along a leading axis.
     """
 
-    def __init__(self, idx: np.ndarray, pos: np.ndarray, w: np.ndarray, inverse=None):
-        self.idx, self.pos, self.w, self.inverse = idx, pos, w, inverse
-        self.mirror = None if inverse is None else inverse[pos]
+    def __init__(self, idx: np.ndarray, pos: np.ndarray, w: np.ndarray):
+        self.idx, self.pos, self.w = idx, pos, w
         self.size = 2 * len(w)
-        self._flat = idx.ravel()
-        self._slots = int(self._flat.max()) + 1
+        self._slots = int(idx.max()) + 1
 
     def symbol(self, x: np.ndarray) -> np.ndarray:
         """The symbol over the double ball at x."""
-        zeta = (x[..., 0::2] + 1j * x[..., 1::2]) * self.w
         sym = np.zeros(x.shape[:-1] + (self._slots,), dtype=complex)
-        sym[..., self.pos] = zeta
-        if self.mirror is not None:
-            sym[..., self.mirror] += zeta.conj()
+        sym[..., self.pos] = (x[..., 0::2] + 1j * x[..., 1::2]) * self.w
         return sym
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         # an index, not take(): the stack's memory layout sets the rounding of the solves
         return self.symbol(x)[..., self.idx]
 
-    def sums(self, W: np.ndarray) -> np.ndarray:
-        """Sum of W's entries at each symbol position; row b of a stack sums into its own bins."""
-        w = W.ravel()
-        slots = self._slots
-        rows = len(w) // len(self._flat)
-        bins = (self._flat + slots * np.arange(rows)[:, None]).ravel()
-        g = np.bincount(bins, w.real, rows * slots) + 1j * np.bincount(bins, w.imag, rows * slots)
-        return g.reshape(*W.shape[:-2], slots)
-
-    def adjoint(self, g: np.ndarray) -> np.ndarray:
-        """Re sum_z g(z) S_k(z) for every k, S_k the symbol of M_k."""
-        at = g.take(self.pos, axis=-1)
-        if self.mirror is not None:
-            at += g.take(self.mirror, axis=-1).conj()
-        return (at.conj() * self.w).view(float)
-
     def grad(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Re(u^H M_k v) for every k."""
-        return self.adjoint(self.sums(u.conj()[..., :, None] * v[..., None, :]))
-
-
-def _selfadjoint_pencil(group, lam: int, s: int) -> _Pencil:
-    """Pencil of the s-th truncated derivatives of self-adjoint symbols with no identity part.
-
-    Each inverse pair of the double ball is one complex parameter, at the
-    pair's first BFS position.
-    """
-    double = ball(group, 2 * lam)
-    inverse = double.positions(group.inverse_array(double.coords))  # balls are symmetric
-    pos = np.flatnonzero(np.arange(len(double)) <= inverse)[1:]
-    w = (double.lengths_at(pos) ** s).astype(float)
-    return _Pencil(symbol_positions(group, lam), pos, w, inverse)
+        """Re(u^H M_k v) for every k: Re sum_z g(z) S_k(z), g the sums of conj(u) v^T."""
+        g = _position_sums(self.idx, u.conj()[..., :, None] * v[..., None, :], self._slots)
+        return (g.take(self.pos, axis=-1).conj() * self.w).view(float)
 
 
 # Largest stacked n x n complex array one ascent step holds: a stack of
@@ -334,9 +311,10 @@ _GAP_EVERY = 10
 _AA_MEMORY = 10
 
 
-def _trace_norm_dual(pencil: _Pencil, t: np.ndarray, params: SolverParams):
-    """Bracket max Re sum_z p(z) t(z) over symbols p of the pencil's range, ||p[idx]|| <= 1.
+def _trace_norm_dual(idx: np.ndarray, inverse: np.ndarray, t: np.ndarray, params: SolverParams):
+    """Bracket max Re sum_z p(z) t(z) over Hermitian symbols p, p(e) = 0, with ||p[idx]|| <= 1.
 
+    p is Hermitian when p(z^-1) = conj(p(z)), z^-1 at position inverse[z].
     The dual is min ||Y||_1 (trace norm) over Hermitian Y whose sum over each
     position z != e of the index map, g_Y(z), is t(z).  Scaled ADMM with
     rho = 1 / ||Pi(0)|| solves it as a fixed-point iteration on the
@@ -358,12 +336,12 @@ def _trace_norm_dual(pencil: _Pencil, t: np.ndarray, params: SolverParams):
     weaken them.  Returns the best p and value (p = 0 attains 0), the best
     upper bound and the status.
     """
-    idx, slots = pencil.idx, len(t)
+    slots = len(t)
     share = np.zeros(slots)
     share[1:] = 1.0 / np.bincount(idx.ravel(), minlength=slots)[1:]
 
     def project(Y):
-        return Y + ((t - pencil.sums(Y)) * share)[idx]
+        return Y + ((t - _position_sums(idx, Y, slots)) * share)[idx]
 
     start = project(np.zeros(idx.shape, dtype=complex))
     rho = 1.0 / spectral_norm(start)
@@ -390,10 +368,10 @@ def _trace_norm_dual(pencil: _Pencil, t: np.ndarray, params: SolverParams):
     while True:
         if evals >= check or evals >= params.max_iters:
             check = evals + _GAP_EVERY
-            residual = np.abs(t - pencil.sums(Y))[1:].sum()
+            residual = np.abs(t - _position_sums(idx, Y, slots))[1:].sum()
             upper = min(upper, float(np.abs(np.linalg.eigvalsh(Y)).sum() + residual))
-            q = (rho * pencil.sums(U)).conj() * share
-            p = (q + q[pencil.inverse].conj()) / 2
+            q = (rho * _position_sums(idx, U, slots)).conj() * share
+            p = (q + q[inverse].conj()) / 2
             norm = spectral_norm(p[idx])
             if norm > 0 and (reached := float((p @ t).real) / norm) > value:
                 value, best = reached, p / norm
@@ -424,7 +402,7 @@ def _trace_norm_dual(pencil: _Pencil, t: np.ndarray, params: SolverParams):
 
 
 def _distance_setup(phi: State, psi: State, s: int, lam: int):
-    """The s-th derivative pencil, len(z)^s and t(z) per double-ball position z.
+    """The index map, the inverse-position table, len(z)^s and t(z) per double-ball position z.
 
     t(z) is the sum of the states' difference matrix over the index map's
     entries at z, divided by len(z)^s, so that (phi - psi)(a) is
@@ -436,11 +414,12 @@ def _distance_setup(phi: State, psi: State, s: int, lam: int):
         raise ValueError("both states must live on the radius-lam truncation")
     if phi.group != psi.group:
         raise ValueError("states live on different groups")
-    pencil = _selfadjoint_pencil(phi.group, lam, s)
-    g = pencil.sums(_state_matrix(phi) - _state_matrix(psi))
-    weight = np.zeros(len(g))
-    weight[pencil.pos] = weight[pencil.mirror] = pencil.w
-    return pencil, weight, np.divide(g, weight, out=np.zeros_like(g), where=weight > 0)
+    group, double = phi.group, ball(phi.group, 2 * lam)
+    idx = symbol_positions(group, lam)
+    inverse = double.positions(group.inverse_array(double.coords))  # balls are symmetric
+    weight = (double.lengths_at(np.arange(len(double))) ** s).astype(float)
+    g = _position_sums(idx, _state_matrix(phi) - _state_matrix(psi), len(double))
+    return idx, inverse, weight, np.divide(g, weight, out=np.zeros_like(g), where=weight > 0)
 
 
 def lip_distance(
@@ -461,11 +440,11 @@ def lip_distance(
     """
     params = params or SolverParams()
     group = phi.group
-    pencil, weight, t = _distance_setup(phi, psi, s, lam)
+    idx, inverse, weight, t = _distance_setup(phi, psi, s, lam)
     if not t.any():
         zero = ToeplitzOperator(group, lam, {})
         return DistanceResult(value=0.0, witness=zero, status="converged", upper=0.0)
-    p, value, upper, status = _trace_norm_dual(pencil, t, params)
+    p, value, upper, status = _trace_norm_dual(idx, inverse, t, params)
     symbol = np.divide(p, weight, out=np.zeros_like(p), where=weight > 0)
     elements = map(tuple, ball(group, 2 * lam).coords.tolist())
     witness = ToeplitzOperator(group, lam, dict(zip(elements, symbol)))

@@ -13,7 +13,9 @@ with elements of order two, which the built-in torsion-free groups lack.
 ``quadratic_form`` is <xi, f xi> by the scalar law, one support pair at a
 time, for the translate-averaging identity and the smoothing bound.
 ``brute_distance`` cross-checks ``lip_distance`` by an exhaustive grid in
-low dimension, ``averaging_check`` checks the translate-averaging identity
+low dimension over the self-adjoint basis, reading the states through
+``state_eval`` and the seminorm through dense matrices, independently of the
+solver's arrays; ``averaging_check`` checks the translate-averaging identity
 that makes the reconstruction completely positive, and ``random_psd`` draws
 positive truncated operators for the state and positivity tests.
 """
@@ -39,9 +41,10 @@ from spectrunc import (
     random_element,
     reconstruct,
     spectral_norm,
+    state_eval,
+    truncated_derivative,
     word_length,
 )
-from spectrunc.qmetric import _distance_setup
 
 
 def quadratic_form(f, xi: Mapping) -> complex:
@@ -75,7 +78,7 @@ def folner_deficit(group, x, radius: int) -> int:
 
 
 def selfadjoint_basis(group, lam: int) -> list[dict]:
-    """One symbol per real parameter of the self-adjoint pencil, in its order.
+    """Self-adjoint symbols with no identity part, two per inverse pair of the double ball.
 
     Each inverse pair {z, z^-1} of the double ball, taken at its first BFS
     position, gives the symbols zeta at z plus conj(zeta) at z^-1 for
@@ -180,23 +183,24 @@ class Cyclic:
 def brute_distance(phi: State, psi: State, s: int, lam: int) -> float:
     """Independent oracle for ``lip_distance`` in up to 4 real parameters.
 
-    Exhaustive hyperspherical grid over the symbol directions followed by
-    local simplex refinement of the best candidates.  Refuses instances whose
+    The parameters are the nonzero symbols a_k of ``selfadjoint_basis``.  A
+    direction x scores c @ x / ||sum_k x_k D_k||, with c_k = Re(phi - psi)(a_k)
+    from ``state_eval`` and D_k = materialize(truncated_derivative(a_k, s)).
+    Exhaustive hyperspherical grid over the directions followed by local
+    simplex refinement of the best candidates.  Refuses instances whose
     self-adjoint symbol space has more than 4 real dimensions.
     """
     grid = 24
-    pencil, _, t = _distance_setup(phi, psi, s, lam)
-    c = pencil.adjoint(t)
-    # the imaginary part of a self-inverse element's parameter reaches no symbol
-    live = np.ones(pencil.size, dtype=bool)
-    live[1::2] = pencil.pos != pencil.mirror
-    m = int(live.sum())
+    group = phi.group
+    basis = [ToeplitzOperator(group, lam, sym)
+             for sym in selfadjoint_basis(group, lam) if any(sym.values())]
+    m = len(basis)
     if m > 4:
         raise ValueError(f"oracle refuses dimension {m} > 4")
-    c = c[live]
+    mats = np.array([materialize(truncated_derivative(a, s)) for a in basis])
+    c = np.array([(state_eval(phi, a) - state_eval(psi, a)).real for a in basis])
     if np.linalg.norm(c) == 0:
         return 0.0
-    mats = pencil(np.eye(pencil.size)[live])
 
     def value(x: np.ndarray) -> float:
         sigma = spectral_norm(np.tensordot(x, mats, axes=1))

@@ -404,6 +404,26 @@ def test_a_tuning_value_out_of_range_exits_2(capsys, tmp_path, command, flag, va
     assert err == f"error: {message}\n"
 
 
+def test_converge_rejects_a_negative_seed_before_any_row(capsys):
+    code, out, err = _run(capsys, "converge", "--group", "z:1", "--lambdas", "2,4", "--seed", "-1")
+    assert (code, out, err) == (2, "", "error: seed must be nonnegative, got -1\n")
+
+
+@pytest.mark.parametrize(
+    "group, lam, s, search",
+    [("z:2", "2", "2", ["--trials", "6"]),
+     ("heisenberg", "1", "3", ["--trials", "1", "--seed", "3"])],
+)
+def test_epsilon_prints_the_converge_row(capsys, group, lam, s, search):
+    # the ascent draws from the seed derived from (seed, lambda, stage) in both commands
+    code, out, _ = _run(capsys, "epsilon", "--group", group, "--lambda", lam, "--s", s, *search)
+    assert code == 0
+    code, sweep, _ = _run(capsys, "converge", "--group", group, "--lambdas", lam, "--s", s, *search)
+    assert code == 0
+    _, _, _, ef, et, gh = sweep.splitlines()[1].split(",")
+    assert out == f"eps_full {ef}\neps_trunc {et}\ngh_bound {gh}\n"
+
+
 def test_distance_warns_with_the_bracket_at_the_iteration_cap(capsys, tmp_path):
     phi, psi = tmp_path / "phi.txt", tmp_path / "psi.txt"
     phi.write_text("1 0 0\n0.5 0 1\n-0.25 0 -1\n")

@@ -11,6 +11,7 @@ from spectrunc import (
     FreeAbelian,
     Heisenberg,
     OpnormResult,
+    ResourceCapError,
     ball,
     compress_rep,
     convolve,
@@ -303,6 +304,12 @@ def test_matrix_free_scan_builds_no_index_map_or_double_ball(monkeypatch):
 def test_opnorm_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
     with pytest.raises(ValueError, match="tol must be finite and positive"):
         opnorm(delta(Z1, (1,)), tol=tol)
+
+
+def test_opnorm_cap_reaches_the_word_length_walk():
+    # the reach of (0, 0, 400) comes from a walk over balls from radius 0, which the cap stops
+    with pytest.raises(ResourceCapError, match=r"^ball of radius 7 in heisenberg .*cap of 1000\b"):
+        opnorm(delta(H3, (0, 0, 400)), cap=1000)
 
 
 def test_opnorm_of_point_mass_is_one():

@@ -38,20 +38,21 @@ from spectrunc import (
     opnorm,
     random_element,
     random_selfadjoint,
+    vector_state,
     word_length,
 )
 from spectrunc import cayley, groupalg, qmetric
 from spectrunc.groupalg import spectral_norm, symbol_positions
 from spectrunc.qmetric import (
     SearchParams,
+    _distance_setup,
     _epsilon_pencils,
     _norms_and_grads,
-    _selfadjoint_pencil,
     _top_singular,
     _two_norm_ascent,
 )
 
-from oracles import Cyclic, ball_overlap, selfadjoint_basis
+from oracles import Cyclic, ball_overlap
 
 Z1 = FreeAbelian(1)
 Z2 = FreeAbelian(2)
@@ -96,14 +97,6 @@ def _dense_epsilon_stacks(group, lam, s, radius):
     return np.array(num), np.array(den)
 
 
-def _dense_selfadjoint_stack(group, lam, s):
-    mats = []
-    for sym in selfadjoint_basis(group, lam):
-        weighted = {z: v * word_length(group, z) ** s for z, v in sym.items()}
-        mats.append(_dense_matrix(group, lam, weighted))
-    return np.array(mats)
-
-
 def _unit(rng, n):
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)
@@ -130,13 +123,24 @@ def test_epsilon_pencils_match_dense_stacks(group, lam):
     _assert_pencil_matches(den, ref_den, rng)
 
 
-# Z/4 at lambda 1 adds an element of order two, a parameter pair whose symbol is 2 Re(zeta)
+# Z/4 at lambda 1 adds 2, an element of order two, which the inverse table maps to itself
 @pytest.mark.parametrize("group,lam", PENCIL_CASES + [(Cyclic(4), 1)])
-def test_selfadjoint_pencil_matches_dense_stack(group, lam):
-    rng = np.random.default_rng(8)
-    pencil = _selfadjoint_pencil(group, lam, 2)
-    dense = _dense_selfadjoint_stack(group, lam, 2)
-    _assert_pencil_matches(pencil, dense, rng)
+def test_distance_setup_reads_lengths_and_inverses_off_the_double_ball(group, lam):
+    # phi - psi has -1/2 at the entries (e, g) and (g, e), which read g^-1 and g, of length 1
+    e, g = ball(group, lam).elements[:2]
+    phi = vector_state(group, {e: 1.0}, lam)
+    psi = vector_state(group, {e: 1.0, g: 1.0}, lam)
+    elements = ball(group, 2 * lam).elements
+    want = np.zeros(len(elements))
+    want[[elements.index(g), elements.index(group.inverse(g))]] = -0.5
+    for s in (1, 2):
+        idx, inverse, weight, t = _distance_setup(phi, psi, s, lam)
+        assert np.array_equal(idx, symbol_positions(group, lam))
+        assert elements[0] == group.identity() and weight[0] == 0
+        assert weight.tolist() == [float(word_length(group, z) ** s) for z in elements]
+        assert np.array_equal(inverse[inverse], np.arange(len(elements)))
+        assert [elements[i] for i in inverse] == [group.inverse(z) for z in elements]
+        assert np.allclose(t, want, rtol=0, atol=1e-15)
 
 
 def _case_pencils(group, lam):
@@ -144,8 +148,7 @@ def _case_pencils(group, lam):
     s = 2
     num, den = _epsilon_pencils(group, lam, s, None)
     ref_num, ref_den = _dense_epsilon_stacks(group, lam, s, lam)
-    dense = _dense_selfadjoint_stack(group, lam, s)
-    return [(num, ref_num), (den, ref_den), (_selfadjoint_pencil(group, lam, s), dense)]
+    return [(num, ref_num), (den, ref_den)]
 
 
 def _assert_rel_close(got, want, rel=1e-12):

@@ -1,10 +1,10 @@
 """Source checks that need no linter: every module-level import is used,
 every f-string has a placeholder, every module-level private name is read
 somewhere in the package, every function reads each of its parameters,
-importing the package, and a default ``converge`` or ``epsilon`` run, leave
-the heavy optional modules unloaded, the package imports nothing beyond the
-standard library and numpy, and only ``cayley`` knows the packed-key format
-of ball lookups or reads a ball's enumeration.
+importing the package, and a default ``converge``, ``epsilon`` or
+``distance`` run, leave the heavy optional modules unloaded, the package
+imports nothing beyond the standard library and numpy, and only ``cayley``
+knows the packed-key format of ball lookups or reads a ball's enumeration.
 
 An import marked ``# noqa: F401`` on its line is kept on purpose, as a
 linter would read the mark.
@@ -111,14 +111,20 @@ def test_importing_the_package_loads_no_lazy_module():
     [
         (["converge", "--group", "z:1", "--lambdas", "2,4"], []),
         (["epsilon", "--group", "heisenberg", "--lambda", "1", "--s", "3"], []),
+        # the README pair: a distance is one deterministic solve with no random starts
+        (["distance", "--group", "z:1", "--lambda", "1", "--s", "1",
+          "--phi", "phi.txt", "--psi", "psi.txt"], []),
         # the positive control: the opt-in ascent draws its starts from numpy.random
         (["converge", "--group", "z:1", "--lambdas", "2,4", "--trials", "1"], ["numpy.random"]),
         (["epsilon", "--group", "heisenberg", "--lambda", "1", "--s", "3", "--trials", "1"],
          ["numpy.random"]),
     ],
-    ids=["converge", "epsilon", "converge-trials", "epsilon-trials"],
+    ids=["converge", "epsilon", "distance", "converge-trials", "epsilon-trials"],
 )
-def test_a_default_run_loads_no_lazy_module(argv, loaded):
+def test_a_default_run_loads_no_lazy_module(argv, loaded, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "phi.txt").write_text("1 0 0\n1 0 1\n")
+    (tmp_path / "psi.txt").write_text("1 0 0\n")
     statement = f"from spectrunc import cli; assert cli.run({argv!r}) == 0"
     assert lazy_modules_loaded(statement) == loaded
 
