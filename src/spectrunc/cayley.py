@@ -18,12 +18,16 @@ group, and both declare it; any other object meeting the contract can be
 dropped in beside them.  A ball is a prefix of its group's one enumeration,
 int64 rows and sphere sizes, and answers every position, membership and length
 query through one packed-key lookup, ``Ball.positions``; the word lengths of
-many elements come from one walk over balls of growing radius.
+many elements come from one walk over balls of growing radius.  One element
+cap is in force at a time: ``ball`` reads it, so every enumeration of every
+layer is bounded by it, and ``element_cap`` sets it for a block.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -40,6 +44,7 @@ __all__ = [
     "Heisenberg",
     "ResourceCapError",
     "ball",
+    "element_cap",
     "group_from_key",
     "growth_report",
     "word_length",
@@ -48,6 +53,7 @@ __all__ = [
 Element = tuple
 
 DEFAULT_BALL_CAP = 200_000
+_ELEMENT_CAP: ContextVar = ContextVar("element_cap", default=DEFAULT_BALL_CAP)
 
 _INT_TYPES = (int, np.integer)
 
@@ -369,18 +375,32 @@ _ENUMERATIONS: dict = {}
 _ENUMERATIONS_LOCK = threading.Lock()
 
 
+@contextmanager
+def element_cap(limit: Optional[int]):
+    """Put the element cap ``limit`` in force for the block; None keeps the cap in force.
+
+    The cap lives in a ContextVar, so it is restored when the block ends, by an
+    exception too, and a thread started inside the block sees the default cap.
+    """
+    token = _ELEMENT_CAP.set(_ELEMENT_CAP.get() if limit is None else limit)
+    try:
+        yield
+    finally:
+        _ELEMENT_CAP.reset(token)
+
+
 def ball(group, radius: int, cap: Optional[int] = None) -> Ball:
     """Closed word-metric ball of the given radius around the identity.
 
-    Raises ResourceCapError if the ball has more than ``cap`` elements
-    (default 200,000); the group's enumeration stops at the first sphere
-    that passes the cap.  A cap below 1 is a ValueError, and so is a
-    generating set not closed under inversion.  Results are cached per
-    (group, radius).
+    Raises ResourceCapError if the ball has more than ``cap`` elements, by
+    default the cap in force (200,000 outside any ``element_cap`` block); the
+    group's enumeration stops at the first sphere that passes the cap.  A cap
+    below 1 is a ValueError, and so is a generating set not closed under
+    inversion.  Results are cached per (group, radius).
     """
     if not isinstance(radius, _INT_TYPES) or radius < 0:
         raise ValueError(f"radius must be a nonnegative integer, got {radius!r}")
-    cap = DEFAULT_BALL_CAP if cap is None else cap
+    cap = _ELEMENT_CAP.get() if cap is None else cap
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
     b = _BALL_CACHE.get((group, radius))
@@ -399,7 +419,7 @@ def ball(group, radius: int, cap: Optional[int] = None) -> Ball:
     return b
 
 
-def _word_lengths(group, elements, cap: Optional[int] = None) -> list:
+def _word_lengths(group, elements) -> list:
     """Word length of each element, from one walk over balls of growing radius.
 
     The walk starts at the largest lower bound, |x| + |y| on Heisenberg and 0
@@ -414,7 +434,7 @@ def _word_lengths(group, elements, cap: Optional[int] = None) -> list:
     lengths = np.zeros(len(rows), dtype=np.int64)
     todo = np.arange(len(rows))
     while len(todo):
-        b = ball(group, radius, cap=cap)
+        b = ball(group, radius)
         pos = b.positions(rows[todo])
         found = pos >= 0
         lengths[todo[found]] = b.lengths_at(pos[found])
@@ -423,10 +443,10 @@ def _word_lengths(group, elements, cap: Optional[int] = None) -> list:
     return lengths.tolist()
 
 
-def word_length(group, g, cap: Optional[int] = None) -> int:
+def word_length(group, g) -> int:
     """Length of a shortest generator word for g (0 for the identity)."""
     group.validate(g)
-    return _word_lengths(group, [g], cap=cap)[0]
+    return _word_lengths(group, [g])[0]
 
 
 @dataclass(frozen=True)
@@ -453,11 +473,11 @@ class GrowthReport:
         return self.boundary_ratios[radius - 1]
 
 
-def growth_report(group, lam_max: int, fit_min: int = 2, cap: Optional[int] = None) -> GrowthReport:
+def growth_report(group, lam_max: int, fit_min: int = 2) -> GrowthReport:
     """Enumerate balls up to lam_max and fit growth/boundary exponents."""
     if lam_max < 2:
         raise ValueError(f"lam_max must be at least 2, got {lam_max}")
-    sizes = [len(ball(group, r, cap=cap)) for r in range(lam_max + 1)]
+    sizes = [len(ball(group, r)) for r in range(lam_max + 1)]
     ratios = [Fraction(sizes[r + 1] - sizes[r], sizes[r]) for r in range(1, lam_max)]
     hi = lam_max - 1
     lo = min(max(1, fit_min), hi)

@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .cayley import ResourceCapError, ball, group_from_key, growth_report
+from .cayley import ResourceCapError, ball, element_cap, group_from_key, growth_report
 from .groupalg import (
     derivative,
     fejer_kernel,
@@ -95,14 +95,14 @@ def _merged_config(args, keys) -> dict:
 
 def _cmd_ball(args) -> int:
     group = group_from_key(args.group)
-    b = ball(group, args.radius, cap=args.cap)
+    b = ball(group, args.radius)
     print(len(b))
     return 0
 
 
 def _cmd_growth(args) -> int:
     group = group_from_key(args.group)
-    rep = growth_report(group, args.lambda_max, fit_min=args.fit_min, cap=args.cap)
+    rep = growth_report(group, args.lambda_max, fit_min=args.fit_min)
     print("lambda,size,ratio")
     for lam, size in enumerate(rep.ball_sizes):
         ratio = str(rep.boundary_ratios[lam - 1]) if 1 <= lam <= len(rep.boundary_ratios) else ""
@@ -114,7 +114,7 @@ def _cmd_growth(args) -> int:
 
 def _cmd_fejer(args) -> int:
     group = group_from_key(args.group)
-    kern = fejer_kernel(group, args.lam, cap=args.cap)
+    kern = fejer_kernel(group, args.lam)
     if args.at is not None:
         x = _parse_coords(args.at)
         group.validate(x)
@@ -143,7 +143,7 @@ def _cmd_lipnorm(args) -> int:
 def _cmd_truncate(args) -> int:
     group = group_from_key(args.group)
     f = parse_algebra_element(_read_text(args.input), group)
-    T = compress(f, args.lam, cap=args.cap)
+    T = compress(f, args.lam)
     _write_text(args.output, format_toeplitz(T, exact=args.exact))
     return 0
 
@@ -314,14 +314,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    """Parse arguments and dispatch; returns the process exit code."""
+    """Parse arguments and dispatch under the command's ``--cap``; returns the process exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
+        with element_cap(getattr(args, "cap", None)):
+            return args.func(args)
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3

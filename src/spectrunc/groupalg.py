@@ -12,8 +12,9 @@ an integer count array over the double ball, counted along the fibers of a
 central last coordinate where the group declares one and through the index
 map otherwise.  Every group element is found through its ball's one lookup,
 ``Ball.positions``, which index maps, kernel reads and norm scans share, and
-a whole support's word lengths come from one walk over growing balls.  An
-element cap bounds every ball a call enumerates, double balls included.
+a whole support's word lengths come from one walk over growing balls.  The
+element cap in force (``element_cap``) bounds every ball a call enumerates,
+double balls and word-length walks included.
 
 Coefficients may be ints, floats, complexes, or ``fractions.Fraction``
 values.  Arithmetic preserves exact types, so identities that hold in
@@ -218,7 +219,7 @@ def _index_map(b, double) -> np.ndarray:
     return idx
 
 
-def symbol_positions(group, radius: int, cap: Optional[int] = None) -> np.ndarray:
+def symbol_positions(group, radius: int) -> np.ndarray:
     """Index map of a ball compression: where each entry reads the symbol.
 
     Entry (i, j) is the position of x_i x_j^{-1} in the BFS order of the
@@ -226,21 +227,21 @@ def symbol_positions(group, radius: int, cap: Optional[int] = None) -> np.ndarra
     ball is ``s[idx]``.  The read-only int32 map is cached per ball; the
     element cap bounds both balls and is checked on every call.
     """
-    return _index_map(ball(group, radius, cap=cap), ball(group, 2 * radius, cap=cap))
+    return _index_map(ball(group, radius), ball(group, 2 * radius))
 
 
 # Hit and miss counts of the map cache, read as on any lru_cache'd function.
 symbol_positions.cache_info = _index_map.cache_info
 
 
-def compress_rep(f: AlgebraElement, radius: int, cap: Optional[int] = None) -> np.ndarray:
+def compress_rep(f: AlgebraElement, radius: int) -> np.ndarray:
     """Matrix of the left convolution operator compressed to a ball.
 
     Entry (x, y) is f(x y^{-1}) in the ball's element order, gathered from
     f's values over the double ball through the index map; the cap bounds both.
     """
-    idx = symbol_positions(f.group, radius, cap=cap)
-    double = ball(f.group, 2 * radius, cap=cap)
+    idx = symbol_positions(f.group, radius)
+    double = ball(f.group, 2 * radius)
     pos = double.positions(list(f.support))
     vec = np.zeros(len(double), dtype=complex)
     vec[pos[pos >= 0]] = [complex(v) for v, i in zip(f._coeffs.values(), pos.tolist()) if i >= 0]
@@ -311,14 +312,14 @@ def spectral_norm(M: np.ndarray) -> float:
     return math.sqrt(max(top, 0.0))
 
 
-def _compression_norm(f: AlgebraElement, radius: int, cap: Optional[int]) -> float:
+def _compression_norm(f: AlgebraElement, radius: int) -> float:
     """Norm of f compressed to the radius ball, with no index map or double ball.
 
     Each z in supp f and x_j with z x_j in the ball give the triplet (row = position of z x_j,
     col = j, weight f(z)), at most one per entry: the dense ``M[rows, cols] = w`` is normed up
     to ``_LANCZOS_THRESHOLD``, and above it Lanczos takes M v and M^H u as bincounts.
     """
-    b = ball(f.group, radius, cap=cap)
+    b = ball(f.group, radius)
     n = len(b)
     weights = np.array([complex(v) for _, v in f.items()])
     triplets = []
@@ -347,13 +348,7 @@ class OpnormResult:
     last_radius: int
 
 
-def opnorm(
-    f: AlgebraElement,
-    tol: float = 1e-8,
-    r_max: int = 10,
-    r_min: int = 0,
-    cap: Optional[int] = None,
-) -> OpnormResult:
+def opnorm(f: AlgebraElement, tol: float = 1e-8, r_max: int = 10, r_min: int = 0) -> OpnormResult:
     """Estimate the operator norm of left convolution by f.
 
     Compression norms are nondecreasing in the radius, and each is attained
@@ -364,7 +359,6 @@ def opnorm(
     enough to see every support element of f (and never before ``r_min``); it
     starts one radius below that floor and ends at r_max at the latest, and it
     reads no index map or double ball at any radius (``_compression_norm``).
-    ``cap`` bounds every ball, the walk for the support's word lengths included.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -372,14 +366,14 @@ def opnorm(
         raise ValueError(f"r_max must be nonnegative, got {r_max}")
     if len(f) == 0:
         return OpnormResult(estimate=0.0, converged=True, last_radius=0)
-    reach = max(_word_lengths(f.group, list(f.support), cap=cap))
+    reach = max(_word_lengths(f.group, list(f.support)))
     r_floor = max(r_min, (reach + 1) // 2)
     estimate = 0.0
     prev = None
     converged = False
     last = 0
     for radius in range(max(min(r_floor, r_max) - 1, 0), r_max + 1):
-        sigma = _compression_norm(f, radius, cap)
+        sigma = _compression_norm(f, radius)
         estimate = max(estimate, sigma)
         last = radius
         if prev is not None and radius >= r_floor and abs(sigma - prev) < tol:
@@ -389,16 +383,9 @@ def opnorm(
     return OpnormResult(estimate=estimate, converged=converged, last_radius=last)
 
 
-def lipnorm(
-    f: AlgebraElement,
-    s: int,
-    tol: float = 1e-8,
-    r_max: int = 10,
-    r_min: int = 0,
-    cap: Optional[int] = None,
-) -> float:
+def lipnorm(f: AlgebraElement, s: int, tol: float = 1e-8, r_max: int = 10, r_min: int = 0) -> float:
     """Lipschitz seminorm: operator norm of the s-th derivative of f."""
-    return opnorm(derivative(f, s), tol=tol, r_max=r_max, r_min=r_min, cap=cap).estimate
+    return opnorm(derivative(f, s), tol=tol, r_max=r_max, r_min=r_min).estimate
 
 
 def random_element(group, radius: int, rng: np.random.Generator) -> AlgebraElement:
@@ -514,7 +501,7 @@ def _fiber_counts(b, double) -> np.ndarray:
     return grid[grid_row, double.coords[:, -1] - t_min]
 
 
-def fejer_kernel(group, lam: int, cap: Optional[int] = None) -> FejerKernel:
+def fejer_kernel(group, lam: int) -> FejerKernel:
     """Exact overlap kernel of the radius-lam ball, cached per (group, lam).
 
     On a group that declares its last coordinate central, the counts come
@@ -524,15 +511,15 @@ def fejer_kernel(group, lam: int, cap: Optional[int] = None) -> FejerKernel:
     double ball and is checked before the cache lookup.
     """
     _check_radius(lam)
-    double = ball(group, 2 * lam, cap=cap)
+    double = ball(group, 2 * lam)
     cached = _FEJER_CACHE.get((group, lam))
     if cached is not None:
         return cached
-    b = ball(group, lam, cap=cap)
+    b = ball(group, lam)
     if getattr(group, "central_last_coordinate", False):
         counts = _fiber_counts(b, double)
     else:
-        counts = np.bincount(symbol_positions(group, lam, cap=cap).ravel(), minlength=len(double))
+        counts = np.bincount(symbol_positions(group, lam).ravel(), minlength=len(double))
     counts.setflags(write=False)
     size = len(b)
     at_generators = counts[double.positions(group.generators)].tolist()
@@ -542,9 +529,9 @@ def fejer_kernel(group, lam: int, cap: Optional[int] = None) -> FejerKernel:
     return kern
 
 
-def fejer_apply(f: AlgebraElement, lam: int, cap: Optional[int] = None) -> AlgebraElement:
+def fejer_apply(f: AlgebraElement, lam: int) -> AlgebraElement:
     """Pointwise multiplication by the overlap kernel (a unital CP map)."""
-    kern = fejer_kernel(f.group, lam, cap=cap)
+    kern = fejer_kernel(f.group, lam)
     counts = kern.counts_at(list(f.support)).tolist()
     return AlgebraElement(
         f.group, {g: Fraction(c, kern.size) * v for (g, v), c in zip(f.items(), counts) if c}

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, TextIO, Union
 
-from .cayley import DEFAULT_BALL_CAP, ResourceCapError, ball, group_from_key, growth_report
+from .cayley import _ELEMENT_CAP, ResourceCapError, ball, element_cap, group_from_key, growth_report
 from .groupalg import _check_order, _check_radius
 from .qmetric import SearchParams, _typed, epsilon_full, epsilon_truncated, gh_bound
 
@@ -77,8 +77,7 @@ class ExperimentConfig:
         object.__setattr__(self, "lambda_range", lams)
         if self.s != "auto" and self.s < 1:
             raise ValueError(f"s must be 'auto' or a positive integer, got {self.s!r}")
-        if self.trials < 0:
-            raise ValueError(f"trials must be nonnegative, got {self.trials}")
+        SearchParams(starts=self.trials, seed=self.seed)  # the one rule for trials and seed
         if self.ball_cap is not None and self.ball_cap < 1:
             raise ValueError(f"ball_cap must be at least 1, got {self.ball_cap}")
         if self.format not in ("csv", "json"):
@@ -119,7 +118,7 @@ def _derived_seed(seed: int, lam: int, stage: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _growth_fit(group, cap: Optional[int] = None):
+def _growth_fit(group):
     """The growth report that picks the derivative order, and that a sweep reports.
 
     The range grows one radius at a time, to radius 4 and then while its balls
@@ -130,16 +129,16 @@ def _growth_fit(group, cap: Optional[int] = None):
     lam_max, size = 2, 0
     try:
         while lam_max < 32 and (lam_max < 4 or size <= 4000):
-            size = len(ball(group, lam_max + 1, cap=cap))
+            size = len(ball(group, lam_max + 1))
             if lam_max < 4 or size <= 4000:
                 lam_max += 1
     except ResourceCapError:
         pass
-    report = growth_report(group, lam_max, fit_min=max(2, lam_max // 2), cap=cap)
+    report = growth_report(group, lam_max, fit_min=max(2, lam_max // 2))
     if math.isnan(report.fitted_degree):
         raise ResourceCapError(
             f"growth fit in {group.name} needs balls of radius {lam_max + 1} and more, "
-            f"over the cap of {DEFAULT_BALL_CAP if cap is None else cap} elements"
+            f"over the cap of {_ELEMENT_CAP.get()} elements"
         )
     return report
 
@@ -149,15 +148,15 @@ def _order(degree: float) -> int:
     return (max(1, round(degree)) + 1) // 2 + 1
 
 
-def choose_s(group, cap: Optional[int] = None) -> int:
+def choose_s(group) -> int:
     """Derivative order heuristic: ``_order`` of the growth degree of ``_growth_fit``.
 
     Raises ResourceCapError when the cap leaves fewer than two radii to fit.
     """
-    return _order(_growth_fit(group, cap).fitted_degree)
+    return _order(_growth_fit(group).fitted_degree)
 
 
-def _row(group, lam: int, s: int, search: SearchParams, cap: Optional[int] = None):
+def _row(group, lam: int, s: int, search: SearchParams):
     """The row at radius lam, for a sweep and the ``epsilon`` command alike.
 
     The ascent of ``search``, if it has starts, draws from the seed derived from
@@ -165,10 +164,10 @@ def _row(group, lam: int, s: int, search: SearchParams, cap: Optional[int] = Non
     """
     _check_order(s)
     _check_radius(lam)
-    size = len(ball(group, lam, cap=cap))
-    ef = epsilon_full(group, lam, s, cap=cap)
+    size = len(ball(group, lam))
+    ef = epsilon_full(group, lam, s)
     search = replace(search, seed=_derived_seed(search.seed, lam, "eps-trunc"))
-    et = epsilon_truncated(group, lam, s, search, cap=cap)
+    et = epsilon_truncated(group, lam, s, search)
     return ConvergenceRow(
         lam=lam,
         ball_size=size,
@@ -179,10 +178,10 @@ def _row(group, lam: int, s: int, search: SearchParams, cap: Optional[int] = Non
     )
 
 
-def _compute_row(group, lam: int, s: int, search: SearchParams, cap: Optional[int]):
+def _compute_row(group, lam: int, s: int, search: SearchParams):
     """``_row``, or a skipped row with the reason when the cap stops it."""
     try:
-        return _row(group, lam, s, search, cap)
+        return _row(group, lam, s, search)
     except ResourceCapError as exc:
         return ConvergenceRow(lam=lam, skipped=True, reason=str(exc))
 
@@ -191,19 +190,21 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
     """Run one sweep and return an ordered report with growth metadata.
 
     The metadata's growth fit is the one that picks s under ``s = auto``.
+    The fit and every row run under ``ball_cap`` as the element cap in force.
     When the cap stops that fit, an auto sweep raises ResourceCapError and a
     sweep with a given s reports the fit as None.
     """
-    search = SearchParams(starts=config.trials, seed=config.seed)  # checks the seed
+    search = SearchParams(starts=config.trials, seed=config.seed)
     group = group_from_key(config.group)
-    try:
-        fit = _growth_fit(group, cap=config.ball_cap)
-    except ResourceCapError:
-        if config.s == "auto":
-            raise
-        fit = None
-    s = _order(fit.fitted_degree) if config.s == "auto" else int(config.s)
-    rows = [_compute_row(group, lam, s, search, config.ball_cap) for lam in config.lambda_range]
+    with element_cap(config.ball_cap):
+        try:
+            fit = _growth_fit(group)
+        except ResourceCapError:
+            if config.s == "auto":
+                raise
+            fit = None
+        s = _order(fit.fitted_degree) if config.s == "auto" else int(config.s)
+        rows = [_compute_row(group, lam, s, search) for lam in config.lambda_range]
     metadata = {
         "group": config.group,
         "s": s,

@@ -17,7 +17,8 @@ multiplier, averaged onto symbols) and an optional ratio ascent, all on
 pencils of ball compressions, each stored as the symbol position and weight
 of every complex parameter, evaluated and differentiated through the index
 map.  The distance solver reads the double ball's own arrays instead: the
-index map, the inverse-position table and the word lengths.
+index map, the inverse-position table and the word lengths.  Every ball that
+states, distances and constants enumerate is bounded by the element cap in force.
 """
 
 from __future__ import annotations
@@ -144,6 +145,7 @@ def state_eval(state: State, a):
 
 
 def random_vector_state(group, lam: int, rng: np.random.Generator) -> State:
+    _check_radius(lam)
     b = ball(group, lam)
     coeffs = {}
     for g in map(tuple, b.coords.tolist()):
@@ -153,6 +155,7 @@ def random_vector_state(group, lam: int, rng: np.random.Generator) -> State:
 
 
 def random_density_state(group, lam: int, rng: np.random.Generator) -> State:
+    _check_radius(lam)
     n = len(ball(group, lam))
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     rho = A @ A.conj().T
@@ -520,26 +523,26 @@ def _two_norm_ascent(num: _Pencil, den: _Pencil, params: SearchParams):
     return float(best[i]), best_x[i]
 
 
-def _epsilon_pencils(group, lam: int, s: int, cap: Optional[int]):
+def _epsilon_pencils(group, lam: int, s: int):
     """Numerator and denominator pencils of the truncated search.
 
     Each pencil runs over complex symbols on the double ball minus the
     identity, weighted by 1 - K(z) and by len(z)^s, and compresses them to
     the radius-lam ball.
     """
-    kern = fejer_kernel(group, lam, cap=cap)
-    double = ball(group, 2 * lam, cap=cap)
+    kern = fejer_kernel(group, lam)
+    double = ball(group, 2 * lam)
     wnum = (kern.size - kern.counts[1:]) / kern.size
     pos = np.arange(1, len(double))
     wden = (double.lengths_at(pos) ** s).astype(float)
-    idx = symbol_positions(group, lam, cap=cap)
+    idx = symbol_positions(group, lam)
     return _Pencil(idx, pos, wnum), _Pencil(idx, pos, wden)
 
 
 _WITNESS_GROWTH = 4  # the sign witness's ball has at most this many times lam's elements
 
 
-def _sign_witness(group, lam: int, s: int, num: _Pencil, den: _Pencil, cap: Optional[int]):
+def _sign_witness(group, lam: int, s: int, num: _Pencil, den: _Pencil):
     """The sign witness's attained ratio and its symbol p over the double ball less e.
 
     r = (1 - K) / len^s, extended by len^-s past the double ball, is compressed to the
@@ -548,14 +551,14 @@ def _sign_witness(group, lam: int, s: int, num: _Pencil, den: _Pencil, cap: Opti
     compression shifted by its median eigenvalue, which minimizes the mean modulus, and the
     pencils' exact norms, from ``_gram_top`` alone, score the point p / len^s.
     """
-    kern, R = fejer_kernel(group, lam, cap=cap), lam
+    kern, R = fejer_kernel(group, lam), lam
     limit = _WITNESS_GROWTH * kern.size
     with suppress(ResourceCapError):  # a ball that stops growing is a whole finite group
-        while len(ball(group, R, cap=cap)) < len(ball(group, R + 1, cap=cap)) <= limit:
-            ball(group, 2 * R + 2, cap=cap)
+        while len(ball(group, R)) < len(ball(group, R + 1)) <= limit:
+            ball(group, 2 * R + 2)
             R += 1
-    double, m = ball(group, 2 * R, cap=cap), len(kern.double)
-    idx = symbol_positions(group, R, cap=cap)
+    double, m = ball(group, 2 * R), len(kern.double)
+    idx = symbol_positions(group, R)
     lengths = double.lengths_at(np.arange(len(double)))
     r = np.append(kern.size - kern.counts, np.full(len(double) - m, kern.size)) / kern.size
     r /= np.maximum(lengths, 1) ** s  # r(e) = 0, since K(e) = 1
@@ -567,9 +570,7 @@ def _sign_witness(group, lam: int, s: int, num: _Pencil, den: _Pencil, cap: Opti
     return (sn / sd if sd > 0 else 0.0), p
 
 
-def epsilon_full(
-    group, lam: int, s: int, search: Optional[SearchParams] = None, cap: Optional[int] = None
-) -> float:
+def epsilon_full(group, lam: int, s: int, search: Optional[SearchParams] = None) -> float:
     """Lipschitz constant of the kernel defect on the full algebra: the Folner epsilon.
 
     Each basis direction z attains (1 - K(z)) / len(z)^s exactly, and
@@ -577,24 +578,22 @@ def epsilon_full(
     direction is a generator for every s >= 1 and the constant is
     ``folner_epsilon``, a certified lower bound of the best constant in
     ``norm(f - kernel(f)) <= eps * Lip(f)``.  ``search`` is unused and kept
-    for callers that pass one; ``cap`` bounds the double ball.
+    for callers that pass one.
     """
     _check_order(s)
-    return float(fejer_kernel(group, lam, cap=cap).folner_epsilon)
+    return float(fejer_kernel(group, lam).folner_epsilon)
 
 
-def epsilon_truncated(
-    group, lam: int, s: int, search: Optional[SearchParams] = None, cap: Optional[int] = None
-) -> float:
+def epsilon_truncated(group, lam: int, s: int, search: Optional[SearchParams] = None) -> float:
     """Certified lower bound of the Lipschitz constant of the round-trip defect on the truncation.
 
     The best of three attained ratios of exact matrix norms over the radius-lam ball: the basis
     floor, ``_sign_witness`` and the ascent of ``search``, which runs only if it has starts, so
-    a default call draws no random number.  ``cap`` bounds every ball, the witness's included.
+    a default call draws no random number.
     """
-    floor = epsilon_full(group, lam, s, cap=cap)
-    num, den = _epsilon_pencils(group, lam, s, cap)
-    witness = _sign_witness(group, lam, s, num, den, cap)[0]
+    floor = epsilon_full(group, lam, s)
+    num, den = _epsilon_pencils(group, lam, s)
+    witness = _sign_witness(group, lam, s, num, den)[0]
     ascent = _two_norm_ascent(num, den, search)[0] if search and search.starts else 0.0
     return max(floor, witness, ascent)
 

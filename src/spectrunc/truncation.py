@@ -57,16 +57,16 @@ class ToeplitzOperator(AlgebraElement):
     radius; the materialized matrix over the radius-lam ball has entry
     symbol(x y^{-1}) at position (x, y).  Arithmetic is the algebra's, and
     only operators on the same truncation combine or compare equal.  The
-    element cap bounds the double ball that the symbol is checked against.
+    element cap in force bounds the double ball that the symbol is checked against.
     """
 
     __slots__ = ("radius",)
 
-    def __init__(self, group, radius: int, symbol: Mapping, cap: Optional[int] = None):
+    def __init__(self, group, radius: int, symbol: Mapping):
         _check_radius(radius)
         super().__init__(group, symbol)
         keys = list(symbol)  # the raw keys: a zero value outside the double ball is an error too
-        outside = np.flatnonzero(ball(group, 2 * radius, cap=cap).positions(keys) < 0)
+        outside = np.flatnonzero(ball(group, 2 * radius).positions(keys) < 0)
         if len(outside):
             z, r = keys[outside[0]], 2 * radius
             raise ValueError(f"symbol entry at {z} lies outside the double ball of radius {r}")
@@ -94,16 +94,17 @@ class ToeplitzOperator(AlgebraElement):
         )
 
 
-def compress(f: AlgebraElement, lam: int, cap: Optional[int] = None) -> ToeplitzOperator:
+def compress(f: AlgebraElement, lam: int) -> ToeplitzOperator:
     """Compression of a convolution operator to the radius-lam ball.
 
     The compressed matrix keeps exactly the coefficients of f on the double
     ball, so the symbol is the plain restriction of f.  The element cap
     bounds the double ball.
     """
-    inside = ball(f.group, 2 * lam, cap=cap).positions(list(f.support)) >= 0
+    _check_radius(lam)
+    inside = ball(f.group, 2 * lam).positions(list(f.support)) >= 0
     symbol = {g: v for (g, v), keep in zip(f.items(), inside.tolist()) if keep}
-    return ToeplitzOperator(f.group, lam, symbol, cap=cap)
+    return ToeplitzOperator(f.group, lam, symbol)
 
 
 def materialize(T: ToeplitzOperator) -> np.ndarray:
@@ -182,6 +183,7 @@ def random_selfadjoint(group, lam: int, rng: np.random.Generator) -> ToeplitzOpe
     draws one real normal if z is self-inverse, else two, re and im, for
     (re + i im) / sqrt(2) at z and its conjugate at z^{-1}.
     """
+    _check_radius(lam)
     double = ball(group, 2 * lam)
     inverse = double.positions(group.inverse_array(double.coords))  # balls are symmetric
     lead = np.flatnonzero(np.arange(len(double)) <= inverse)

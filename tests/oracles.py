@@ -28,7 +28,6 @@ import numpy as np
 from scipy import optimize
 
 from spectrunc import (
-    DEFAULT_BALL_CAP,
     ResourceCapError,
     State,
     ToeplitzOperator,
@@ -45,6 +44,7 @@ from spectrunc import (
     truncated_derivative,
     word_length,
 )
+from spectrunc import cayley
 
 
 def quadratic_form(f, xi: Mapping) -> complex:
@@ -121,18 +121,18 @@ def random_selfadjoint(group, lam: int, rng) -> ToeplitzOperator:
     return ToeplitzOperator(group, lam, symbol)
 
 
-def two_loop_growth_fit(group, cap=None):
-    """The growth fit in two loops: grow the range, then back off while the cap stops the report."""
+def two_loop_growth_fit(group):
+    """The growth fit in two loops: grow the range, then back off while the cap in force stops it."""
     lam_max = 2
     try:
-        while lam_max < 32 and len(ball(group, lam_max + 1, cap=cap)) <= 4000:
+        while lam_max < 32 and len(ball(group, lam_max + 1)) <= 4000:
             lam_max += 1
         lam_max = max(lam_max, 4)
     except ResourceCapError:
         pass
     while True:
         try:
-            report = growth_report(group, lam_max, fit_min=max(2, lam_max // 2), cap=cap)
+            report = growth_report(group, lam_max, fit_min=max(2, lam_max // 2))
             break
         except ResourceCapError:
             if lam_max <= 2:
@@ -141,7 +141,7 @@ def two_loop_growth_fit(group, cap=None):
     if math.isnan(report.fitted_degree):
         raise ResourceCapError(
             f"growth fit in {group.name} needs balls of radius {lam_max + 1} and more, "
-            f"over the cap of {DEFAULT_BALL_CAP if cap is None else cap} elements"
+            f"over the cap of {cayley._ELEMENT_CAP.get()} elements"
         )
     return report
 

@@ -1,5 +1,7 @@
 """Group engine tests against independent BFS and matrix-representation oracles."""
 
+import threading
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -13,6 +15,7 @@ from spectrunc import (
     ResourceCapError,
     ball,
     derivative,
+    element_cap,
     group_from_key,
     growth_report,
     word_length,
@@ -169,6 +172,57 @@ def test_ball_cap_applies_to_a_prefix_of_a_larger_enumeration():
     with pytest.raises(ResourceCapError, match="135 elements"):
         ball(H3, 4, cap=100)
     assert len(ball(H3, 4, cap=135)) == 135
+
+
+# Z^2 balls of radius 4, 5, 6 and 7 have 41, 61, 85 and 113 elements.
+
+
+def test_element_cap_bounds_every_ball_in_its_block_and_is_restored_after_it():
+    with element_cap(50):
+        assert len(ball(Z2, 4)) == 41
+        with pytest.raises(ResourceCapError, match=r"cap of 50\b"):
+            ball(Z2, 5)
+        assert len(ball(Z2, 5, cap=61)) == 61  # a cap given to ball overrides the one in force
+    assert len(ball(Z2, 5)) == 61
+    assert cayley._ELEMENT_CAP.get() == DEFAULT_BALL_CAP
+
+
+def test_element_cap_is_restored_after_an_exception():
+    with pytest.raises(KeyError):
+        with element_cap(50):
+            raise KeyError("inside")
+    assert len(ball(Z2, 5)) == 61
+    assert cayley._ELEMENT_CAP.get() == DEFAULT_BALL_CAP
+
+
+def test_nested_element_caps_and_none_inherits_the_outer_cap():
+    with element_cap(100):
+        with element_cap(50):
+            with pytest.raises(ResourceCapError, match=r"cap of 50\b"):
+                ball(Z2, 5)
+        assert len(ball(Z2, 6)) == 85
+        with element_cap(None):
+            assert len(ball(Z2, 6)) == 85
+            with pytest.raises(ResourceCapError, match=r"cap of 100\b"):
+                ball(Z2, 7)
+        with element_cap(200):
+            assert len(ball(Z2, 7)) == 113
+    with element_cap(None):
+        assert cayley._ELEMENT_CAP.get() == DEFAULT_BALL_CAP
+
+
+def test_a_thread_started_in_an_element_cap_block_sees_the_default_cap():
+    # a ContextVar is per context, and a new thread starts in a fresh one
+    seen = []
+
+    def enumerate_in_thread():
+        seen.append((cayley._ELEMENT_CAP.get(), len(ball(Z2, 5))))
+
+    with element_cap(50):
+        thread = threading.Thread(target=enumerate_in_thread)
+        thread.start()
+        thread.join()
+    assert seen == [(DEFAULT_BALL_CAP, 61)]
 
 
 @pytest.mark.parametrize("group, radius", [(Z1, 5), (Z2, 4), (FreeAbelian(3), 3), (H3, 3)])

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from spectrunc import (
@@ -24,6 +25,9 @@ from spectrunc import (
     lip_distance,
     parse_algebra_element,
     parse_toeplitz,
+    random_density_state,
+    random_selfadjoint,
+    random_vector_state,
     reconstruct,
     vector_state,
 )
@@ -407,6 +411,33 @@ def test_a_tuning_value_out_of_range_exits_2(capsys, tmp_path, command, flag, va
 def test_converge_rejects_a_negative_seed_before_any_row(capsys):
     code, out, err = _run(capsys, "converge", "--group", "z:1", "--lambdas", "2,4", "--seed", "-1")
     assert (code, out, err) == (2, "", "error: seed must be nonnegative, got -1\n")
+
+
+def test_converge_and_epsilon_reject_negative_trials_with_one_message(capsys):
+    for argv in (["converge", "--lambdas", "2"], ["epsilon", "--lambda", "2", "--s", "2"]):
+        code, out, err = _run(capsys, *argv, "--group", "z:1", "--trials", "-1")
+        assert (code, out, err) == (2, "", "error: starts must be nonnegative, got -1\n")
+
+
+RADIUS_CALLS = {
+    "compress": lambda lam: compress(delta(Z1, (1,)), lam),
+    "random_selfadjoint": lambda lam: random_selfadjoint(Z1, lam, np.random.default_rng(0)),
+    "random_vector_state": lambda lam: random_vector_state(Z1, lam, np.random.default_rng(0)),
+    "random_density_state": lambda lam: random_density_state(Z1, lam, np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("lam", [0, -1])
+@pytest.mark.parametrize("name", [*RADIUS_CALLS, "truncate-cli"])
+def test_a_bad_truncation_radius_has_one_message(capsys, monkeypatch, name, lam):
+    message = f"truncation radius must be at least 1, got {lam}"
+    if name in RADIUS_CALLS:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RADIUS_CALLS[name](lam)
+        return
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1 0 1\n"))
+    code, out, err = _run(capsys, "truncate", "--group", "z:1", "--lambda", str(lam))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from spectrunc import (
     convolve,
     delta,
     derivative,
+    element_cap,
     fejer_apply,
     fejer_kernel,
     format_algebra_element,
@@ -283,7 +284,7 @@ def test_matrix_free_compression_norm_matches_the_dense_norm(group, radius):
     assert len(ball(group, radius)) > groupalg._LANCZOS_THRESHOLD
     for f in (random_element(group, 2, rng), derivative(random_element(group, 3, rng), 2)):
         want = spectral_norm(compress_rep(f, radius))
-        got = groupalg._compression_norm(f, radius, None)
+        got = groupalg._compression_norm(f, radius)
         assert abs(got - want) <= 1e-12 * want
 
 
@@ -309,7 +310,8 @@ def test_opnorm_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
 def test_opnorm_cap_reaches_the_word_length_walk():
     # the reach of (0, 0, 400) comes from a walk over balls from radius 0, which the cap stops
     with pytest.raises(ResourceCapError, match=r"^ball of radius 7 in heisenberg .*cap of 1000\b"):
-        opnorm(delta(H3, (0, 0, 400)), cap=1000)
+        with element_cap(1000):
+            opnorm(delta(H3, (0, 0, 400)))
 
 
 def test_opnorm_of_point_mass_is_one():
@@ -338,7 +340,7 @@ def full_radius_scan(f, tol, r_max, r_min, norm=None):
     r_floor = max(r_min, (max(word_length(f.group, g) for g in f.support) + 1) // 2)
     estimate, prev = 0.0, None
     for radius in range(r_max + 1):
-        sigma = norm(f, radius, None)
+        sigma = norm(f, radius)
         estimate = max(estimate, sigma)
         if prev is not None and radius >= r_floor and abs(sigma - prev) < tol:
             return OpnormResult(estimate, True, radius)
@@ -350,9 +352,9 @@ def test_opnorm_skips_the_radii_below_its_floor(monkeypatch):
     radii = []
     norm = groupalg._compression_norm
 
-    def counted(f, radius, cap):
+    def counted(f, radius):
         radii.append(radius)
-        return norm(f, radius, cap)
+        return norm(f, radius)
 
     monkeypatch.setattr(groupalg, "_compression_norm", counted)
     assert opnorm(delta(Z2, (2, 1), 1j), r_min=10, r_max=10) == OpnormResult(1.0, True, 10)
@@ -371,11 +373,11 @@ def test_opnorm_matches_the_scan_from_radius_zero():
             assert opnorm(f, r_max=r_max, r_min=r_min) == want
 
 
-def dense_up_to_the_crossover(f, radius, cap):
+def dense_up_to_the_crossover(f, radius):
     """The compression norm of ``compress_rep`` up to the Lanczos crossover, matrix-free above."""
     if len(ball(f.group, radius)) <= groupalg._LANCZOS_THRESHOLD:
-        return spectral_norm(compress_rep(f, radius, cap=cap))
-    return groupalg._compression_norm(f, radius, cap)
+        return spectral_norm(compress_rep(f, radius))
+    return groupalg._compression_norm(f, radius)
 
 
 def test_opnorm_scans_read_no_index_map_at_any_size(monkeypatch):

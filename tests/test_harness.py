@@ -14,6 +14,7 @@ from spectrunc import (
     Heisenberg,
     ResourceCapError,
     choose_s,
+    element_cap,
     export_report,
     fejer_kernel,
     gh_bound,
@@ -60,6 +61,15 @@ def test_config_validates_knobs():
     assert _small_config(trials=0).trials == 0
     with pytest.raises(ValueError):
         _small_config(format="yaml")
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [("trials", "starts must be nonnegative, got -1"), ("seed", "seed must be nonnegative, got -1")],
+)
+def test_config_checks_trials_and_seed_by_the_search_rule(key, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ExperimentConfig(group="z:1", lambda_range=(2,), **{key: -1})
 
 
 @pytest.mark.parametrize(
@@ -161,7 +171,8 @@ def _fit_or_error(fit, group, cap, monkeypatch):
     monkeypatch.setattr(cayley, "_BALL_CACHE", {})
     monkeypatch.setattr(cayley, "_ENUMERATIONS", {})
     try:
-        outcome = fit(group, cap)
+        with element_cap(cap):
+            outcome = fit(group)
     except (ResourceCapError, ValueError) as exc:
         outcome = (type(exc), str(exc))
     enumeration = cayley._ENUMERATIONS.get(group)

@@ -31,6 +31,7 @@ from spectrunc import (
     ball,
     compress_rep,
     delta,
+    element_cap,
     epsilon_full,
     epsilon_truncated,
     fejer_kernel,
@@ -117,7 +118,7 @@ def _assert_pencil_matches(pencil, mats, rng):
 def test_epsilon_pencils_match_dense_stacks(group, lam):
     rng = np.random.default_rng(7)
     s = 2
-    num, den = _epsilon_pencils(group, lam, s, None)
+    num, den = _epsilon_pencils(group, lam, s)
     ref_num, ref_den = _dense_epsilon_stacks(group, lam, s, lam)
     _assert_pencil_matches(num, ref_num, rng)
     _assert_pencil_matches(den, ref_den, rng)
@@ -146,7 +147,7 @@ def test_distance_setup_reads_lengths_and_inverses_off_the_double_ball(group, la
 def _case_pencils(group, lam):
     """(pencil, dense stack) for every pencil the solvers build on one case."""
     s = 2
-    num, den = _epsilon_pencils(group, lam, s, None)
+    num, den = _epsilon_pencils(group, lam, s)
     ref_num, ref_den = _dense_epsilon_stacks(group, lam, s, lam)
     return [(num, ref_num), (den, ref_den)]
 
@@ -235,7 +236,7 @@ def test_stack_is_solved_in_chunks_under_the_byte_size(monkeypatch):
 
 def test_two_pencils_share_each_chunked_stack_under_the_byte_size(monkeypatch):
     rng = np.random.default_rng(13)
-    num, den = _epsilon_pencils(H, 1, 2, None)
+    num, den = _epsilon_pencils(H, 1, 2)
     X = rng.standard_normal((7, num.size))
     whole = _norms_and_grads([num, den], X)
     n = len(num.idx)
@@ -291,7 +292,7 @@ def _reference_two_norm(num, den, params):
 def test_ascents_return_a_point_that_attains_their_value(group, lam):
     # budgets long enough that some starts leave the stack while others improve
     for seed in range(3):
-        num, den = _epsilon_pencils(group, lam, 2, None)
+        num, den = _epsilon_pencils(group, lam, 2)
         val, x = _two_norm_ascent(num, den, SearchParams(starts=3, seed=seed))
         assert abs(val - spectral_norm(num(x)) / spectral_norm(den(x))) <= 1e-12 * val
 
@@ -302,7 +303,7 @@ def test_lockstep_ascents_match_a_per_start_reference(group, lam):
     # to rounding rather than bit for bit
     for seed in range(3):
         search = SearchParams(starts=4, max_iters=60, seed=seed)
-        num, den = _epsilon_pencils(group, lam, 2, None)
+        num, den = _epsilon_pencils(group, lam, 2)
         got, want = _two_norm_ascent(num, den, search)[0], _reference_two_norm(num, den, search)
         assert abs(got - want) <= 1e-9 * want
 
@@ -438,23 +439,25 @@ def test_double_ball_leads_every_larger_double_ball():
 
 def test_cap_is_checked_before_the_cache():
     fejer_kernel(Z1, 3)
-    with pytest.raises(ResourceCapError):
-        fejer_kernel(Z1, 3, cap=3)
+    with element_cap(3), pytest.raises(ResourceCapError):
+        fejer_kernel(Z1, 3)
     symbol_positions(Z1, 3)
-    with pytest.raises(ResourceCapError):
-        symbol_positions(Z1, 3, cap=3)
+    with element_cap(3), pytest.raises(ResourceCapError):
+        symbol_positions(Z1, 3)
 
 
 def test_the_cap_bounds_the_double_ball_of_a_map_and_a_compression():
     f = random_element(H, 2, np.random.default_rng(16))
     assert (len(ball(H, 2)), len(ball(H, 4))) == (17, 135)
     for cap in (17, 134):
-        with pytest.raises(ResourceCapError, match="radius 4"):
-            symbol_positions(H, 2, cap=cap)
-        with pytest.raises(ResourceCapError, match="radius 4"):
-            compress_rep(f, 2, cap=cap)
-    assert symbol_positions(H, 2, cap=135) is symbol_positions(H, 2)
-    assert np.array_equal(compress_rep(f, 2, cap=135), compress_rep(f, 2))
+        with element_cap(cap), pytest.raises(ResourceCapError, match="radius 4"):
+            symbol_positions(H, 2)
+        with element_cap(cap), pytest.raises(ResourceCapError, match="radius 4"):
+            compress_rep(f, 2)
+    with element_cap(135):
+        capped_map, capped_rep = symbol_positions(H, 2), compress_rep(f, 2)
+    assert capped_map is symbol_positions(H, 2)
+    assert np.array_equal(capped_rep, compress_rep(f, 2))
 
 
 # ---------------------------------------------------------------------------

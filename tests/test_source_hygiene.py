@@ -3,8 +3,10 @@ every f-string has a placeholder, every module-level private name is read
 somewhere in the package, every function reads each of its parameters,
 importing the package, and a default ``converge``, ``epsilon`` or
 ``distance`` run, leave the heavy optional modules unloaded, the package
-imports nothing beyond the standard library and numpy, and only ``cayley``
-knows the packed-key format of ball lookups or reads a ball's enumeration.
+imports nothing beyond the standard library and numpy, only ``cayley``
+knows the packed-key format of ball lookups or reads a ball's enumeration, and
+only ``cayley.ball`` and the enumeration it extends take an element cap: every
+other function reads the cap in force.
 
 An import marked ``# noqa: F401`` on its line is kept on purpose, as a
 linter would read the mark.
@@ -282,3 +284,43 @@ def test_only_cayley_knows_the_packed_key_format(path):
 @pytest.mark.parametrize("path", OUTSIDE_CAYLEY, ids=lambda p: p.name)
 def test_only_cayley_reads_a_balls_enumeration(path):
     assert cayley_references(path.read_text(), ENUMERATION_NAMES) == []
+
+
+def cap_parameters(module: str, source: str) -> list[str]:
+    """Functions, methods and lambdas with a parameter named ``cap``, by qualified name."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = f"{prefix}{getattr(child, 'name', '<lambda>')}"
+                args = child.args
+                if "cap" in [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]:
+                    found.append(name)
+                visit(child, f"{name}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), f"{module}.")
+    return sorted(found)
+
+
+def test_the_check_finds_a_cap_parameter():
+    source = (
+        "class A:\n    def m(self, cap):\n        pass\n"
+        "def f(x, *, cap=None):\n    g = lambda cap: cap\n    return g\n"
+        "def h(capacity, caps):\n    return capacity, caps\n"
+    )
+    assert cap_parameters("a", source) == ["a.A.m", "a.f", "a.f.<lambda>"]
+
+
+# The only functions that take an element cap: the rest read the cap in force, which
+# ``element_cap`` sets, so no cap is handed down a call chain.
+CAP_PARAMETERS = ["cayley._Enumeration.extend", "cayley.ball"]
+
+
+def test_only_ball_and_its_enumeration_take_a_cap():
+    found = [n for p in SOURCES for n in cap_parameters(p.stem, p.read_text())]
+    assert sorted(found) == CAP_PARAMETERS

@@ -19,20 +19,26 @@ from spectrunc import (
     delta,
     derivative,
     dirac_commutator,
+    element_cap,
     fejer_apply,
     format_toeplitz,
     involution,
+    lip_distance,
+    lipnorm,
     materialize,
     opnorm,
     parse_toeplitz,
+    random_density_state,
     random_element,
     random_selfadjoint,
+    random_vector_state,
     reconstruct,
     spectral_norm,
     truncated_derivative,
     truncated_lipnorm,
     truncation_defect,
     unit,
+    vector_state,
 )
 
 from oracles import Cyclic, averaging_check, random_psd
@@ -382,9 +388,37 @@ def test_parse_toeplitz_names_file_lines():
 def test_compress_and_operators_bound_their_double_ball_by_the_cap():
     f = delta(H3, (1, 0, 0))
     assert len(ball(H3, 10)) == 4309
-    with pytest.raises(ResourceCapError, match="cap of 1000"):
-        compress(f, 5, cap=1000)
-    with pytest.raises(ResourceCapError, match="cap of 1000"):
-        ToeplitzOperator(H3, 5, {(1, 0, 0): 1}, cap=1000)
-    T = compress(f, 5, cap=4309)
-    assert T == ToeplitzOperator(H3, 5, {(1, 0, 0): 1}, cap=4309)
+    with element_cap(1000), pytest.raises(ResourceCapError, match="cap of 1000"):
+        compress(f, 5)
+    with element_cap(1000), pytest.raises(ResourceCapError, match="cap of 1000"):
+        ToeplitzOperator(H3, 5, {(1, 0, 0): 1})
+    with element_cap(4309):
+        T = compress(f, 5)
+        assert T == ToeplitzOperator(H3, 5, {(1, 0, 0): 1})
+
+
+# Heisenberg balls of radius 2 and 4 have 17 and 135 elements: under a cap of 134 a
+# truncation to radius 2 fits and its double ball does not.  The far element's word
+# length comes from a walk over balls from radius 0, which passes the cap at radius 4.
+CAPPED_CALLS = {
+    "derivative": lambda T, phi, psi, rng: derivative(delta(H3, (0, 0, 400))),
+    "lipnorm": lambda T, phi, psi, rng: lipnorm(delta(H3, (0, 0, 400)), 1),
+    "truncated_lipnorm": lambda T, phi, psi, rng: truncated_lipnorm(T),
+    "truncation_defect": lambda T, phi, psi, rng: truncation_defect(T),
+    "reconstruct": lambda T, phi, psi, rng: reconstruct(T),
+    "dirac_commutator": lambda T, phi, psi, rng: dirac_commutator(T),
+    "materialize": lambda T, phi, psi, rng: materialize(T),
+    "random_selfadjoint": lambda T, phi, psi, rng: random_selfadjoint(H3, 2, rng),
+    "random_vector_state": lambda T, phi, psi, rng: random_vector_state(H3, 4, rng),
+    "random_density_state": lambda T, phi, psi, rng: random_density_state(H3, 4, rng),
+    "lip_distance": lambda T, phi, psi, rng: lip_distance(phi, psi, 1, 2),
+}
+
+
+@pytest.mark.parametrize("name", CAPPED_CALLS)
+def test_the_cap_in_force_bounds_calls_that_take_no_cap(name):
+    T = compress(delta(H3, (1, 0, 0)) + delta(H3, (2, 1, 0)), 2)
+    phi = vector_state(H3, {(0, 0, 0): 1}, lam=2)
+    psi = vector_state(H3, {(1, 0, 0): 1}, lam=2)
+    with element_cap(134), pytest.raises(ResourceCapError, match=r"cap of 134\b"):
+        CAPPED_CALLS[name](T, phi, psi, np.random.default_rng(0))
