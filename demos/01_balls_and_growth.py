@@ -1,7 +1,8 @@
 """Word-metric balls and polynomial growth.
 
 Enumerates balls in the integer lattices and the discrete Heisenberg group,
-shows the word length of a few landmark elements, and fits the polynomial
+shows the word length of a few landmark elements from Heisenberg's closed
+form, which needs no ball around them, and fits the polynomial
 growth degree and the boundary decay exponent from exact ball sizes.
 """
 
@@ -17,6 +18,7 @@ print("Heisenberg landmarks:")
 print(f"  generator (1,0,0)        length {word_length(h3, (1, 0, 0))}")
 print(f"  commutator (0,0,1)       length {word_length(h3, (0, 0, 1))}")
 print(f"  (2,-3,4)                 length {word_length(h3, (2, -3, 4))}")
+print(f"  (0,0,400)                length {word_length(h3, (0, 0, 400))}")
 
 print()
 for group, lam_max in ((FreeAbelian(2), 40), (Heisenberg(), 16)):

@@ -2,7 +2,8 @@
 
 The group contract.  Elements are integer tuples of one fixed length in a
 unique normal form, so they hash and compare cheaply.  A group exposes
-``identity()``, ``multiply(g, h)``, ``inverse(g)``, ``validate(g)``, its
+``identity()``, ``multiply(g, h)``, ``inverse(g)``, ``validate(g)``,
+``length(g)`` (the exact word length of any element, in closed form), its
 ``generators`` and a ``name``, and also ``multiply_array(g, h)`` and
 ``inverse_array(g)``: the same law on int64 coordinate arrays of shape
 ``(..., k)``, broadcasting like numpy arithmetic.  The generating set must be
@@ -17,14 +18,15 @@ built-in groups are the free abelian groups Z^d and the discrete Heisenberg
 group, and both declare it; any other object meeting the contract can be
 dropped in beside them.  A ball is a prefix of its group's one enumeration,
 int64 rows and sphere sizes, and answers every position, membership and length
-query through one packed-key lookup, ``Ball.positions``; the word lengths of
-many elements come from one walk over balls of growing radius.  One element
-cap is in force at a time: ``ball`` reads it, so every enumeration of every
-layer is bounded by it, and ``element_cap`` sets it for a block.
+query through one packed-key lookup, ``Ball.positions``; its sphere sizes
+are the reference for each group's ``length``.  One element cap is in force
+at a time: ``ball`` reads it, so every enumeration of every layer is bounded
+by it, and ``element_cap`` sets it for a block.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -105,6 +107,9 @@ class FreeAbelian:
     def inverse_array(self, g: np.ndarray) -> np.ndarray:
         return -g
 
+    def length(self, g: Element) -> int:
+        return sum(abs(int(a)) for a in g)
+
     def validate(self, g) -> None:
         if (
             not isinstance(g, tuple)
@@ -156,6 +161,27 @@ class Heisenberg:
         out = -g
         out[..., 2] += g[..., 0] * g[..., 1]
         return out
+
+    def length(self, g: Element) -> int:
+        """Word length in closed form (Blachère, Colloq. Math. 95, 2003).
+
+        A word is a lattice path to (x, y) whose area integral of x dy is z.  Reflected to
+        x, y >= 0, the paths of length x + y reach every area in [0, xy]; an area A beyond
+        that costs the boundary of a W x H box with W >= |x|, H >= |y| and WH >= A.
+        """
+        x, y, z = (int(c) for c in g)
+        a, b = abs(x), abs(y)
+        c = -z if (x < 0) != (y < 0) else z
+        if 0 <= c <= a * b:
+            return a + b
+        area = c if c > a * b else a * b - c
+        side = max(a, b)
+        if side * side >= area:
+            half = side - (-area // side)
+        else:
+            k = math.isqrt(4 * area)
+            half = k + (k * k != 4 * area)
+        return 2 * half - a - b
 
     def validate(self, g) -> None:
         if not isinstance(g, tuple) or len(g) != 3 or not all(isinstance(a, _INT_TYPES) for a in g):
@@ -262,18 +288,17 @@ class _Enumeration:
         """Word length of the rows at these positions, the radius of their spheres."""
         return np.searchsorted(self.sizes, positions, side="right")
 
-    def extend(self, radius: int, cap: int) -> None:
-        """Enumerate up to the radius, stopping at a sphere that passes the cap."""
+    def extend(self, radius: int, cap: int) -> bool:
+        """Enumerate up to the radius; False at a sphere that passes the cap, which is dropped."""
         while len(self.sizes) <= radius and len(self.frontier):
             sphere = self._next_sphere()
             if self.sizes[-1] + len(sphere) > cap:
-                raise ResourceCapError(
-                    f"ball of radius {radius} in {self.group.name} exceeds the cap of {cap} elements"
-                )
+                return False
             self.coords = np.concatenate([self.coords, sphere])
             self.coords.setflags(write=False)
             self.previous, self.frontier = self.frontier, sphere
             self.sizes.append(len(self.coords))
+        return True
 
     def _next_sphere(self) -> np.ndarray:
         """The frontier times the generators, less the last two spheres.
@@ -409,44 +434,17 @@ def ball(group, radius: int, cap: Optional[int] = None) -> Ball:
             enumeration = _ENUMERATIONS.get(group)
             if enumeration is None:
                 enumeration = _ENUMERATIONS[group] = _Enumeration(group)
-            enumeration.extend(radius, cap)
-        b = _BALL_CACHE[(group, radius)] = Ball(enumeration, radius)
-    if len(b) > cap:
-        raise ResourceCapError(
-            f"ball of radius {radius} in {group.name} has {len(b)} elements, "
-            f"over the cap of {cap}"
-        )
+            if enumeration.extend(radius, cap):
+                b = _BALL_CACHE[(group, radius)] = Ball(enumeration, radius)
+    if b is None or len(b) > cap:
+        raise ResourceCapError(f"ball of radius {radius} in {group.name} exceeds the cap of {cap} elements")
     return b
 
 
-def _word_lengths(group, elements) -> list:
-    """Word length of each element, from one walk over balls of growing radius.
-
-    The walk starts at the largest lower bound, |x| + |y| on Heisenberg and 0
-    elsewhere, looks up the elements it has not yet found once per radius, and
-    reads their lengths off the enumeration's sphere sizes.
-    """
-    if isinstance(group, FreeAbelian):
-        return [int(sum(abs(a) for a in g)) for g in elements]
-    on_heisenberg = isinstance(group, Heisenberg)
-    radius = max((abs(g[0]) + abs(g[1]) for g in elements if on_heisenberg), default=0)
-    rows = _rows(elements, len(group.identity()))
-    lengths = np.zeros(len(rows), dtype=np.int64)
-    todo = np.arange(len(rows))
-    while len(todo):
-        b = ball(group, radius)
-        pos = b.positions(rows[todo])
-        found = pos >= 0
-        lengths[todo[found]] = b.lengths_at(pos[found])
-        todo = todo[~found]
-        radius += 1
-    return lengths.tolist()
-
-
 def word_length(group, g) -> int:
-    """Length of a shortest generator word for g (0 for the identity)."""
+    """Length of a shortest generator word for g (0 for the identity), the group's ``length``."""
     group.validate(g)
-    return _word_lengths(group, [g])[0]
+    return group.length(g)
 
 
 @dataclass(frozen=True)

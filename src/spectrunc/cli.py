@@ -227,18 +227,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_group(p):
         p.add_argument("--group", required=True, help="group key: 'z:<d>' or 'heisenberg'")
+        p.add_argument("--cap", type=int, default=None, help="element cap (default 200000)")
 
     p = sub.add_parser("ball", help="print the size of a word-metric ball")
     add_group(p)
     p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--cap", type=int, default=None, help="element cap (default 200000)")
     p.set_defaults(func=_cmd_ball)
 
     p = sub.add_parser("growth", help="ball sizes, boundary ratios, and fitted exponents")
     add_group(p)
     p.add_argument("--lambda-max", dest="lambda_max", type=int, required=True)
     p.add_argument("--fit-min", dest="fit_min", type=int, default=2)
-    p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=_cmd_growth)
 
     p = sub.add_parser("fejer", help="exact ball-overlap kernel values")
@@ -246,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=int, required=True)
     p.add_argument("--at", default=None, help="element coordinates, e.g. '1' or '1,0'")
     p.add_argument("--float", action="store_true", help="print floats instead of rationals")
-    p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=_cmd_fejer)
 
     p = sub.add_parser("lipnorm", help="Lipschitz seminorm estimate of an algebra element")
@@ -263,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default="-")
     p.add_argument("--output", default=None)
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--cap", type=int, default=None, help="element cap on the double ball")
     p.set_defaults(func=_cmd_truncate)
 
     p = sub.add_parser("reconstruct", help="weight a symbol file back into the algebra")

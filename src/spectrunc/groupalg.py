@@ -11,10 +11,10 @@ from the products of f's support with the ball alone.  The overlap kernel is
 an integer count array over the double ball, counted along the fibers of a
 central last coordinate where the group declares one and through the index
 map otherwise.  Every group element is found through its ball's one lookup,
-``Ball.positions``, which index maps, kernel reads and norm scans share, and
-a whole support's word lengths come from one walk over growing balls.  The
-element cap in force (``element_cap``) bounds every ball a call enumerates,
-double balls and word-length walks included.
+``Ball.positions``, which index maps, kernel reads and norm scans share.
+Word lengths of a support come from the group's closed-form ``length`` and
+enumerate nothing.  The element cap in force (``element_cap``) bounds every
+ball a call enumerates, double balls included.
 
 Coefficients may be ints, floats, complexes, or ``fractions.Fraction``
 values.  Arithmetic preserves exact types, so identities that hold in
@@ -31,7 +31,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .cayley import Ball, _position_finder, _word_lengths, ball
+from .cayley import Ball, _position_finder, ball
 
 __all__ = [
     "AlgebraElement",
@@ -184,8 +184,7 @@ def derivative(f: AlgebraElement, s: int = 1) -> AlgebraElement:
     are exactly the kernel of every induced seminorm.
     """
     _check_order(s)
-    lengths = _word_lengths(f.group, list(f.support))
-    return AlgebraElement(f.group, {g: v * n**s for (g, v), n in zip(f.items(), lengths) if n})
+    return AlgebraElement(f.group, {g: v * n**s for g, v in f.items() if (n := f.group.length(g))})
 
 
 def l1_norm(f: AlgebraElement) -> float:
@@ -366,7 +365,7 @@ def opnorm(f: AlgebraElement, tol: float = 1e-8, r_max: int = 10, r_min: int = 0
         raise ValueError(f"r_max must be nonnegative, got {r_max}")
     if len(f) == 0:
         return OpnormResult(estimate=0.0, converged=True, last_radius=0)
-    reach = max(_word_lengths(f.group, list(f.support)))
+    reach = max(map(f.group.length, f.support))
     r_floor = max(r_min, (reach + 1) // 2)
     estimate = 0.0
     prev = None

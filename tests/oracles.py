@@ -8,7 +8,9 @@ element at a time, independently of the inverse-position table the package
 pairs the double ball with.  ``two_loop_growth_fit`` is the growth fit that
 grows its range, lifts it to radius 4 unchecked and walks back down on the
 cap, which the one-pass fit must reproduce.  ``Cyclic`` is a finite group
-with elements of order two, which the built-in torsion-free groups lack.
+with elements of order two, which the built-in torsion-free groups lack;
+``EvenPlane`` has a central last coordinate whose ball fibers are not
+intervals, and ``ScalarHeisenberg`` is Heisenberg without the declaration.
 
 ``quadratic_form`` is <xi, f xi> by the scalar law, one support pair at a
 time, for the translate-averaging identity and the smoothing bound.
@@ -28,6 +30,8 @@ import numpy as np
 from scipy import optimize
 
 from spectrunc import (
+    FreeAbelian,
+    Heisenberg,
     ResourceCapError,
     State,
     ToeplitzOperator,
@@ -45,6 +49,9 @@ from spectrunc import (
     word_length,
 )
 from spectrunc import cayley
+
+_Z2 = FreeAbelian(2)
+_H = Heisenberg()
 
 
 def quadratic_form(f, xi: Mapping) -> complex:
@@ -175,9 +182,77 @@ class Cyclic:
     def inverse_array(self, g):
         return -g % self.order
 
+    def length(self, g):
+        return min(g[0], self.order - g[0])
+
     def validate(self, g):
         if not (isinstance(g, tuple) and len(g) == 1 and 0 <= g[0] < self.order):
             raise ValueError(f"{g!r} is not a valid element of {self.name}")
+
+
+class EvenPlane:
+    """Z x 2Z inside Z^2, generated by +-(1, 0) and +-(0, 2).
+
+    Its last coordinate is central, but its ball fibers are sets of even
+    numbers, not intervals, so every fiber of the overlap count is many runs.
+    Instances hash by identity.
+    """
+
+    name = "z-by-2z"
+    generators = ((1, 0), (-1, 0), (0, 2), (0, -2))
+    central_last_coordinate = True
+
+    def identity(self):
+        return _Z2.identity()
+
+    def multiply(self, g, h):
+        return _Z2.multiply(g, h)
+
+    def inverse(self, g):
+        return _Z2.inverse(g)
+
+    def multiply_array(self, g, h):
+        return _Z2.multiply_array(g, h)
+
+    def inverse_array(self, g):
+        return _Z2.inverse_array(g)
+
+    def length(self, g):
+        return abs(g[0]) + abs(g[1]) // 2
+
+    def validate(self, g):
+        _Z2.validate(g)
+
+
+class ScalarHeisenberg:
+    """The Heisenberg group as a drop-in group that delegates every method.
+
+    Instances hash by identity, so each one gets an enumeration of its own.
+    """
+
+    name = "scalar-heisenberg"
+    generators = _H.generators
+
+    def identity(self):
+        return _H.identity()
+
+    def multiply(self, g, h):
+        return _H.multiply(g, h)
+
+    def inverse(self, g):
+        return _H.inverse(g)
+
+    def multiply_array(self, g, h):
+        return _H.multiply_array(g, h)
+
+    def inverse_array(self, g):
+        return _H.inverse_array(g)
+
+    def length(self, g):
+        return _H.length(g)
+
+    def validate(self, g):
+        _H.validate(g)
 
 
 def brute_distance(phi: State, psi: State, s: int, lam: int) -> float:

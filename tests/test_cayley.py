@@ -21,7 +21,7 @@ from spectrunc import (
     word_length,
 )
 
-from oracles import Cyclic, ball_overlap, folner_deficit
+from oracles import Cyclic, EvenPlane, ScalarHeisenberg, ball_overlap, folner_deficit
 
 Z1 = FreeAbelian(1)
 Z2 = FreeAbelian(2)
@@ -164,14 +164,22 @@ def test_ball_cap_error_names_cap():
         ball(Z2, 50, cap=100)
 
 
-def test_ball_cap_applies_to_a_prefix_of_a_larger_enumeration():
+def test_ball_cap_applies_to_a_prefix_of_a_larger_enumeration(monkeypatch):
+    # a cached prefix, a prefix of a larger enumeration and a fresh enumeration that
+    # stops at the cap all raise one text
+    message = r"^ball of radius 4 in heisenberg exceeds the cap of 100 elements$"
     ball(H3, 6)
-    with pytest.raises(ResourceCapError, match="135 elements"):
+    with pytest.raises(ResourceCapError, match=message):
         ball(H3, 4, cap=100)
     cayley._BALL_CACHE.pop((H3, 4), None)
-    with pytest.raises(ResourceCapError, match="135 elements"):
+    with pytest.raises(ResourceCapError, match=message):
         ball(H3, 4, cap=100)
     assert len(ball(H3, 4, cap=135)) == 135
+    monkeypatch.setattr(cayley, "_BALL_CACHE", {})
+    monkeypatch.setattr(cayley, "_ENUMERATIONS", {})
+    with pytest.raises(ResourceCapError, match=message):
+        ball(H3, 4, cap=100)
+    assert cayley._ENUMERATIONS[H3].sizes == [1, 5, 17, 53]
 
 
 # Z^2 balls of radius 4, 5, 6 and 7 have 41, 61, 85 and 113 elements.
@@ -351,19 +359,44 @@ def test_bfs_depth_equals_word_length():
             assert word_length(grp, g) == depth
 
 
-@pytest.mark.parametrize("group, radius", [(H3, 8), (FreeAbelian(3), 4), (Cyclic(7), 5)])
+LENGTH_CASES = [(H3, 8), (FreeAbelian(3), 4), (Cyclic(7), 5), (Z1, 6), (Z2, 6), (FreeAbelian(3), 6)]
+LENGTH_CASES += [(Cyclic(4), 6), (EvenPlane(), 6), (ScalarHeisenberg(), 6)]
+
+
+@pytest.mark.parametrize("group, radius", LENGTH_CASES)
 def test_batched_word_lengths_equal_bfs_depths(group, radius):
+    # the closed-form length of every built-in and test group against its sphere sizes
     b = ball(group, radius)
-    # reversed, so that the walk meets the longest elements first
-    assert cayley._word_lengths(group, b.elements[::-1]) == list(b.lengths[::-1])
+    lengths = [group.length(g) for g in b.elements]
+    assert lengths == list(b.lengths)
+    assert all(type(n) is int for n in lengths)
 
 
-def test_a_word_too_long_for_the_cap_raises():
-    far = (30, 0, 0)
-    with pytest.raises(ResourceCapError):
-        word_length(H3, far)
-    with pytest.raises(ResourceCapError):
-        derivative(AlgebraElement(H3, {(1, 0, 0): 1, far: 1}))
+def test_heisenberg_length_is_the_bfs_depth_and_exceeds_the_radius_off_the_ball():
+    b = ball(H3, 16)
+    assert [H3.length(g) for g in b.elements] == list(b.lengths)
+    inner = ball(H3, 12)
+    lo, hi = inner.coords.min(axis=0) - 3, inner.coords.max(axis=0) + 3
+    box = np.stack(np.meshgrid(*map(np.arange, lo, hi + 1), indexing="ij"), axis=-1).reshape(-1, 3)
+    outside = box[inner.positions(box) < 0]
+    assert len(outside) > len(box) // 2
+    assert min(H3.length(g) for g in map(tuple, outside.tolist())) == 13
+
+
+def test_word_lengths_enumerate_nothing():
+    # each length is a closed form, so no cap stops it, and numpy coordinates whose
+    # products pass int64 are read as Python ints
+    sizes = {group: list(e.sizes) for group, e in cayley._ENUMERATIONS.items()}
+    with element_cap(1):
+        assert word_length(H3, (30, 0, 0)) == 30
+        assert word_length(H3, (0, 0, 10**12)) == 4_000_000
+        assert word_length(H3, (2**70, 0, 0)) == 2**70
+        assert word_length(H3, tuple(np.array([2**40, 2**40, 2**62], dtype=np.int64))) == 2**41
+        samples = {(0, 0, 100): 40, (0, 0, 9): 12, (2, -3, 4): 9, (-2, 3, -10): 9}
+        assert {g: word_length(H3, g) for g in samples} == samples
+        far = derivative(AlgebraElement(H3, {(1, 0, 0): 1, (0, 0, 400): 1}))
+        assert far.coeffs() == {(1, 0, 0): 1, (0, 0, 400): 80}
+    assert {group: list(e.sizes) for group, e in cayley._ENUMERATIONS.items()} == sizes
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,46 @@ def test_solver_commands_reject_a_derivative_order_below_one(capsys, tmp_path, s
         assert "derivative order" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ball", "--radius", "1"),
+        ("growth", "--lambda-max", "2"),
+        ("fejer", "--lambda", "1"),
+        ("lipnorm", "--s", "1", "--input", "f.txt"),
+        ("truncate", "--lambda", "1", "--input", "f.txt"),
+        ("reconstruct", "--input", "sym.txt"),
+        ("commutator", "--input", "sym.txt"),
+        ("distance", "--lambda", "1", "--s", "1", "--phi", "f.txt", "--psi", "f.txt"),
+        ("epsilon", "--lambda", "1", "--s", "1"),
+        pytest.param(
+            ("epsilon", "--group", "heisenberg", "--lambda", "2", "--s", "3", "--cap", "100"),
+            id="epsilon-heisenberg",
+        ),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_group_command_takes_a_cap(capsys, tmp_path, monkeypatch, argv):
+    # by default a cap of one element, which stops each command at the first ball past e
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.txt").write_text("1 0 1\n")
+    (tmp_path / "sym.txt").write_text("lambda 1\n1 0 1\n")
+    if "--cap" not in argv:
+        argv += ("--group", "z:1", "--cap", "1")
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("resource cap: ball of radius ")
+    assert err.endswith(f" cap of {argv[argv.index('--cap') + 1]} elements\n")
+
+
+def test_lipnorm_of_an_element_past_r_max_warns_and_exits_0(capsys, monkeypatch):
+    # (0, 0, 400) has word length 80: the scan reaches r_max = 10 without seeing it
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1 0 0 0 400\n"))
+    code, out, err = _run(capsys, "lipnorm", "--group", "heisenberg", "--s", "1")
+    assert (code, float(out)) == (0, 0.0)
+    assert err == "warning: the radius scan stopped at r_max = 10 before converging\n"
+
+
 def test_epsilon_command_output(capsys):
     code, out, _ = _run(
         capsys, "epsilon", "--group", "z:1", "--lambda", "2", "--s", "2",

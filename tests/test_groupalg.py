@@ -307,9 +307,9 @@ def test_opnorm_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
         opnorm(delta(Z1, (1,)), tol=tol)
 
 
-def test_opnorm_cap_reaches_the_word_length_walk():
-    # the reach of (0, 0, 400) comes from a walk over balls from radius 0, which the cap stops
-    with pytest.raises(ResourceCapError, match=r"^ball of radius 7 in heisenberg .*cap of 1000\b"):
+def test_opnorm_cap_stops_the_scan_at_its_first_radius():
+    # (0, 0, 400) has length 80, so the scan starts at radius 9, whose ball passes the cap
+    with pytest.raises(ResourceCapError, match=r"^ball of radius 9 in heisenberg .*cap of 1000\b"):
         with element_cap(1000):
             opnorm(delta(H3, (0, 0, 400)))
 

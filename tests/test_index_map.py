@@ -53,7 +53,7 @@ from spectrunc.qmetric import (
     _two_norm_ascent,
 )
 
-from oracles import Cyclic, ball_overlap
+from oracles import Cyclic, EvenPlane, ScalarHeisenberg, ball_overlap
 
 Z1 = FreeAbelian(1)
 Z2 = FreeAbelian(2)
@@ -320,37 +320,6 @@ def test_epsilon_floor_is_the_best_basis_direction(group, lam):
     assert epsilon_full(group, lam, 3) == floor
 
 
-class EvenPlane:
-    """Z x 2Z inside Z^2, generated by +-(1, 0) and +-(0, 2).
-
-    Its last coordinate is central, but its ball fibers are sets of even
-    numbers, not intervals, so every fiber of the overlap count is many runs.
-    Instances hash by identity.
-    """
-
-    name = "z-by-2z"
-    generators = ((1, 0), (-1, 0), (0, 2), (0, -2))
-    central_last_coordinate = True
-
-    def identity(self):
-        return Z2.identity()
-
-    def multiply(self, g, h):
-        return Z2.multiply(g, h)
-
-    def inverse(self, g):
-        return Z2.inverse(g)
-
-    def multiply_array(self, g, h):
-        return Z2.multiply_array(g, h)
-
-    def inverse_array(self, g):
-        return Z2.inverse_array(g)
-
-    def validate(self, g):
-        Z2.validate(g)
-
-
 CENTRAL_GROUPS = [Z1, Z2, FreeAbelian(3), H, EvenPlane()]
 
 
@@ -483,34 +452,6 @@ def _scalar_index_map(group, radius):
     pos = {z: i for i, z in enumerate(_scalar_ball(group, 2 * radius)[0])}
     inverses = [group.inverse(y) for y in elements]
     return np.array([[pos[group.multiply(x, yi)] for yi in inverses] for x in elements])
-
-
-class ScalarHeisenberg:
-    """The Heisenberg group as a drop-in group that delegates every method.
-
-    Instances hash by identity, so each one gets an enumeration of its own.
-    """
-
-    name = "scalar-heisenberg"
-    generators = H.generators
-
-    def identity(self):
-        return H.identity()
-
-    def multiply(self, g, h):
-        return H.multiply(g, h)
-
-    def inverse(self, g):
-        return H.inverse(g)
-
-    def multiply_array(self, g, h):
-        return H.multiply_array(g, h)
-
-    def inverse_array(self, g):
-        return H.inverse_array(g)
-
-    def validate(self, g):
-        H.validate(g)
 
 
 ARRAY_GROUPS = [Z1, Z2, FreeAbelian(3), H]

@@ -6,7 +6,8 @@ importing the package, and a default ``converge``, ``epsilon`` or
 imports nothing beyond the standard library and numpy, only ``cayley``
 knows the packed-key format of ball lookups or reads a ball's enumeration, and
 only ``cayley.ball`` and the enumeration it extends take an element cap: every
-other function reads the cap in force.
+other function reads the cap in force, and no module tells the built-in
+groups apart with ``isinstance``: a group is its contract.
 
 An import marked ``# noqa: F401`` on its line is kept on purpose, as a
 linter would read the mark.
@@ -324,3 +325,27 @@ CAP_PARAMETERS = ["cayley._Enumeration.extend", "cayley.ball"]
 def test_only_ball_and_its_enumeration_take_a_cap():
     found = [n for p in SOURCES for n in cap_parameters(p.stem, p.read_text())]
     assert sorted(found) == CAP_PARAMETERS
+
+
+def builtin_group_checks(source: str) -> list[int]:
+    """Line numbers of ``isinstance`` calls whose class argument names FreeAbelian or Heisenberg."""
+    found = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "isinstance":
+            names = {getattr(c, "id", getattr(c, "attr", None)) for c in ast.walk(n.args[1])}
+            if names & {"FreeAbelian", "Heisenberg"}:
+                found.append(n.lineno)
+    return found
+
+
+def test_the_check_finds_a_builtin_group_check():
+    source = (
+        "isinstance(g, FreeAbelian)\nisinstance(g, (int, cayley.Heisenberg))\n"
+        "isinstance(g, tuple)\nHeisenberg()\n"
+    )
+    assert builtin_group_checks(source) == [1, 2]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_tells_the_builtin_groups_apart(path):
+    assert builtin_group_checks(path.read_text()) == []

@@ -398,10 +398,9 @@ def test_compress_and_operators_bound_their_double_ball_by_the_cap():
 
 
 # Heisenberg balls of radius 2 and 4 have 17 and 135 elements: under a cap of 134 a
-# truncation to radius 2 fits and its double ball does not.  The far element's word
-# length comes from a walk over balls from radius 0, which passes the cap at radius 4.
+# truncation to radius 2 fits and its double ball does not.  The far element has word
+# length 80, so the opnorm scan of lipnorm starts at radius 9, past the cap.
 CAPPED_CALLS = {
-    "derivative": lambda T, phi, psi, rng: derivative(delta(H3, (0, 0, 400))),
     "lipnorm": lambda T, phi, psi, rng: lipnorm(delta(H3, (0, 0, 400)), 1),
     "truncated_lipnorm": lambda T, phi, psi, rng: truncated_lipnorm(T),
     "truncation_defect": lambda T, phi, psi, rng: truncation_defect(T),
