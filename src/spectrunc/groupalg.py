@@ -306,9 +306,14 @@ def spectral_norm(M: np.ndarray) -> float:
         return _lanczos_norm(M.__matmul__, lambda u: np.conj(M.T @ np.conj(u)), M.shape[1])
     if M.shape[0] == M.shape[1] and np.array_equal(M, M.conj().T):
         return float(np.max(np.abs(np.linalg.eigvalsh(M))))
-    gram = M.conj().T @ M
-    top = float(np.max(np.linalg.eigvalsh(gram)))
-    return math.sqrt(max(top, 0.0))
+    return float(_gram_top(M[None])[2][0])
+
+
+def _gram_top(M: np.ndarray):
+    """Fresh Gram stack H = M^H M of a (B, m, n) stack, its top eigenvalues and their roots."""
+    H = M.conj().transpose(0, 2, 1) @ M
+    top = np.linalg.eigvalsh(H)[:, -1]
+    return H, top, np.sqrt(np.maximum(top, 0.0))
 
 
 def _compression_norm(f: AlgebraElement, radius: int) -> float:
@@ -347,17 +352,18 @@ class OpnormResult:
     last_radius: int
 
 
-def opnorm(f: AlgebraElement, tol: float = 1e-8, r_max: int = 10, r_min: int = 0) -> OpnormResult:
+def opnorm(f: AlgebraElement, tol: float = 1e-8, r_max: int = 10) -> OpnormResult:
     """Estimate the operator norm of left convolution by f.
 
     Compression norms are nondecreasing in the radius, and each is attained
     (above the Lanczos crossover, a matrix-free Rayleigh quotient converged to
     a relative residual of 1e-14), so the running maximum is a certified lower
-    bound.  The scan stops once two successive radii differ by less than
-    ``tol`` (finite and positive), but never before the compression is large
-    enough to see every support element of f (and never before ``r_min``); it
-    starts one radius below that floor and ends at r_max at the latest, and it
-    reads no index map or double ball at any radius (``_compression_norm``).
+    bound; it starts at ||f||_2 = ||f delta_e||, so a nonzero f never gets 0.
+    The scan stops once two successive radii differ by less than ``tol``
+    (finite and positive), but never before the compression is large enough
+    to see every support element of f; it starts one radius below that floor
+    and ends at r_max at the latest, and it reads no index map or double ball
+    at any radius (``_compression_norm``).
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -365,9 +371,8 @@ def opnorm(f: AlgebraElement, tol: float = 1e-8, r_max: int = 10, r_min: int = 0
         raise ValueError(f"r_max must be nonnegative, got {r_max}")
     if len(f) == 0:
         return OpnormResult(estimate=0.0, converged=True, last_radius=0)
-    reach = max(map(f.group.length, f.support))
-    r_floor = max(r_min, (reach + 1) // 2)
-    estimate = 0.0
+    r_floor = (max(map(f.group.length, f.support)) + 1) // 2
+    estimate = l2_norm(f)
     prev = None
     converged = False
     last = 0
@@ -382,9 +387,9 @@ def opnorm(f: AlgebraElement, tol: float = 1e-8, r_max: int = 10, r_min: int = 0
     return OpnormResult(estimate=estimate, converged=converged, last_radius=last)
 
 
-def lipnorm(f: AlgebraElement, s: int, tol: float = 1e-8, r_max: int = 10, r_min: int = 0) -> float:
+def lipnorm(f: AlgebraElement, s: int, tol: float = 1e-8, r_max: int = 10) -> float:
     """Lipschitz seminorm: operator norm of the s-th derivative of f."""
-    return opnorm(derivative(f, s), tol=tol, r_max=r_max, r_min=r_min).estimate
+    return opnorm(derivative(f, s), tol=tol, r_max=r_max).estimate
 
 
 def random_element(group, radius: int, rng: np.random.Generator) -> AlgebraElement:

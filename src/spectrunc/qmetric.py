@@ -1,24 +1,25 @@
 """State spaces, Lip-norm distances, and truncation error estimates.
 
-Every state lives on a truncation, as a unit vector or a density matrix over
-the radius-lam ball, and evaluates a truncated operator of that radius as one
-contraction of its state matrix with the operator's matrix; a vector state
-finds its support in the ball by one position lookup.  The distance between
-two states is the supremum of their difference over the self-adjoint unit
-ball of the Lipschitz seminorm; on a truncation that is a convex problem
-whose dual is a trace-norm minimization over an affine set, so one ADMM
-solve, accelerated by safeguarded Anderson mixing, brackets it between an
-attained witness value and a dual certificate.  The solver's budget counts
-evaluations of the ADMM map, one ``eigh`` each.  Of the two Lipschitz
-approximation constants that drive the quantitative convergence bound, the
-full-algebra one is the Folner epsilon, its exact basis floor, and the
-truncated one the best of that floor, a sign witness (the sign of the defect
-multiplier, averaged onto symbols) and an optional ratio ascent, all on
-pencils of ball compressions, each stored as the symbol position and weight
-of every complex parameter, evaluated and differentiated through the index
-map.  The distance solver reads the double ball's own arrays instead: the
-index map, the inverse-position table and the word lengths.  Every ball that
-states, distances and constants enumerate is bounded by the element cap in force.
+Every state lives on a truncation and is held by its moments, its values on
+the compressed translations E_z by the elements z of the double ball: a unit
+vector or a density matrix over the radius-lam ball is summed over the index
+map once, and a truncated operator of that radius evaluates as its symbol
+against the moments, with no matrix.  The distance between two states is the
+supremum of their difference over the self-adjoint unit ball of the Lipschitz
+seminorm; on a truncation that is a convex problem whose dual is a trace-norm
+minimization over an affine set, so one ADMM solve, accelerated by
+safeguarded Anderson mixing, brackets it between an attained witness value
+and a dual certificate.  The solver's budget counts evaluations of the ADMM
+map, one ``eigh`` each.  Of the two Lipschitz approximation constants that
+drive the quantitative convergence bound, the full-algebra one is the Folner
+epsilon, its exact basis floor, and the truncated one the best of that floor,
+a sign witness (the sign of the defect multiplier, averaged onto symbols) and
+an optional ratio ascent, all on pencils of ball compressions, each stored as
+the weight of one complex parameter per double-ball element but e, evaluated
+and differentiated through the index map.  The distance solver reads the
+double ball's own arrays instead: the states' moments, the index map, the
+inverse-position table and the word lengths.  Every ball that states,
+distances and constants enumerate is bounded by the element cap in force.
 """
 
 from __future__ import annotations
@@ -38,9 +39,10 @@ from .groupalg import (
     symbol_positions,
     _check_order,
     _check_radius,
+    _gram_top,
     _start_vector,
 )
-from .truncation import ToeplitzOperator, materialize
+from .truncation import ToeplitzOperator
 
 __all__ = [
     "State",
@@ -59,25 +61,39 @@ __all__ = [
 ]
 
 
-class State:
-    """A state on the truncation to the radius-lam ball.
+def _position_sums(idx: np.ndarray, W: np.ndarray, slots: int) -> np.ndarray:
+    """Sum of W's entries at each of the slots positions of the index map idx.
 
-    Vector states hold a unit l2 coefficient dictionary supported in the
-    ball; density states hold a positive trace-one matrix over the ball's
-    element order.
+    Row b of a stack of matrices sums into its own bins.
+    """
+    flat, w = idx.ravel(), W.ravel()
+    rows = len(w) // len(flat)
+    bins = (flat + slots * np.arange(rows)[:, None]).ravel()
+    g = np.bincount(bins, w.real, rows * slots) + 1j * np.bincount(bins, w.imag, rows * slots)
+    return g.reshape(*W.shape[:-2], slots)
+
+
+@dataclass(frozen=True, eq=False)
+class State:
+    """A state phi on the truncation to the radius-lam ball, held by its moments.
+
+    ``moments[k]`` is phi(E_z) for the k-th element z of the double ball, where E_z, the
+    compressed translation by z, has entry 1 at each (x, y) of the ball with x y^-1 = z.
+    A truncated operator with symbol p then evaluates to sum_z p(z) phi(E_z).
     """
 
-    __slots__ = ("group", "kind", "lam", "vector", "rho")
-
-    def __init__(self, group, kind: str, lam: int, vector=None, rho=None):
-        self.group = group
-        self.kind = kind
-        self.lam = lam
-        self.vector = vector
-        self.rho = rho
+    group: object
+    lam: int
+    moments: np.ndarray
 
     def __repr__(self) -> str:
-        return f"State({self.group.name}, {self.kind}, lam={self.lam})"
+        return f"State({self.group.name}, lam={self.lam})"
+
+
+def _state(group, lam: int, W: np.ndarray) -> State:
+    """The state with phi(T) = sum_ij W_ij T_ij, from the sums of W over the index map."""
+    slots = len(ball(group, 2 * lam))
+    return State(group, lam, _position_sums(symbol_positions(group, lam), W, slots))
 
 
 def vector_state(group, coeffs: Mapping, lam: int) -> State:
@@ -91,11 +107,15 @@ def vector_state(group, coeffs: Mapping, lam: int) -> State:
     if not clean:
         raise ValueError("a vector state needs a nonzero vector")
     keys = list(clean)
-    outside = np.flatnonzero(ball(group, lam).positions(keys) < 0)
+    b = ball(group, lam)
+    pos = b.positions(keys)
+    outside = np.flatnonzero(pos < 0)
     if len(outside):
         raise ValueError(f"support element {keys[outside[0]]} is outside the radius-{lam} ball")
     norm = math.sqrt(sum(abs(v) ** 2 for v in clean.values()))
-    return State(group, "vector", lam, vector={g: v / norm for g, v in clean.items()})
+    v = np.zeros(len(b), dtype=complex)
+    v[pos] = [c / norm for c in clean.values()]
+    return _state(group, lam, np.outer(v.conj(), v))
 
 
 def density_state(group, rho: np.ndarray, lam: int, tol: float = 1e-10) -> State:
@@ -112,33 +132,16 @@ def density_state(group, rho: np.ndarray, lam: int, tol: float = 1e-10) -> State
         raise ValueError(f"density matrix has a negative eigenvalue {eigs.min():.3e}")
     if abs(eigs.sum() - 1.0) > max(tol, 1e-8):
         raise ValueError(f"density matrix trace is {eigs.sum():.12g}, expected 1")
-    return State(group, "density", lam, rho=rho)
-
-
-def _truncated_vector(state: State) -> np.ndarray:
-    b = ball(state.group, state.lam)
-    pos = b.positions(list(state.vector))
-    if (pos < 0).any():
-        raise KeyError(next(g for g, i in zip(state.vector, pos) if i < 0))
-    v = np.zeros(len(b), dtype=complex)
-    v[pos] = list(state.vector.values())
-    return v
-
-
-def _state_matrix(state: State) -> np.ndarray:
-    """W with state(T) = sum_ij W_ij T_ij for every truncated operator T."""
-    if state.kind == "vector":
-        v = _truncated_vector(state)
-        return np.outer(v.conj(), v)
-    return state.rho.T
+    return _state(group, lam, rho.T)
 
 
 def state_eval(state: State, a):
-    """Evaluate a state on a truncated operator of its radius."""
+    """Evaluate a state on a truncated operator of its radius: its symbol against the moments."""
     if isinstance(a, ToeplitzOperator):
         if a.group != state.group or a.radius != state.lam:
             raise ValueError("state and operator live on different truncations")
-        return complex(np.sum(_state_matrix(state) * materialize(a)))
+        pos = ball(a.group, 2 * a.radius).positions(list(a.support))
+        return complex(np.dot(state.moments[pos], [complex(v) for _, v in a.items()]))
     if isinstance(a, AlgebraElement):
         raise ValueError("a truncated state cannot evaluate a full algebra element")
     raise TypeError(f"cannot evaluate a state on {type(a).__name__}")
@@ -213,36 +216,24 @@ class DistanceResult:
     upper: float
 
 
-def _position_sums(idx: np.ndarray, W: np.ndarray, slots: int) -> np.ndarray:
-    """Sum of W's entries at each of the slots positions of the index map idx.
-
-    Row b of a stack of matrices sums into its own bins.
-    """
-    flat, w = idx.ravel(), W.ravel()
-    rows = len(w) // len(flat)
-    bins = (flat + slots * np.arange(rows)[:, None]).ravel()
-    g = np.bincount(bins, w.real, rows * slots) + 1j * np.bincount(bins, w.imag, rows * slots)
-    return g.reshape(*W.shape[:-2], slots)
-
-
 class _Pencil:
     """Matrix pencil x -> sum_k x_k M_k of compressions to one ball.
 
     Complex parameter k, zeta_k = x[2k] + i x[2k+1], puts zeta_k w[k] at
-    position pos[k] of the symbol over the double ball, and M(x) gathers the
-    symbol through the index map.  Points and vectors may be single or
-    stacked along a leading axis.
+    position k + 1 of the symbol over the double ball, one parameter per
+    element but e, and M(x) gathers the symbol through the index map.  Points
+    and vectors may be single or stacked along a leading axis.
     """
 
-    def __init__(self, idx: np.ndarray, pos: np.ndarray, w: np.ndarray):
-        self.idx, self.pos, self.w = idx, pos, w
+    def __init__(self, idx: np.ndarray, w: np.ndarray):
+        self.idx, self.w = idx, w
         self.size = 2 * len(w)
-        self._slots = int(idx.max()) + 1
+        self._slots = len(w) + 1
 
     def symbol(self, x: np.ndarray) -> np.ndarray:
         """The symbol over the double ball at x."""
         sym = np.zeros(x.shape[:-1] + (self._slots,), dtype=complex)
-        sym[..., self.pos] = (x[..., 0::2] + 1j * x[..., 1::2]) * self.w
+        sym[..., 1:] = (x[..., 0::2] + 1j * x[..., 1::2]) * self.w
         return sym
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -252,20 +243,13 @@ class _Pencil:
     def grad(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Re(u^H M_k v) for every k: Re sum_z g(z) S_k(z), g the sums of conj(u) v^T."""
         g = _position_sums(self.idx, u.conj()[..., :, None] * v[..., None, :], self._slots)
-        return (g.take(self.pos, axis=-1).conj() * self.w).view(float)
+        return (g[..., 1:].conj() * self.w).view(float)
 
 
 # Largest stacked n x n complex array one ascent step holds: a stack of
 # points, with one matrix per pencil at each point, is solved in chunks of at
 # most this many bytes.
 _STACK_BYTES = 1 << 22
-
-
-def _gram_top(M: np.ndarray):
-    """Fresh Gram stack H = M^H M of a (B, n, n) stack, its top eigenvalues and their roots."""
-    H = M.conj().transpose(0, 2, 1) @ M
-    top = np.linalg.eigvalsh(H)[:, -1]
-    return H, top, np.sqrt(np.maximum(top, 0.0))
 
 
 def _top_singular(M: np.ndarray):
@@ -407,10 +391,9 @@ def _trace_norm_dual(idx: np.ndarray, inverse: np.ndarray, t: np.ndarray, params
 def _distance_setup(phi: State, psi: State, s: int, lam: int):
     """The index map, the inverse-position table, len(z)^s and t(z) per double-ball position z.
 
-    t(z) is the sum of the states' difference matrix over the index map's
-    entries at z, divided by len(z)^s, so that (phi - psi)(a) is
-    Re sum_z p(z) t(z) for the operator a whose derivative has symbol p.  The
-    identity position, of length 0, gets 0 in both.
+    t(z) is the states' moment difference (phi - psi)(E_z) divided by len(z)^s, so that
+    (phi - psi)(a) is Re sum_z p(z) t(z) for the operator a whose derivative has symbol p.
+    The identity position, of length 0, gets 0 in both.
     """
     _check_order(s)
     if phi.lam != lam or psi.lam != lam:
@@ -421,7 +404,7 @@ def _distance_setup(phi: State, psi: State, s: int, lam: int):
     idx = symbol_positions(group, lam)
     inverse = double.positions(group.inverse_array(double.coords))  # balls are symmetric
     weight = (double.lengths_at(np.arange(len(double))) ** s).astype(float)
-    g = _position_sums(idx, _state_matrix(phi) - _state_matrix(psi), len(double))
+    g = phi.moments - psi.moments
     return idx, inverse, weight, np.divide(g, weight, out=np.zeros_like(g), where=weight > 0)
 
 
@@ -437,9 +420,11 @@ def lip_distance(
     Maximizes (phi - psi)(a) over self-adjoint truncated operators with
     vanishing identity symbol and seminorm at most 1.  The identity component
     carries no seminorm and no state difference, so dropping it loses
-    nothing.  One ADMM solve of the trace-norm dual gives both ends: the
-    reported value is attained by the returned witness, hence a certified
-    lower bound, and ``upper`` is a certified upper bound.
+    nothing.  The states enter only through their moment difference, so
+    (phi - psi)(a) is the symbol of a against it.  One ADMM solve of the
+    trace-norm dual gives both ends: the reported value is attained by the
+    returned witness, hence a certified lower bound, and ``upper`` is a
+    certified upper bound.
     """
     params = params or SolverParams()
     group = phi.group
@@ -533,10 +518,9 @@ def _epsilon_pencils(group, lam: int, s: int):
     kern = fejer_kernel(group, lam)
     double = ball(group, 2 * lam)
     wnum = (kern.size - kern.counts[1:]) / kern.size
-    pos = np.arange(1, len(double))
-    wden = (double.lengths_at(pos) ** s).astype(float)
+    wden = (double.lengths_at(np.arange(1, len(double))) ** s).astype(float)
     idx = symbol_positions(group, lam)
-    return _Pencil(idx, pos, wnum), _Pencil(idx, pos, wden)
+    return _Pencil(idx, wnum), _Pencil(idx, wden)
 
 
 _WITNESS_GROWTH = 4  # the sign witness's ball has at most this many times lam's elements

@@ -351,10 +351,11 @@ def test_every_group_command_takes_a_cap(capsys, tmp_path, monkeypatch, argv):
 
 
 def test_lipnorm_of_an_element_past_r_max_warns_and_exits_0(capsys, monkeypatch):
-    # (0, 0, 400) has word length 80: the scan reaches r_max = 10 without seeing it
+    # (0, 0, 400) has word length 80: the scan reaches r_max = 10 without seeing it, so the
+    # estimate is its starting lower bound ||80 delta||_2, here exact
     monkeypatch.setattr(sys, "stdin", io.StringIO("1 0 0 0 400\n"))
     code, out, err = _run(capsys, "lipnorm", "--group", "heisenberg", "--s", "1")
-    assert (code, float(out)) == (0, 0.0)
+    assert (code, out) == (0, "80\n")
     assert err == "warning: the radius scan stopped at r_max = 10 before converging\n"
 
 

@@ -221,9 +221,8 @@ def test_lanczos_stops_when_the_krylov_space_runs_out_between_checks():
     assert math.isfinite(got)
     assert abs(got - want) <= 1e-12 * want
     assert got <= want * (1 + 1e-12)
-    res = opnorm(delta(Z2, (2, 1), 1j), r_min=10, r_max=10)
     assert len(ball(Z2, 10)) > groupalg._LANCZOS_THRESHOLD
-    assert res.estimate == 1.0
+    assert abs(groupalg._compression_norm(delta(Z2, (2, 1), 1j), 10) - 1.0) <= 1e-15
 
 
 def dense_norm(M):
@@ -290,12 +289,13 @@ def test_matrix_free_compression_norm_matches_the_dense_norm(group, radius):
 
 def test_matrix_free_scan_builds_no_index_map_or_double_ball(monkeypatch):
     monkeypatch.setattr(cayley, "_BALL_CACHE", {})
-    f = random_element(H3, 2, np.random.default_rng(15))
+    # (7, 7, 0) has length 14, so both scans start one radius below the floor 7
+    f = random_element(H3, 2, np.random.default_rng(15)) + delta(H3, (7, 7, 0))
     table_radii = [r for r in range(8) if len(ball(H3, r)) > groupalg._LANCZOS_THRESHOLD]
     assert table_radii == [5, 6, 7]
-    opnorm(f, r_min=4, r_max=4)
+    opnorm(f, r_max=4)
     misses = symbol_positions.cache_info().misses
-    res = opnorm(f, r_min=7, r_max=7)
+    res = opnorm(f, r_max=7)
     assert res.last_radius == 7
     assert symbol_positions.cache_info().misses == misses
     assert not any((H3, 2 * r) in cayley._BALL_CACHE for r in table_radii)
@@ -334,11 +334,11 @@ def test_opnorm_does_not_stop_before_seeing_support():
     assert res.estimate == 1.0
 
 
-def full_radius_scan(f, tol, r_max, r_min, norm=None):
+def full_radius_scan(f, tol, r_max, norm=None):
     """The opnorm scan run from radius 0, which skips nothing below the floor."""
     norm = norm or groupalg._compression_norm
-    r_floor = max(r_min, (max(word_length(f.group, g) for g in f.support) + 1) // 2)
-    estimate, prev = 0.0, None
+    r_floor = (max(word_length(f.group, g) for g in f.support) + 1) // 2
+    estimate, prev = l2_norm(f), None
     for radius in range(r_max + 1):
         sigma = norm(f, radius)
         estimate = max(estimate, sigma)
@@ -357,10 +357,10 @@ def test_opnorm_skips_the_radii_below_its_floor(monkeypatch):
         return norm(f, radius)
 
     monkeypatch.setattr(groupalg, "_compression_norm", counted)
-    assert opnorm(delta(Z2, (2, 1), 1j), r_min=10, r_max=10) == OpnormResult(1.0, True, 10)
-    assert radii == [9, 10]
+    assert opnorm(delta(Z1, (20,), 1j), r_max=11) == OpnormResult(1.0, True, 11)
+    assert radii == [9, 10, 11]
     radii.clear()
-    assert opnorm(delta(Z1, (7,)), r_max=2) == OpnormResult(0.0, False, 2)
+    assert opnorm(delta(Z1, (7,)), r_max=2) == OpnormResult(1.0, False, 2)
     assert radii == [1, 2]
 
 
@@ -368,9 +368,8 @@ def test_opnorm_matches_the_scan_from_radius_zero():
     rng = np.random.default_rng(32)
     for group, radius in ((Z1, 6), (Z2, 3), (H3, 2)):
         f = random_element(group, radius, rng)
-        for r_min, r_max in ((0, 6), (3, 6), (5, 6), (2, 9), (9, 4)):
-            want = full_radius_scan(f, 1e-8, r_max, r_min)
-            assert opnorm(f, r_max=r_max, r_min=r_min) == want
+        for r_max in (1, 4, 6, 9):
+            assert opnorm(f, r_max=r_max) == full_radius_scan(f, 1e-8, r_max)
 
 
 def dense_up_to_the_crossover(f, radius):
@@ -382,13 +381,13 @@ def dense_up_to_the_crossover(f, radius):
 
 def test_opnorm_scans_read_no_index_map_at_any_size(monkeypatch):
     rng = np.random.default_rng(33)
+    # the far support element (10, 10) puts the Z2 scan's floor at radius 10, past the crossover
     cases = [
-        (random_element(group, 2, rng), r_min, r_max)
-        for group, r_min, r_max in ((Z1, 0, 6), (Z2, 0, 6), (Z2, 10, 11), (H3, 0, 6))
+        (random_element(group, 2, rng) + AlgebraElement(group, far), r_max)
+        for group, far, r_max in ((Z1, {}, 6), (Z2, {}, 6), (Z2, {(10, 10): 1}, 11), (H3, {}, 6))
         for _ in range(3)
     ]
-    want = [full_radius_scan(f, 1e-8, r_max, r_min, dense_up_to_the_crossover)
-            for f, r_min, r_max in cases]
+    want = [full_radius_scan(f, 1e-8, r_max, dense_up_to_the_crossover) for f, r_max in cases]
     lip_want = opnorm(derivative(cases[-1][0], 2), r_max=6).estimate
     info = symbol_positions.cache_info()
 
@@ -397,12 +396,12 @@ def test_opnorm_scans_read_no_index_map_at_any_size(monkeypatch):
 
     monkeypatch.setattr(groupalg, "symbol_positions", refuse)
     monkeypatch.setattr(groupalg, "compress_rep", refuse)
-    got = [opnorm(f, r_max=r_max, r_min=r_min) for f, r_min, r_max in cases]
+    got = [opnorm(f, r_max=r_max) for f, r_max in cases]
     assert lipnorm(cases[-1][0], 2, r_max=6) == lip_want
     assert symbol_positions.cache_info() == info
     assert [g.estimate.hex() for g in got] == [w.estimate.hex() for w in want]
     assert got == want
-    crossed = {f.group for (f, _, _), res in zip(cases, got)
+    crossed = {f.group for (f, _), res in zip(cases, got)
                if len(ball(f.group, res.last_radius)) > groupalg._LANCZOS_THRESHOLD}
     assert crossed == {Z2, H3}
 

@@ -10,7 +10,6 @@ from spectrunc import (
     Heisenberg,
     SearchParams,
     SolverParams,
-    State,
     ToeplitzOperator,
     ball,
     compress,
@@ -52,9 +51,23 @@ INV_SQRT2 = 1 / math.sqrt(2)
 
 
 def test_vector_state_normalizes():
+    # (3, 4) / 5 at 0 and 1: <v, E_z v> is 1 at z = 0 and 0.6 * 0.8 at z = +-1
     phi = vector_state(Z1, {(0,): 3.0, (1,): 4.0}, lam=1)
-    assert abs(phi.vector[(0,)] - 0.6) < 1e-15
-    assert abs(phi.vector[(1,)] - 0.8) < 1e-15
+    moments = phi.moments[ball(Z1, 2).positions([(0,), (1,), (-1,), (2,), (-2,)])]
+    assert np.abs(moments - [1.0, 0.48, 0.48, 0.0, 0.0]).max() < 1e-15
+
+
+@pytest.mark.parametrize("group", [Z1, Z2, H3, Cyclic(4)], ids=lambda g: g.name)
+def test_moments_are_one_at_e_and_hermitian(group):
+    rng = np.random.default_rng(49)
+    for lam in (1, 2):
+        double = ball(group, 2 * lam)
+        inverse = double.positions(group.inverse_array(double.coords))
+        for make in (random_vector_state, random_density_state):
+            t = make(group, lam, rng).moments
+            assert t.shape == (len(double),)
+            assert abs(t[double.positions([group.identity()])[0]] - 1.0) < 1e-12
+            assert np.abs(t[inverse] - t.conj()).max() < 1e-12
 
 
 def test_vector_state_rejects_zero_and_out_of_ball():
@@ -106,12 +119,17 @@ def test_state_eval_matches_the_matrix_forms(group):
     rng = np.random.default_rng(48)
     lam = 2
     for _ in range(3):
-        phi, rho = random_vector_state(group, lam, rng), random_density_state(group, lam, rng)
-        v = np.array([phi.vector.get(g, 0) for g in ball(group, lam)])
+        elements = ball(group, lam).elements
+        v = rng.standard_normal(len(elements)) + 1j * rng.standard_normal(len(elements))
+        v /= np.linalg.norm(v)
+        A = rng.standard_normal((len(v), len(v))) + 1j * rng.standard_normal((len(v), len(v)))
+        rho = A @ A.conj().T / np.trace(A @ A.conj().T).real
+        phi = vector_state(group, dict(zip(elements, v)), lam)
+        dens = density_state(group, rho, lam)
         for T in (random_selfadjoint(group, lam, rng), random_psd(group, lam, rng)):
             M = materialize(T)
             for got, want in ((state_eval(phi, T), np.vdot(v, M @ v)),
-                              (state_eval(rho, T), np.trace(rho.rho @ M))):
+                              (state_eval(dens, T), np.trace(rho @ M))):
                 assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -132,10 +150,6 @@ def test_state_eval_domain_mismatches():
         state_eval(trunc, compress(unit(Z2), 1))
     with pytest.raises(TypeError):
         state_eval(trunc, 3.0)
-    # a state built by hand, past vector_state's support check
-    stray = State(Z1, "vector", 1, vector={(0,): 0.6, (2,): 0.8})
-    with pytest.raises(KeyError):
-        state_eval(stray, compress(unit(Z1), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +346,9 @@ def test_state_proximity_under_smoothing():
         kern = fejer_kernel(grp, lam)
         eps = float(kern.folner_epsilon)
         for _ in range(5):
-            xi = vector_state(
-                grp, {g: complex(*rng.standard_normal(2)) for g in ball(grp, 2)}, lam=2
-            ).vector
+            xi = {g: complex(*rng.standard_normal(2)) for g in ball(grp, 2)}
+            norm = math.sqrt(sum(abs(v) ** 2 for v in xi.values()))
+            xi = {g: v / norm for g, v in xi.items()}
             f = random_element(grp, 3, rng)
             gap = abs(quadratic_form(f, xi) - quadratic_form(fejer_apply(f, lam), xi))
             l1_defect = l1_norm(f - fejer_apply(f, lam))
