@@ -202,30 +202,45 @@ def group_from_key(key: str):
     raise ValueError(f"unknown group key {key!r} (expected 'z:<d>' or 'heisenberg')")
 
 
-def _packing(coords: np.ndarray) -> tuple:
-    """Offsets and strides that pack each coordinate row into one int64 key.
+def _packing(coords: np.ndarray) -> list:
+    """(c, lo, hi - lo, stride) per column c, last first: how the (n, k) rows' box is numbered.
 
-    The box spanned by the rows is numbered in lexicographic order, so keys
-    compare as the rows do.  Raises ResourceCapError when the box has more
-    points than an int64 key can number.
+    Lexicographically, so keys compare as the rows do.  The numbers are 0-d uint64 arrays,
+    which numpy combines with an array fastest.  Raises ResourceCapError past 2**63 points.
     """
-    lo = coords.min(axis=0).tolist()
-    hi = coords.max(axis=0).tolist()
-    strides = []
-    volume = 1
-    for a, b in zip(reversed(lo), reversed(hi)):
-        strides.append(volume)
-        volume *= b - a + 1
+    lo = [int(column.min()) for column in coords.T]
+    hi = [int(column.max()) for column in coords.T]
+    columns, volume = [], 1
+    for c in reversed(range(len(lo))):
+        numbers = (lo[c] % 2**64, hi[c] - lo[c], volume)
+        columns.append((c, *(np.array(x, dtype=np.uint64) for x in numbers)))
+        volume *= hi[c] - lo[c] + 1
     if volume > 2**63:
-        raise ResourceCapError(
-            f"coordinates spanning {lo} to {hi} do not pack into 64-bit keys"
-        )
-    return np.array(lo, dtype=np.int64), np.array(strides[::-1], dtype=np.int64)
+        raise ResourceCapError(f"coordinates spanning {lo} to {hi} do not pack into 64-bit keys")
+    return columns
 
 
-def _pack(coords: np.ndarray, packing: tuple) -> np.ndarray:
-    lo, strides = packing
-    return (coords - lo) @ strides
+_NO_KEY = np.iinfo(np.uint64).max  # the key of a row outside the box, past every 63-bit key
+
+
+def _pack(coords: np.ndarray, packing: list) -> np.ndarray:
+    """uint64 keys of int64 rows of shape (m, ..., k), one multiply-add and bounds test per column.
+
+    Rows pack as they are, modulo 2**64, so a row in the box gets its exact key; a row with a
+    column whose difference from lo, mod 2**64, passes hi - lo (exact for any int64) gets _NO_KEY.
+    """
+    if not packing:  # no columns: every row is the box's one point, key 0
+        return np.zeros(coords.shape[:-1], dtype=np.uint64)
+    rows = coords.view(np.uint64)
+    (c, lo, span, _), *rest = packing  # the last column, stride 1, starts the keys: no array fill
+    keys = rows[..., c] - lo
+    outside = keys > span
+    for c, lo, span, stride in rest:
+        digit = rows[..., c] - lo
+        outside |= digit > span
+        keys += digit * stride
+    keys[outside] = _NO_KEY
+    return keys
 
 
 def _rows(elements, k: int) -> np.ndarray:
@@ -239,24 +254,21 @@ def _rows(elements, k: int) -> np.ndarray:
 
 
 def _position_finder(coords: np.ndarray):
-    """Map coordinate rows to their row numbers in ``coords``, or -1 for nonmembers.
-
-    A row outside the box that ``coords`` spans reads -1 without being
-    packed; any other row is one ``searchsorted`` on the sorted packed keys.
-    """
+    """Map coordinate rows to their row numbers in ``coords``, or -1 for nonmembers: one
+    ``searchsorted`` of their keys on the sorted keys, which end in ``_NO_KEY`` at -1."""
     packing = _packing(coords)
-    lo, hi = packing[0], coords.max(axis=0)
     keys = _pack(coords, packing)
     # Keys are distinct, so any sort gives this order; the stable one is the
     # sort np.unique already runs, which keeps one sort routine in memory.
     order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
+    sorted_keys, order = np.append(keys[order], _NO_KEY), np.append(order, -1)
 
     def position(rows: np.ndarray) -> np.ndarray:
-        inside = np.all((rows >= lo) & (rows <= hi), axis=-1)
-        keys = _pack(np.where(inside[..., None], rows, lo), packing)
-        at = np.minimum(np.searchsorted(sorted_keys, keys), len(order) - 1)
-        return np.where(inside & (sorted_keys[at] == keys), order[at], -1)
+        keys = _pack(rows, packing)
+        at = sorted_keys.searchsorted(keys)  # the method skips np.searchsorted's dispatch
+        out = order[at]
+        out[sorted_keys[at] != keys] = -1
+        return out
     return position
 
 
@@ -359,7 +371,7 @@ class Ball:
     def positions(self, elements) -> np.ndarray:
         """Position of each element in the ball's order, or -1 for a nonmember.
 
-        ``elements`` is an int64 array of coordinate rows of shape (..., k), or
+        ``elements`` is an int64 array of coordinate rows of shape (m, ..., k), or
         a sequence of element tuples, whose coordinates past int64 read as
         nonmembers.
         """

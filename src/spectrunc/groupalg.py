@@ -5,9 +5,10 @@ the complex numbers, multiplied by convolution and represented on l2 of the
 group by left convolution operators.  Operator norms are estimated from
 below by compressions to balls of growing radius; the multiplication
 operator by word length acts as a Dirac-type derivative and induces the
-Lipschitz seminorms used throughout.  A compression reads its symbol over
-the double ball through one cached index map; an operator-norm scan reads it
-from the products of f's support with the ball alone.  The overlap kernel is
+Lipschitz seminorms used throughout.  The cached index map places each entry
+of a ball compression in the double ball, where a truncated operator keeps its
+symbol vector; an operator-norm scan gathers through two position tables of
+f's support and its inverses times the ball.  The overlap kernel is
 an integer count array over the double ball, counted along the fibers of a
 central last coordinate where the group declares one and through the index
 map otherwise.  Every group element is found through its ball's one lookup,
@@ -42,7 +43,6 @@ __all__ = [
     "derivative",
     "l1_norm",
     "l2_norm",
-    "compress_rep",
     "spectral_norm",
     "OpnormResult",
     "opnorm",
@@ -199,21 +199,19 @@ def l2_norm(f: AlgebraElement) -> float:
 _CHUNK_BYTES = 1 << 22
 
 
-def _product_positions(left: np.ndarray, right: np.ndarray, target: Ball):
-    """Chunks (start, target positions of the products left[start:stop, None] * right[None])."""
+def _product_positions(left: np.ndarray, right: np.ndarray, target: Ball) -> np.ndarray:
+    """int32 positions in target of the products left[i] * right[j], -1 outside, in chunks."""
+    pos = np.empty((len(left), len(right)), dtype=np.int32)
     rows = max(1, _CHUNK_BYTES // (right.itemsize * right.size))
     for start in range(0, len(left), rows):
         prod = target.group.multiply_array(left[start : start + rows, None, :], right[None])
-        yield start, target.positions(prod)
+        pos[start : start + rows] = target.positions(prod)
+    return pos
 
 
 @lru_cache(maxsize=None)
 def _index_map(b, double) -> np.ndarray:
-    xs = b.coords
-    inverses = b.group.inverse_array(xs)
-    idx = np.empty((len(b), len(b)), dtype=np.int32)
-    for start, pos in _product_positions(xs, inverses, double):
-        idx[start : start + len(pos)] = pos
+    idx = _product_positions(b.coords, b.group.inverse_array(b.coords), double)
     idx.setflags(write=False)
     return idx
 
@@ -231,20 +229,6 @@ def symbol_positions(group, radius: int) -> np.ndarray:
 
 # Hit and miss counts of the map cache, read as on any lru_cache'd function.
 symbol_positions.cache_info = _index_map.cache_info
-
-
-def compress_rep(f: AlgebraElement, radius: int) -> np.ndarray:
-    """Matrix of the left convolution operator compressed to a ball.
-
-    Entry (x, y) is f(x y^{-1}) in the ball's element order, gathered from
-    f's values over the double ball through the index map; the cap bounds both.
-    """
-    idx = symbol_positions(f.group, radius)
-    double = ball(f.group, 2 * radius)
-    pos = double.positions(list(f.support))
-    vec = np.zeros(len(double), dtype=complex)
-    vec[pos[pos >= 0]] = [complex(v) for v, i in zip(f._coeffs.values(), pos.tolist()) if i >= 0]
-    return vec[idx]
 
 
 @lru_cache(maxsize=None)
@@ -319,28 +303,23 @@ def _gram_top(M: np.ndarray):
 def _compression_norm(f: AlgebraElement, radius: int) -> float:
     """Norm of f compressed to the radius ball, with no index map or double ball.
 
-    Each z in supp f and x_j with z x_j in the ball give the triplet (row = position of z x_j,
-    col = j, weight f(z)), at most one per entry: the dense ``M[rows, cols] = w`` is normed up
-    to ``_LANCZOS_THRESHOLD``, and above it Lanczos takes M v and M^H u as bincounts.
+    For the values w of f at z_k, ``into[k, j]`` is the ball position of z_k x_j and
+    ``back[k, i]`` that of z_k^{-1} x_i, -1 outside.  M[i, j] = f(x_i x_j^{-1}) is filled
+    from ``into`` and normed up to ``_LANCZOS_THRESHOLD``; above, Lanczos takes M v and
+    M^H u as w @ v[back] and conj(w) @ u[into], with a trailing 0 that -1 reads.
     """
     b = ball(f.group, radius)
     n = len(b)
-    weights = np.array([complex(v) for _, v in f.items()])
-    triplets = []
-    for start, pos in _product_positions(np.array(list(f.support)), b.coords, b):
-        z, col = np.nonzero(pos >= 0)
-        triplets.append((pos[z, col], col, weights[start + z]))
-    rows, cols, w = map(np.concatenate, zip(*triplets))
+    support = np.array(list(f.support))
+    w = np.array([complex(v) for v in f._coeffs.values()])
+    into = _product_positions(support, b.coords, b).astype(np.intp)  # gathers read intp uncast
     if n <= _LANCZOS_THRESHOLD:
-        M = np.zeros((n, n), dtype=complex)
-        M[rows, cols] = w
-        return spectral_norm(M)
-
-    def sums(into: np.ndarray, terms: np.ndarray) -> np.ndarray:
-        return np.bincount(into, terms.real, n) + 1j * np.bincount(into, terms.imag, n)
-
-    wc = w.conj()
-    return _lanczos_norm(lambda v: sums(rows, w * v[cols]), lambda u: sums(cols, wc * u[rows]), n)
+        M = np.zeros((n + 1, n), dtype=complex)  # row n takes the products outside the ball
+        M[into, np.arange(n)] = w[:, None]
+        return spectral_norm(M[:n])
+    back = _product_positions(f.group.inverse_array(support), b.coords, b).astype(np.intp)
+    return _lanczos_norm(lambda v: w @ np.append(v, 0)[back],
+                         lambda u: w.conj() @ np.append(u, 0)[into], n)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from .groupalg import (
     _gram_top,
     _start_vector,
 )
-from .truncation import ToeplitzOperator
+from .truncation import ToeplitzOperator, _symbol_vector
 
 __all__ = [
     "State",
@@ -140,8 +140,7 @@ def state_eval(state: State, a):
     if isinstance(a, ToeplitzOperator):
         if a.group != state.group or a.radius != state.lam:
             raise ValueError("state and operator live on different truncations")
-        pos = ball(a.group, 2 * a.radius).positions(list(a.support))
-        return complex(np.dot(state.moments[pos], [complex(v) for _, v in a.items()]))
+        return complex(state.moments @ _symbol_vector(a))
     if isinstance(a, AlgebraElement):
         raise ValueError("a truncated state cannot evaluate a full algebra element")
     raise TypeError(f"cannot evaluate a state on {type(a).__name__}")

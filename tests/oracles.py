@@ -12,6 +12,13 @@ with elements of order two, which the built-in torsion-free groups lack;
 ``EvenPlane`` has a central last coordinate whose ball fibers are not
 intervals, and ``ScalarHeisenberg`` is Heisenberg without the declaration.
 
+``dense_matrix`` builds a ball compression entry by entry from the scalar
+law, with no index map.  ``defect_reference`` and ``lipnorm_reference`` are
+the round-trip defect and the truncated Lip-norm through the exact algebra:
+the residual symbol times Fractions (|B| - #(B ∩ zB)) / |B|, and
+``truncated_derivative``, the symbol times len^s through ``derivative``,
+each materialized as an operator of its own.
+
 ``quadratic_form`` is <xi, f xi> by the scalar law, one support pair at a
 time, for the translate-averaging identity and the smoothing bound.
 ``brute_distance`` cross-checks ``lip_distance`` by an exhaustive grid in
@@ -24,12 +31,14 @@ positive truncated operators for the state and positivity tests.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
 from scipy import optimize
 
 from spectrunc import (
+    DefectResult,
     FreeAbelian,
     Heisenberg,
     ResourceCapError,
@@ -38,6 +47,8 @@ from spectrunc import (
     ball,
     compress,
     convolve,
+    derivative,
+    fejer_kernel,
     growth_report,
     involution,
     materialize,
@@ -45,7 +56,6 @@ from spectrunc import (
     reconstruct,
     spectral_norm,
     state_eval,
-    truncated_derivative,
     word_length,
 )
 from spectrunc import cayley
@@ -70,6 +80,36 @@ def quadratic_form(f, xi: Mapping) -> complex:
                 acc += fz * complex(vy)
         total += complex(vx).conjugate() * acc
     return total
+
+
+def dense_matrix(group, radius: int, symbol: Mapping) -> np.ndarray:
+    """Ball compression with entry symbol(x y^{-1}) at (x, y), one entry at a time."""
+    elements = ball(group, radius).elements
+    M = np.zeros((len(elements), len(elements)), dtype=complex)
+    for i, x in enumerate(elements):
+        for j, y in enumerate(elements):
+            M[i, j] = complex(symbol.get(group.multiply(x, group.inverse(y)), 0))
+    return M
+
+
+def truncated_derivative(T: ToeplitzOperator, s: int = 1) -> ToeplitzOperator:
+    """Symbol-wise multiplication by word length to the s-th power, through ``derivative``."""
+    return ToeplitzOperator(T.group, T.radius, derivative(T, s).coeffs())
+
+
+def lipnorm_reference(T: ToeplitzOperator, s: int = 1) -> float:
+    """``truncated_lipnorm`` as the norm of the materialized ``truncated_derivative``."""
+    return spectral_norm(materialize(truncated_derivative(T, s)))
+
+
+def defect_reference(T: ToeplitzOperator, s: int = 1) -> DefectResult:
+    """``truncation_defect`` from the exact residual symbol, materialized as an operator."""
+    kern = fejer_kernel(T.group, T.radius)
+    counts = kern.counts_at(list(T.support)).tolist()
+    residual = {z: v * Fraction(kern.size - c, kern.size) for (z, v), c in zip(T.items(), counts)}
+    defect = spectral_norm(materialize(ToeplitzOperator(T.group, T.radius, residual)))
+    lip = lipnorm_reference(T, s)
+    return DefectResult(defect_norm=defect, lipnorm=lip, ratio=defect / lip)
 
 
 def ball_overlap(group, x, radius: int) -> int:

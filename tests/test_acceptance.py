@@ -17,7 +17,6 @@ from spectrunc import (
     SearchParams,
     ball,
     compress,
-    compress_rep,
     delta,
     derivative,
     dirac_commutator,
@@ -29,20 +28,20 @@ from spectrunc import (
     growth_report,
     l2_norm,
     lip_distance,
+    materialize,
     random_density_state,
     random_element,
     random_selfadjoint,
     random_vector_state,
     reconstruct,
     spectral_norm,
-    truncated_derivative,
     truncated_lipnorm,
     truncation_defect,
     vector_state,
     word_length,
 )
 
-from oracles import averaging_check, brute_distance, random_psd
+from oracles import averaging_check, brute_distance, random_psd, truncated_derivative
 
 Z1 = FreeAbelian(1)
 Z2 = FreeAbelian(2)
@@ -141,7 +140,7 @@ def test_reconstruction_preserves_positivity(capsys):
                 T = random_psd(grp, lam, rng)
                 f = reconstruct(T)
                 for radius in range(1, lam + 4):
-                    eig = float(np.linalg.eigvalsh(compress_rep(f, radius)).min())
+                    eig = float(np.linalg.eigvalsh(materialize(compress(f, radius))).min())
                     worst = min(worst, eig)
         assert worst >= -1e-10, f"most negative eigenvalue {worst:.3e}"
 
@@ -201,7 +200,7 @@ def test_compression_norms_follow_path_spectrum(capsys):
         f = delta(Z1, (1,)) + delta(Z1, (-1,))
         prev = -1.0
         for radius in range(1, 13):
-            got = spectral_norm(compress_rep(f, radius))
+            got = spectral_norm(materialize(compress(f, radius)))
             want = 2 * math.cos(math.pi / (2 * radius + 2))
             assert abs(got - want) <= 1e-10, f"R={radius}: {got} vs {want}"
             assert got > prev, f"R={radius}: not increasing"

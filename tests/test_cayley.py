@@ -244,11 +244,19 @@ def test_position_lookup_reads_ball_index_or_minus_one(group, radius):
     outside = inside.copy()  # one coordinate pushed past the box
     axis = rng.integers(0, k, 300)
     outside[np.arange(300), axis] += rng.choice([-1, 1], 300) * (hi - lo + 1)[axis]
-    rows = np.concatenate([b.coords, inside, outside, np.full((1, k), 2**40)])
+    # rows far past the box; at +-2**62 the raw packing of two or more columns wraps modulo 2**64
+    far = np.array([[2**40] * k, [2**62] * k, [-(2**62)] * k])
+    rows = np.concatenate([b.coords, inside, outside, far])
     want = [index.get(tuple(r), -1) for r in rows.tolist()]
     assert b.positions(rows[:, None, :])[:, 0].tolist() == want
     assert b.positions(list(map(tuple, rows.tolist()))).tolist() == want
     assert -1 in want[len(b):] and any(w >= 0 for w in want[len(b) : len(b) + 300])
+    # a finder over the bases, the ball's rows less their last coordinate, as the fiber
+    # counts build it; the one base of Z^1 has no column
+    bases = list(dict.fromkeys(map(tuple, b.coords[:, :-1].tolist())))
+    base_index = dict(zip(bases, range(len(bases))))
+    find = cayley._position_finder(np.array(bases, dtype=np.int64).reshape(len(bases), k - 1))
+    assert find(rows[:, :-1]).tolist() == [base_index.get(tuple(r[:-1]), -1) for r in rows.tolist()]
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from spectrunc import (
     OpnormResult,
     ResourceCapError,
     ball,
-    compress_rep,
+    compress,
     convolve,
     delta,
     derivative,
@@ -25,6 +25,7 @@ from spectrunc import (
     l1_norm,
     l2_norm,
     lipnorm,
+    materialize,
     opnorm,
     parse_algebra_element,
     random_element,
@@ -35,7 +36,7 @@ from spectrunc import (
 from spectrunc import cayley, groupalg
 from spectrunc.groupalg import _lanczos_norm, symbol_positions
 
-from oracles import folner_deficit
+from oracles import dense_matrix, folner_deficit
 
 Z1 = FreeAbelian(1)
 Z2 = FreeAbelian(2)
@@ -168,7 +169,7 @@ def test_elementary_norms():
 
 
 def test_compress_rep_shift_on_z():
-    M = compress_rep(delta(Z1, (1,)), 1)
+    M = materialize(compress(delta(Z1, (1,)), 1))
     # ball order is (0,), (-1,), (1,); entry [x, y] holds f(x y^-1)
     want = np.zeros((3, 3))
     want[0, 1] = 1
@@ -177,14 +178,14 @@ def test_compress_rep_shift_on_z():
 
 
 def test_compress_rep_identity_is_identity_matrix():
-    M = compress_rep(unit(Z2) * 3, 2)
+    M = materialize(compress(unit(Z2) * 3, 2))
     assert np.array_equal(M, 3 * np.eye(13))
 
 
 def test_compression_norm_is_path_graph_eigenvalue():
     f = delta(Z1, (1,)) + delta(Z1, (-1,))
     for R in (1, 2, 5, 9):
-        got = spectral_norm(compress_rep(f, R))
+        got = spectral_norm(materialize(compress(f, R)))
         want = 2 * math.cos(math.pi / (2 * R + 2))
         assert abs(got - want) < 1e-12
 
@@ -233,7 +234,7 @@ def dense_norm(M):
 def test_spectral_norm_of_large_heisenberg_compressions_matches_dense():
     rng = np.random.default_rng(2024)
     for radius, n in ((5, 299), (6, 593), (7, 1069)):
-        M = compress_rep(random_element(H3, 2, rng), radius)
+        M = materialize(compress(random_element(H3, 2, rng), radius))
         assert len(M) == n
         got, want = spectral_norm(M), dense_norm(M)
         assert abs(got - want) <= 1e-12 * want
@@ -243,7 +244,7 @@ def test_spectral_norm_of_large_heisenberg_compressions_matches_dense():
 def test_spectral_norm_above_threshold_exact_and_clustered_cases():
     n = groupalg._LANCZOS_THRESHOLD + 1
     assert spectral_norm(-2 * np.eye(n)) == 2.0
-    point = compress_rep(delta(Z2, (2, 1), 1j), 12)
+    point = materialize(compress(delta(Z2, (2, 1), 1j), 12))
     assert len(point) > groupalg._LANCZOS_THRESHOLD
     assert spectral_norm(point) == 1.0
     assert spectral_norm(np.zeros((n, n))) == 0.0
@@ -282,7 +283,7 @@ def test_matrix_free_compression_norm_matches_the_dense_norm(group, radius):
     rng = np.random.default_rng(radius)
     assert len(ball(group, radius)) > groupalg._LANCZOS_THRESHOLD
     for f in (random_element(group, 2, rng), derivative(random_element(group, 3, rng), 2)):
-        want = spectral_norm(compress_rep(f, radius))
+        want = spectral_norm(materialize(compress(f, radius)))
         got = groupalg._compression_norm(f, radius)
         assert abs(got - want) <= 1e-12 * want
 
@@ -373,9 +374,9 @@ def test_opnorm_matches_the_scan_from_radius_zero():
 
 
 def dense_up_to_the_crossover(f, radius):
-    """The compression norm of ``compress_rep`` up to the Lanczos crossover, matrix-free above."""
+    """The compression norm of the dense matrix up to the Lanczos crossover, matrix-free above."""
     if len(ball(f.group, radius)) <= groupalg._LANCZOS_THRESHOLD:
-        return spectral_norm(compress_rep(f, radius))
+        return spectral_norm(dense_matrix(f.group, radius, f.coeffs()))
     return groupalg._compression_norm(f, radius)
 
 
@@ -395,7 +396,6 @@ def test_opnorm_scans_read_no_index_map_at_any_size(monkeypatch):
         raise AssertionError("an opnorm scan read an index map")
 
     monkeypatch.setattr(groupalg, "symbol_positions", refuse)
-    monkeypatch.setattr(groupalg, "compress_rep", refuse)
     got = [opnorm(f, r_max=r_max) for f, r_max in cases]
     assert lipnorm(cases[-1][0], 2, r_max=6) == lip_want
     assert symbol_positions.cache_info() == info

@@ -1,7 +1,7 @@
 """The truncation index map against dense references built entry by entry.
 
-The references are the direct constructions: a dict from each group element
-to the matrix positions that read it, one dense matrix per basis direction,
+The references are the direct constructions: ``oracles.dense_matrix``, which
+reads each entry's symbol by the scalar law, one dense matrix per basis direction,
 and pencil contractions with ``tensordot``/``einsum``.  The index-map path
 must give bit-equal matrices; its gradients sum in another order and must
 agree to 1e-12 relative.  Stacked calls, which the lockstep ascents make,
@@ -29,13 +29,14 @@ from spectrunc import (
     Heisenberg,
     ResourceCapError,
     ball,
-    compress_rep,
+    compress,
     delta,
     element_cap,
     epsilon_full,
     epsilon_truncated,
     fejer_kernel,
     growth_report,
+    materialize,
     opnorm,
     random_element,
     random_selfadjoint,
@@ -53,34 +54,13 @@ from spectrunc.qmetric import (
     _two_norm_ascent,
 )
 
-from oracles import Cyclic, EvenPlane, ScalarHeisenberg, ball_overlap
+from oracles import Cyclic, EvenPlane, ScalarHeisenberg, ball_overlap, dense_matrix
 
 Z1 = FreeAbelian(1)
 Z2 = FreeAbelian(2)
 H = Heisenberg()
 
 PENCIL_CASES = [(Z1, 2), (Z2, 1), (H, 1)]
-
-
-def _dense_positions(group, radius):
-    """Map each z to the (rows, cols) of the ball compression reading z."""
-    b = ball(group, radius)
-    raw: dict = {}
-    for i, x in enumerate(b.elements):
-        for j, y in enumerate(b.elements):
-            rows, cols = raw.setdefault(group.multiply(x, group.inverse(y)), ([], []))
-            rows.append(i)
-            cols.append(j)
-    return raw
-
-
-def _dense_matrix(group, radius, symbol):
-    n = len(ball(group, radius))
-    M = np.zeros((n, n), dtype=complex)
-    for z, (rows, cols) in _dense_positions(group, radius).items():
-        if z in symbol:
-            M[rows, cols] = complex(symbol[z])
-    return M
 
 
 def _dense_epsilon_stacks(group, lam, s, radius):
@@ -90,7 +70,7 @@ def _dense_epsilon_stacks(group, lam, s, radius):
     for z in ball(group, 2 * lam).elements:
         if z == ident:
             continue
-        base = _dense_matrix(group, radius, {z: 1.0})
+        base = dense_matrix(group, radius, {z: 1.0})
         wnum = float(1 - kern.values[z])
         wden = float(word_length(group, z) ** s)
         num += [wnum * base, 1j * wnum * base]
@@ -383,14 +363,14 @@ def test_kernel_counts_equal_ball_overlaps(group, lam):
 @pytest.mark.parametrize("group,radius", [(Z1, 3), (Z2, 2), (H, 2)])
 def test_compress_rep_matches_dense_matrix(group, radius):
     f = random_element(group, 2 * radius + 1, np.random.default_rng(radius))
-    assert np.array_equal(compress_rep(f, radius), _dense_matrix(group, radius, f.coeffs()))
+    assert np.array_equal(materialize(compress(f, radius)), dense_matrix(group, radius, f.coeffs()))
 
 
 def test_compress_rep_drops_support_outside_the_double_ball():
     inside = AlgebraElement(Z1, {(1,): 2.0, (-2,): 0.5j})
     f = inside + delta(Z1, (5,), 3.0) + delta(Z1, (-3,), 1.0) + delta(Z1, (2**64,), 1.0)
-    assert np.array_equal(compress_rep(f, 1), compress_rep(inside, 1))
-    assert np.array_equal(compress_rep(f, 1), _dense_matrix(Z1, 1, f.coeffs()))
+    assert np.array_equal(materialize(compress(f, 1)), materialize(compress(inside, 1)))
+    assert np.array_equal(materialize(compress(f, 1)), dense_matrix(Z1, 1, f.coeffs()))
 
 
 def test_index_map_is_shared_and_read_only():
@@ -422,11 +402,11 @@ def test_the_cap_bounds_the_double_ball_of_a_map_and_a_compression():
         with element_cap(cap), pytest.raises(ResourceCapError, match="radius 4"):
             symbol_positions(H, 2)
         with element_cap(cap), pytest.raises(ResourceCapError, match="radius 4"):
-            compress_rep(f, 2)
+            materialize(compress(f, 2))
     with element_cap(135):
-        capped_map, capped_rep = symbol_positions(H, 2), compress_rep(f, 2)
+        capped_map, capped_rep = symbol_positions(H, 2), materialize(compress(f, 2))
     assert capped_map is symbol_positions(H, 2)
-    assert np.array_equal(capped_rep, compress_rep(f, 2))
+    assert np.array_equal(capped_rep, materialize(compress(f, 2)))
 
 
 # ---------------------------------------------------------------------------

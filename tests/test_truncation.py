@@ -8,13 +8,13 @@ import pytest
 
 from spectrunc import (
     AlgebraElement,
+    Ball,
     FreeAbelian,
     Heisenberg,
     ResourceCapError,
     ToeplitzOperator,
     ball,
     compress,
-    compress_rep,
     convolve,
     delta,
     derivative,
@@ -34,14 +34,22 @@ from spectrunc import (
     random_vector_state,
     reconstruct,
     spectral_norm,
-    truncated_derivative,
+    state_eval,
     truncated_lipnorm,
     truncation_defect,
     unit,
     vector_state,
 )
 
-from oracles import Cyclic, averaging_check, random_psd
+from oracles import (
+    Cyclic,
+    averaging_check,
+    defect_reference,
+    dense_matrix,
+    lipnorm_reference,
+    random_psd,
+    truncated_derivative,
+)
 from oracles import random_selfadjoint as scalar_random_selfadjoint
 
 Z1 = FreeAbelian(1)
@@ -149,7 +157,7 @@ def test_materialize_agrees_with_rep_compression():
     rng = np.random.default_rng(20)
     for grp, lam in ((Z2, 2), (H3, 2)):
         f = random_element(grp, 2 * lam, rng)
-        assert np.array_equal(materialize(compress(f, lam)), compress_rep(f, lam))
+        assert np.array_equal(materialize(compress(f, lam)), dense_matrix(grp, lam, f.coeffs()))
 
 
 def test_identity_operator_materializes_to_identity():
@@ -161,10 +169,10 @@ def test_identity_operator_materializes_to_identity():
 
 
 def test_truncated_derivative_weights_symbol():
+    # the identity coefficient 5 has length 0, and (2,) is weighted by 2**2
     T = compress(delta(Z1, (2,), 3) + delta(Z1, (0,), 5), 1)
-    D = truncated_derivative(T, 2)
-    assert D[(2,)] == 12
-    assert D[(0,)] == 0
+    assert truncated_lipnorm(T, 2) == spectral_norm(materialize(compress(delta(Z1, (2,), 12), 1)))
+    assert truncated_lipnorm(T, 2) == 12.0
 
 
 def test_truncated_lipnorm_of_shift():
@@ -222,7 +230,7 @@ def test_reconstruction_preserves_positivity():
         for _ in range(5):
             T = random_psd(grp, lam, rng)
             assert np.linalg.eigvalsh(materialize(T)).min() >= -1e-12
-            M = compress_rep(reconstruct(T), lam + 2)
+            M = materialize(compress(reconstruct(T), lam + 2))
             assert np.linalg.eigvalsh(M).min() >= -1e-10
 
 
@@ -295,6 +303,54 @@ def test_defect_rejects_scalars():
         truncation_defect(compress(unit(Z1), 2))
 
 
+@pytest.mark.parametrize(
+    "group, radii",
+    [(Z1, (1, 2, 101)), (Z2, (1, 2)), (H3, (1, 2)), (Cyclic(4), (1, 2))],
+    ids=lambda x: getattr(x, "name", None),
+)
+def test_defect_and_lipnorm_match_the_exact_references(group, radii):
+    # Z1 at radius 101 has 203 elements, past the Lanczos crossover
+    rng = np.random.default_rng(31)
+    for lam in radii:
+        floats = random_selfadjoint(group, lam, rng)
+        exact = compress(_rational_element(group, 2 * lam, rng), lam)
+        exact += ToeplitzOperator(group, lam, {group.generators[0]: Fraction(1, 3)})
+        for s in (1, 2, 3):
+            assert truncation_defect(floats, s) == defect_reference(floats, s)
+            assert truncated_lipnorm(floats, s) == lipnorm_reference(floats, s)
+            got, want = truncation_defect(exact, s), defect_reference(exact, s)
+            assert got.defect_norm == pytest.approx(want.defect_norm, rel=1e-12)
+            assert got.lipnorm == pytest.approx(want.lipnorm, rel=1e-12)
+            assert got.ratio == pytest.approx(want.ratio, rel=1e-12)
+            want_lip = lipnorm_reference(exact, s)
+            assert truncated_lipnorm(exact, s) == pytest.approx(want_lip, rel=1e-12)
+
+
+def test_each_norm_and_evaluation_makes_one_position_lookup(monkeypatch):
+    T = random_selfadjoint(H3, 2, np.random.default_rng(32))
+    phi = vector_state(H3, {(0, 0, 0): 1, (1, 0, 0): 1j}, lam=2)
+    calls = {
+        "truncation_defect": lambda: truncation_defect(T, 2),
+        "truncated_lipnorm": lambda: truncated_lipnorm(T, 3),
+        "materialize": lambda: materialize(T),
+        "state_eval": lambda: state_eval(phi, T),
+    }
+    for call in calls.values():
+        call()  # caches the kernel and the index map
+    lookups = []
+    positions = Ball.positions
+
+    def counted(self, elements):
+        lookups.append(len(self))
+        return positions(self, elements)
+
+    monkeypatch.setattr(Ball, "positions", counted)
+    for name, call in calls.items():
+        lookups.clear()
+        call()
+        assert lookups == [len(ball(H3, 4))], name
+
+
 def test_defect_vanishes_only_through_kernel_weights():
     rng = np.random.default_rng(27)
     T = random_selfadjoint(Z2, 2, rng)
@@ -344,7 +400,7 @@ def test_psd_square_matches_convolution_square():
     g = random_element(Z2, 2, rng)
     T = compress(convolve(g, involution(g)), 2)
     M = materialize(T)
-    lam_g = compress_rep(g, 2)
+    lam_g = materialize(compress(g, 2))
     # the compression of g g* restricted to the ball is not g's compression
     # squared in general, but both are positive; check positivity only
     assert np.linalg.eigvalsh(M).min() >= -1e-12
