@@ -1,21 +1,21 @@
-"""The group algebra: convolution, derivatives, norms, and ball averaging.
+"""The group algebra: convolution, derivatives, norms, and ball truncations.
 
 An :class:`AlgebraElement` is a finitely supported function from a group to
 the complex numbers, multiplied by convolution and represented on l2 of the
 group by left convolution operators.  Operator norms are estimated from
-below by compressions to balls of growing radius; the multiplication
-operator by word length acts as a Dirac-type derivative and induces the
-Lipschitz seminorms used throughout.  The cached index map places each entry
-of a ball compression in the double ball, where a truncated operator keeps its
-symbol vector; an operator-norm scan gathers through two position tables of
-f's support and its inverses times the ball.  The overlap kernel is
-an integer count array over the double ball, counted along the fibers of a
-central last coordinate where the group declares one and through the index
-map otherwise.  Every group element is found through its ball's one lookup,
-``Ball.positions``, which index maps, kernel reads and norm scans share.
-Word lengths of a support come from the group's closed-form ``length`` and
-enumerate nothing.  The element cap in force (``element_cap``) bounds every
-ball a call enumerates, double balls included.
+below by compressions to balls of growing radius, scanned through position
+tables of f's support times the ball; the multiplication operator by word
+length acts as a Dirac-type derivative and induces the Lipschitz seminorms
+used throughout.  A :class:`Truncation` is the paper's P_lam A P_lam, one
+object per (group, lam): the ball, its double ball and the map x y^-1
+between them, with every array a truncation needs built once, on first
+read: the index map, the inverse table, the word lengths and the overlap
+counts, which make it the overlap kernel too.  The counts run along the
+fibers of a central last coordinate where the group declares one and
+through the index map otherwise.  Every element is found through its ball's
+one lookup, ``Ball.positions``, and the element cap in force
+(``element_cap``) bounds every ball a call enumerates, double balls
+included.
 
 Coefficients may be ints, floats, complexes, or ``fractions.Fraction``
 values.  Arithmetic preserves exact types, so identities that hold in
@@ -32,7 +32,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .cayley import Ball, _position_finder, ball
+from .cayley import _INT_TYPES, Ball, _position_finder, ball
 
 __all__ = [
     "AlgebraElement",
@@ -48,7 +48,7 @@ __all__ = [
     "opnorm",
     "lipnorm",
     "random_element",
-    "FejerKernel",
+    "Truncation",
     "fejer_kernel",
     "fejer_apply",
     "format_algebra_element",
@@ -172,9 +172,12 @@ def _check_order(s: int) -> None:
         raise ValueError(f"derivative order must be a positive integer, got {s}")
 
 
-def _check_radius(lam: int) -> None:
-    if lam < 1:
-        raise ValueError(f"truncation radius must be at least 1, got {lam}")
+def _check_radius(lam: int, least: int = 1) -> None:
+    """Reject a radius that ``ball`` would not take, or below ``least``, naming it as given."""
+    if not isinstance(lam, _INT_TYPES):
+        raise ValueError(f"truncation radius must be an integer, got {lam!r}")
+    if lam < least:
+        raise ValueError(f"truncation radius must be at least {least}, got {lam}")
 
 
 def derivative(f: AlgebraElement, s: int = 1) -> AlgebraElement:
@@ -207,28 +210,6 @@ def _product_positions(left: np.ndarray, right: np.ndarray, target: Ball) -> np.
         prod = target.group.multiply_array(left[start : start + rows, None, :], right[None])
         pos[start : start + rows] = target.positions(prod)
     return pos
-
-
-@lru_cache(maxsize=None)
-def _index_map(b, double) -> np.ndarray:
-    idx = _product_positions(b.coords, b.group.inverse_array(b.coords), double)
-    idx.setflags(write=False)
-    return idx
-
-
-def symbol_positions(group, radius: int) -> np.ndarray:
-    """Index map of a ball compression: where each entry reads the symbol.
-
-    Entry (i, j) is the position of x_i x_j^{-1} in the BFS order of the
-    double ball, so the compression of a symbol vector s over the double
-    ball is ``s[idx]``.  The read-only int32 map is cached per ball; the
-    element cap bounds both balls and is checked on every call.
-    """
-    return _index_map(ball(group, radius), ball(group, 2 * radius))
-
-
-# Hit and miss counts of the map cache, read as on any lru_cache'd function.
-symbol_positions.cache_info = _index_map.cache_info
 
 
 @lru_cache(maxsize=None)
@@ -384,42 +365,6 @@ def random_element(group, radius: int, rng: np.random.Generator) -> AlgebraEleme
     return AlgebraElement(group, coeffs)
 
 
-@dataclass(frozen=True, eq=False)
-class FejerKernel:
-    """Ball-overlap averaging kernel, exact integer counts on the double ball.
-
-    ``counts[i]`` is #(B ∩ zB) for the i-th element z of ``double``, the ball
-    of twice the radius, and ``size`` is #B, so K(z) = counts / size is 1 at
-    the identity, symmetric under inversion, and vanishes off the double ball.
-    Calling the kernel on an element, and ``values`` (a dict over the double
-    ball, built on first read), give exact Fractions.  ``folner_epsilon`` is
-    the worst single-generator boundary ratio max_g #(B \\ gB)/#B.
-    """
-
-    group: object
-    radius: int
-    double: Ball
-    counts: np.ndarray
-    size: int
-    folner_epsilon: Fraction
-
-    def counts_at(self, elements) -> np.ndarray:
-        """#(B ∩ zB) for each element z, 0 off the double ball."""
-        pos = self.double.positions(elements)
-        return np.where(pos >= 0, self.counts[pos], 0)
-
-    def __call__(self, x) -> Fraction:
-        return Fraction(int(self.counts_at([x])[0]), self.size)
-
-    @cached_property
-    def values(self) -> dict:
-        counts = self.counts.tolist()
-        return {x: Fraction(c, self.size) for x, c in zip(self.double.elements, counts)}
-
-
-_FEJER_CACHE: dict = {}
-
-
 def _sorted_rows(coords: np.ndarray) -> tuple:
     """(order, rows, new_base, new_run): the rows sorted lexicographically and where runs start.
 
@@ -484,31 +429,93 @@ def _fiber_counts(b, double) -> np.ndarray:
     return grid[grid_row, double.coords[:, -1] - t_min]
 
 
-def fejer_kernel(group, lam: int) -> FejerKernel:
-    """Exact overlap kernel of the radius-lam ball, cached per (group, lam).
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
-    On a group that declares its last coordinate central, the counts come
-    from the ball's fibers along it (``_fiber_counts``), with no index map.
-    On any other group, #(B ∩ zB) counts the entries of the ball's index map
-    that read z, one bincount of the map.  The element cap applies to the
-    double ball and is checked before the cache lookup.
+
+class Truncation:
+    """The radius-lam ball, its double ball and the map between them; see ``_truncation``.
+
+    The read-only arrays are built on first read: ``index_map[i, j]`` is the int32 position
+    of x_i x_j^-1 in the double ball, so a symbol vector s over it compresses to
+    ``s[index_map]``; ``inverse[k]`` is the position of z_k^-1; ``lengths`` are the double
+    ball's word lengths, the ball's being the first ``size``; and ``counts[k]`` is
+    #(B ∩ z_k B), counted along central fibers (``_fiber_counts``), with no index map, where
+    the group declares them.  So a truncation is also the overlap kernel K = counts / size:
+    calling it on an element, and ``values`` (a dict over the double ball), give exact
+    Fractions, and ``folner_epsilon`` is the worst generator's #(B \\ gB)/#B.
     """
+
+    def __init__(self, group, lam: int):
+        self.group, self.radius = group, lam
+        self.ball, self.double = ball(group, lam), ball(group, 2 * lam)
+        self.size = len(self.ball)
+
+    @cached_property
+    def index_map(self) -> np.ndarray:
+        coords = self.ball.coords
+        idx = _product_positions(coords, self.group.inverse_array(coords), self.double)
+        return _read_only(idx)
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        return _read_only(self.double.positions(self.group.inverse_array(self.double.coords)))
+
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        return _read_only(self.double.lengths_at(np.arange(len(self.double))))
+
+    def weights(self, s: int) -> np.ndarray:
+        """len^s over the double ball, as a new float array: only ``lengths`` is held."""
+        return (self.lengths**s).astype(float)
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        if getattr(self.group, "central_last_coordinate", False):
+            return _read_only(_fiber_counts(self.ball, self.double))
+        return _read_only(np.bincount(self.index_map.ravel(), minlength=len(self.double)))
+
+    @cached_property
+    def folner_epsilon(self) -> Fraction:
+        at_generators = self.counts_at(self.group.generators).tolist()
+        return max(Fraction(self.size - c, self.size) for c in at_generators)
+
+    def counts_at(self, elements) -> np.ndarray:
+        """#(B ∩ zB) for each element z, 0 off the double ball."""
+        pos = self.double.positions(elements)
+        return np.where(pos >= 0, self.counts[pos], 0)
+
+    def __call__(self, x) -> Fraction:
+        return Fraction(int(self.counts_at([x])[0]), self.size)
+
+    @cached_property
+    def values(self) -> dict:
+        counts = self.counts.tolist()
+        return {x: Fraction(c, self.size) for x, c in zip(self.double.elements, counts)}
+
+
+_TRUNCATIONS: dict = {}
+
+
+def _truncation(group, lam: int) -> Truncation:
+    """The one truncation of (group, lam); the radius and the cap are checked before the cache."""
+    _check_radius(lam, least=0)
+    ball(group, 2 * lam)
+    key = (group, lam)
+    return _TRUNCATIONS.get(key) or _TRUNCATIONS.setdefault(key, Truncation(group, lam))
+
+
+def symbol_positions(group, radius: int) -> np.ndarray:
+    """Index map of a ball compression: the ``index_map`` of the radius's truncation."""
+    return _truncation(group, radius).index_map
+
+
+def fejer_kernel(group, lam: int) -> Truncation:
+    """Exact overlap kernel of the radius-lam ball: its truncation, with the counts built."""
     _check_radius(lam)
-    double = ball(group, 2 * lam)
-    cached = _FEJER_CACHE.get((group, lam))
-    if cached is not None:
-        return cached
-    b = ball(group, lam)
-    if getattr(group, "central_last_coordinate", False):
-        counts = _fiber_counts(b, double)
-    else:
-        counts = np.bincount(symbol_positions(group, lam).ravel(), minlength=len(double))
-    counts.setflags(write=False)
-    size = len(b)
-    at_generators = counts[double.positions(group.generators)].tolist()
-    eps = max(Fraction(size - c, size) for c in at_generators)
-    kern = FejerKernel(group, lam, double, counts, size, eps)
-    _FEJER_CACHE[(group, lam)] = kern
+    kern = _truncation(group, lam)
+    kern.counts  # the counts are the kernel's cost, so they are built here, not at first use
     return kern
 
 

@@ -14,12 +14,11 @@ map, one ``eigh`` each.  Of the two Lipschitz approximation constants that
 drive the quantitative convergence bound, the full-algebra one is the Folner
 epsilon, its exact basis floor, and the truncated one the best of that floor,
 a sign witness (the sign of the defect multiplier, averaged onto symbols) and
-an optional ratio ascent, all on pencils of ball compressions, each stored as
-the weight of one complex parameter per double-ball element but e, evaluated
-and differentiated through the index map.  The distance solver reads the
-double ball's own arrays instead: the states' moments, the index map, the
-inverse-position table and the word lengths.  Every ball that states,
-distances and constants enumerate is bounded by the element cap in force.
+an optional ratio ascent on pencils of ball compressions, each the weight of
+one complex parameter per double-ball element but e.  States, the distance
+solver, the pencils and the witness derive no array of their own: they read
+the index map, the inverse table, the word lengths and the kernel counts of
+their ``groupalg`` truncation, under the element cap in force.
 """
 
 from __future__ import annotations
@@ -36,13 +35,13 @@ from .groupalg import (
     AlgebraElement,
     fejer_kernel,
     spectral_norm,
-    symbol_positions,
     _check_order,
     _check_radius,
     _gram_top,
     _start_vector,
+    _truncation,
 )
-from .truncation import ToeplitzOperator, _symbol_vector
+from .truncation import ToeplitzOperator
 
 __all__ = [
     "State",
@@ -92,8 +91,8 @@ class State:
 
 def _state(group, lam: int, W: np.ndarray) -> State:
     """The state with phi(T) = sum_ij W_ij T_ij, from the sums of W over the index map."""
-    slots = len(ball(group, 2 * lam))
-    return State(group, lam, _position_sums(symbol_positions(group, lam), W, slots))
+    trunc = _truncation(group, lam)
+    return State(group, lam, _position_sums(trunc.index_map, W, len(trunc.double)))
 
 
 def vector_state(group, coeffs: Mapping, lam: int) -> State:
@@ -140,7 +139,7 @@ def state_eval(state: State, a):
     if isinstance(a, ToeplitzOperator):
         if a.group != state.group or a.radius != state.lam:
             raise ValueError("state and operator live on different truncations")
-        return complex(state.moments @ _symbol_vector(a))
+        return complex(state.moments @ a._vector())
     if isinstance(a, AlgebraElement):
         raise ValueError("a truncated state cannot evaluate a full algebra element")
     raise TypeError(f"cannot evaluate a state on {type(a).__name__}")
@@ -399,12 +398,10 @@ def _distance_setup(phi: State, psi: State, s: int, lam: int):
         raise ValueError("both states must live on the radius-lam truncation")
     if phi.group != psi.group:
         raise ValueError("states live on different groups")
-    group, double = phi.group, ball(phi.group, 2 * lam)
-    idx = symbol_positions(group, lam)
-    inverse = double.positions(group.inverse_array(double.coords))  # balls are symmetric
-    weight = (double.lengths_at(np.arange(len(double))) ** s).astype(float)
-    g = phi.moments - psi.moments
-    return idx, inverse, weight, np.divide(g, weight, out=np.zeros_like(g), where=weight > 0)
+    trunc, g = _truncation(phi.group, lam), phi.moments - psi.moments
+    weight = trunc.weights(s)
+    t = np.divide(g, weight, out=np.zeros_like(g), where=weight > 0)
+    return trunc.index_map, trunc.inverse, weight, t
 
 
 def lip_distance(
@@ -433,7 +430,7 @@ def lip_distance(
         return DistanceResult(value=0.0, witness=zero, status="converged", upper=0.0)
     p, value, upper, status = _trace_norm_dual(idx, inverse, t, params)
     symbol = np.divide(p, weight, out=np.zeros_like(p), where=weight > 0)
-    elements = map(tuple, ball(group, 2 * lam).coords.tolist())
+    elements = map(tuple, _truncation(group, lam).double.coords.tolist())
     witness = ToeplitzOperator(group, lam, dict(zip(elements, symbol)))
     return DistanceResult(value=value, witness=witness, status=status, upper=upper)
 
@@ -515,11 +512,8 @@ def _epsilon_pencils(group, lam: int, s: int):
     the radius-lam ball.
     """
     kern = fejer_kernel(group, lam)
-    double = ball(group, 2 * lam)
     wnum = (kern.size - kern.counts[1:]) / kern.size
-    wden = (double.lengths_at(np.arange(1, len(double))) ** s).astype(float)
-    idx = symbol_positions(group, lam)
-    return _Pencil(idx, wnum), _Pencil(idx, wden)
+    return _Pencil(kern.index_map, wnum), _Pencil(kern.index_map, kern.weights(s)[1:])
 
 
 _WITNESS_GROWTH = 4  # the sign witness's ball has at most this many times lam's elements
@@ -538,17 +532,16 @@ def _sign_witness(group, lam: int, s: int, num: _Pencil, den: _Pencil):
     limit = _WITNESS_GROWTH * kern.size
     with suppress(ResourceCapError):  # a ball that stops growing is a whole finite group
         while len(ball(group, R)) < len(ball(group, R + 1)) <= limit:
-            ball(group, 2 * R + 2)
+            _truncation(group, R + 1)
             R += 1
-    double, m = ball(group, 2 * R), len(kern.double)
-    idx = symbol_positions(group, R)
-    lengths = double.lengths_at(np.arange(len(double)))
-    r = np.append(kern.size - kern.counts, np.full(len(double) - m, kern.size)) / kern.size
-    r /= np.maximum(lengths, 1) ** s  # r(e) = 0, since K(e) = 1
+    wide, m = _truncation(group, R), len(kern.double)
+    idx, weights = wide.index_map, wide.weights(s)
+    r = np.append(kern.size - kern.counts, np.full(len(wide.double) - m, kern.size)) / kern.size
+    r /= np.maximum(weights, 1)  # r(e) = 0, since K(e) = 1
     mu, V = np.linalg.eigh(r[idx])
     sign = (V * np.sign(mu - (mu[(len(mu) - 1) // 2] + mu[len(mu) // 2]) / 2)) @ V.T
     p = (np.bincount(idx.ravel(), sign.ravel())[:m] / np.bincount(idx.ravel())[:m])[1:]
-    x = (p / lengths[1:m] ** s).astype(complex).view(float)  # zero imaginary parts
+    x = (p / weights[1:m]).astype(complex).view(float)  # zero imaginary parts
     sn, sd = _gram_top(np.stack([num(x), den(x)]))[2]
     return (sn / sd if sd > 0 else 0.0), p
 

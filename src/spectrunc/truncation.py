@@ -6,10 +6,11 @@ x y^{-1}, so the whole operator is determined by a symbol supported on the
 double ball.  ``compress`` restricts an algebra element to such a symbol,
 ``reconstruct`` maps a truncated operator back to the algebra by weighting
 the symbol with the ball-overlap kernel, and ``truncation_defect`` measures
-how far that round trip moves an operator.  Each numeric path reads the symbol
-as one complex vector over the double ball, placed by one position lookup:
-the matrix gathers it through the index map, and the defect and the Lip-norm
-are the norms of that vector times 1 - K and times len^s.
+how far that round trip moves an operator.  An operator keeps the positions
+its symbol took in the double ball when it was built, so every numeric path
+reads the symbol as one complex vector with no lookup, next to the arrays of
+its ``groupalg`` truncation: the matrix gathers it through the index map, and
+the defect and the Lip-norm norm it times 1 - K and times len^s.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .cayley import ball
 from .groupalg import (
     AlgebraElement,
     fejer_apply,
@@ -31,6 +31,7 @@ from .groupalg import (
     symbol_positions,
     _check_order,
     _check_radius,
+    _truncation,
 )
 
 __all__ = [
@@ -55,20 +56,29 @@ class ToeplitzOperator(AlgebraElement):
     radius; the materialized matrix over the radius-lam ball has entry
     symbol(x y^{-1}) at position (x, y).  Arithmetic is the algebra's, and
     only operators on the same truncation combine or compare equal.  The
-    element cap in force bounds the double ball that the symbol is checked against.
+    element cap in force bounds the double ball that the symbol is checked against,
+    and the positions found there are kept, one per symbol term.
     """
 
-    __slots__ = ("radius",)
+    __slots__ = ("radius", "_positions")
 
     def __init__(self, group, radius: int, symbol: Mapping):
         _check_radius(radius)
         super().__init__(group, symbol)
         keys = list(symbol)  # the raw keys: a zero value outside the double ball is an error too
-        outside = np.flatnonzero(ball(group, 2 * radius).positions(keys) < 0)
+        positions = _truncation(group, radius).double.positions(keys)
+        outside = np.flatnonzero(positions < 0)
         if len(outside):
             z, r = keys[outside[0]], 2 * radius
             raise ValueError(f"symbol entry at {z} lies outside the double ball of radius {r}")
         self.radius = radius
+        self._positions = positions[np.array([v != 0 for v in symbol.values()], dtype=bool)]
+
+    def _vector(self) -> np.ndarray:
+        """The symbol as one complex vector over the double ball, in its order."""
+        vec = np.zeros(len(_truncation(self.group, self.radius).double), dtype=complex)
+        vec[self._positions] = [complex(v) for v in self._coeffs.values()]
+        return vec
 
     def is_selfadjoint(self) -> bool:
         return self.coeffs() == involution(self).coeffs()
@@ -100,29 +110,14 @@ def compress(f: AlgebraElement, lam: int) -> ToeplitzOperator:
     bounds the double ball.
     """
     _check_radius(lam)
-    inside = ball(f.group, 2 * lam).positions(list(f.support)) >= 0
+    inside = _truncation(f.group, lam).double.positions(list(f.support)) >= 0
     symbol = {g: v for (g, v), keep in zip(f.items(), inside.tolist()) if keep}
     return ToeplitzOperator(f.group, lam, symbol)
 
 
-def _symbol_vector(T: ToeplitzOperator) -> np.ndarray:
-    """T's symbol as a complex vector over its double ball, in the ball's order."""
-    double = ball(T.group, 2 * T.radius)
-    vec = np.zeros(len(double), dtype=complex)
-    vec[double.positions(list(T.support))] = [complex(v) for _, v in T.items()]
-    return vec
-
-
-def _lipnorm(T: ToeplitzOperator, vec: np.ndarray, s: int) -> float:
-    """Norm of the compression on T's truncation whose symbol vector is vec times len^s."""
-    _check_order(s)
-    lengths = ball(T.group, 2 * T.radius).lengths_at(np.arange(len(vec)))
-    return spectral_norm((vec * lengths**s)[symbol_positions(T.group, T.radius)])
-
-
 def materialize(T: ToeplitzOperator) -> np.ndarray:
     """Dense matrix of the truncated operator over the ball's element order."""
-    return _symbol_vector(T)[symbol_positions(T.group, T.radius)]
+    return T._vector()[symbol_positions(T.group, T.radius)]
 
 
 def truncated_lipnorm(T: ToeplitzOperator, s: int = 1) -> float:
@@ -131,7 +126,9 @@ def truncated_lipnorm(T: ToeplitzOperator, s: int = 1) -> float:
     Above the Lanczos crossover of ``spectral_norm`` it is an attained Rayleigh
     quotient, converged to a relative residual of 1e-14.
     """
-    return _lipnorm(T, _symbol_vector(T), s)
+    _check_order(s)
+    trunc = _truncation(T.group, T.radius)
+    return spectral_norm((T._vector() * trunc.weights(s))[trunc.index_map])
 
 
 def reconstruct(T: ToeplitzOperator) -> AlgebraElement:
@@ -151,8 +148,8 @@ def dirac_commutator(T: ToeplitzOperator) -> np.ndarray:
     naive commutator seminorm, which degenerates on symbols supported at the
     far edge of the double ball and is therefore not used as a Lip-norm.
     """
-    b = ball(T.group, T.radius)
-    lengths = b.lengths_at(np.arange(len(b))).astype(float)
+    trunc = _truncation(T.group, T.radius)
+    lengths = trunc.lengths[: trunc.size].astype(float)
     M = materialize(T)
     return lengths[:, None] * M - M * lengths[None, :]
 
@@ -177,10 +174,9 @@ def truncation_defect(T: ToeplitzOperator, s: int = 1) -> DefectResult:
     if all(z == ident for z in T.support):
         raise ValueError("defect ratio is undefined for scalar operators")
     kern = fejer_kernel(T.group, T.radius)
-    vec = _symbol_vector(T)
-    residual = vec * ((kern.size - kern.counts) / kern.size)
-    defect = spectral_norm(residual[symbol_positions(T.group, T.radius)])
-    lip = _lipnorm(T, vec, s)
+    residual = T._vector() * ((kern.size - kern.counts) / kern.size)
+    defect = spectral_norm(residual[kern.index_map])
+    lip = truncated_lipnorm(T, s)
     return DefectResult(defect_norm=defect, lipnorm=lip, ratio=defect / lip)
 
 
@@ -192,8 +188,8 @@ def random_selfadjoint(group, lam: int, rng: np.random.Generator) -> ToeplitzOpe
     (re + i im) / sqrt(2) at z and its conjugate at z^{-1}.
     """
     _check_radius(lam)
-    double = ball(group, 2 * lam)
-    inverse = double.positions(group.inverse_array(double.coords))  # balls are symmetric
+    trunc = _truncation(group, lam)
+    double, inverse = trunc.double, trunc.inverse
     lead = np.flatnonzero(np.arange(len(double)) <= inverse)
     pair = inverse[lead] != lead
     draws = rng.standard_normal(len(lead) + int(pair.sum()))

@@ -465,6 +465,8 @@ RADIUS_CALLS = {
     "random_selfadjoint": lambda lam: random_selfadjoint(Z1, lam, np.random.default_rng(0)),
     "random_vector_state": lambda lam: random_vector_state(Z1, lam, np.random.default_rng(0)),
     "random_density_state": lambda lam: random_density_state(Z1, lam, np.random.default_rng(0)),
+    "fejer_kernel": lambda lam: fejer_kernel(Z1, lam),
+    "vector_state": lambda lam: vector_state(Z1, {(0,): 1.0}, lam),
 }
 
 
@@ -479,6 +481,14 @@ def test_a_bad_truncation_radius_has_one_message(capsys, monkeypatch, name, lam)
     monkeypatch.setattr(sys, "stdin", io.StringIO("1 0 1\n"))
     code, out, err = _run(capsys, "truncate", "--group", "z:1", "--lambda", str(lam))
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("lam", [1.5, 2.0])
+@pytest.mark.parametrize("name", RADIUS_CALLS)
+def test_a_non_integer_truncation_radius_is_named_as_given(name, lam):
+    # the radius is checked before it is doubled for the double ball
+    with pytest.raises(ValueError, match=f"^truncation radius must be an integer, got {lam}$"):
+        RADIUS_CALLS[name](lam)
 
 
 @pytest.mark.parametrize(

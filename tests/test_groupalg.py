@@ -34,7 +34,7 @@ from spectrunc import (
     word_length,
 )
 from spectrunc import cayley, groupalg
-from spectrunc.groupalg import _lanczos_norm, symbol_positions
+from spectrunc.groupalg import _lanczos_norm
 
 from oracles import dense_matrix, folner_deficit
 
@@ -288,17 +288,22 @@ def test_matrix_free_compression_norm_matches_the_dense_norm(group, radius):
         assert abs(got - want) <= 1e-12 * want
 
 
+def built_index_maps():
+    """The (group, radius) of every cached truncation whose index map has been built."""
+    return [key for key, t in groupalg._TRUNCATIONS.items() if "index_map" in vars(t)]
+
+
 def test_matrix_free_scan_builds_no_index_map_or_double_ball(monkeypatch):
     monkeypatch.setattr(cayley, "_BALL_CACHE", {})
+    monkeypatch.setattr(groupalg, "_TRUNCATIONS", {})
     # (7, 7, 0) has length 14, so both scans start one radius below the floor 7
     f = random_element(H3, 2, np.random.default_rng(15)) + delta(H3, (7, 7, 0))
     table_radii = [r for r in range(8) if len(ball(H3, r)) > groupalg._LANCZOS_THRESHOLD]
     assert table_radii == [5, 6, 7]
     opnorm(f, r_max=4)
-    misses = symbol_positions.cache_info().misses
     res = opnorm(f, r_max=7)
     assert res.last_radius == 7
-    assert symbol_positions.cache_info().misses == misses
+    assert built_index_maps() == []
     assert not any((H3, 2 * r) in cayley._BALL_CACHE for r in table_radii)
 
 
@@ -390,7 +395,7 @@ def test_opnorm_scans_read_no_index_map_at_any_size(monkeypatch):
     ]
     want = [full_radius_scan(f, 1e-8, r_max, dense_up_to_the_crossover) for f, r_max in cases]
     lip_want = opnorm(derivative(cases[-1][0], 2), r_max=6).estimate
-    info = symbol_positions.cache_info()
+    monkeypatch.setattr(groupalg, "_TRUNCATIONS", {})
 
     def refuse(*args, **kwargs):
         raise AssertionError("an opnorm scan read an index map")
@@ -398,7 +403,7 @@ def test_opnorm_scans_read_no_index_map_at_any_size(monkeypatch):
     monkeypatch.setattr(groupalg, "symbol_positions", refuse)
     got = [opnorm(f, r_max=r_max) for f, r_max in cases]
     assert lipnorm(cases[-1][0], 2, r_max=6) == lip_want
-    assert symbol_positions.cache_info() == info
+    assert built_index_maps() == []
     assert [g.estimate.hex() for g in got] == [w.estimate.hex() for w in want]
     assert got == want
     crossed = {f.group for (f, _), res in zip(cases, got)
@@ -480,6 +485,9 @@ def test_fejer_epsilon_matches_generator_deficits():
 def test_fejer_requires_positive_radius():
     with pytest.raises(ValueError):
         fejer_kernel(Z1, 0)
+    for lam in (1.5, 2.0):
+        with pytest.raises(ValueError, match=rf"^truncation radius must be an integer, got {lam}$"):
+            fejer_kernel(Z1, lam)
 
 
 def test_fejer_apply_scales_coefficients():

@@ -317,7 +317,7 @@ def test_a_group_without_a_central_coordinate_counts_through_the_map(monkeypatch
         raise AssertionError("the fiber count ran on a group that does not declare it")
 
     monkeypatch.setattr(groupalg, "_fiber_counts", refuse)
-    monkeypatch.setattr(groupalg, "_FEJER_CACHE", {})
+    monkeypatch.setattr(groupalg, "_TRUNCATIONS", {})
     for lam in (1, 2):
         kern = fejer_kernel(Cyclic(4), lam)
         assert kern.size == len(ball(Cyclic(4), lam))
@@ -334,10 +334,8 @@ def test_chunked_products_match_one_chunk(chunk_bytes, monkeypatch):
     f = random_element(H, 3, np.random.default_rng(5))
     want = (symbol_positions(H, 3), fejer_kernel(H, 3).counts, opnorm(f, tol=1e-300, r_max=5))
     monkeypatch.setattr(groupalg, "_CHUNK_BYTES", chunk_bytes)
-    monkeypatch.setattr(groupalg, "_FEJER_CACHE", {})
-    groupalg._index_map.cache_clear()
+    monkeypatch.setattr(groupalg, "_TRUNCATIONS", {})
     got = (symbol_positions(H, 3), fejer_kernel(H, 3).counts, opnorm(f, tol=1e-300, r_max=5))
-    groupalg._index_map.cache_clear()
     assert got[0] is not want[0] and np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
     assert got[2] == want[2] and got[2].last_radius == 5
@@ -373,12 +371,42 @@ def test_compress_rep_drops_support_outside_the_double_ball():
     assert np.array_equal(materialize(compress(f, 1)), dense_matrix(Z1, 1, f.coeffs()))
 
 
-def test_index_map_is_shared_and_read_only():
+def test_index_map_is_shared_and_read_only(monkeypatch):
     idx = symbol_positions(H, 2)
     assert idx is symbol_positions(H, 2)
     assert idx.dtype == np.int32 and idx.shape == (17, 17)
     with pytest.raises(ValueError):
         idx[0, 0] = 1
+    # the kernel, both pencils, the distance setup and random_selfadjoint read the same arrays
+    trunc = groupalg._truncation(H, 2)
+    kern = fejer_kernel(H, 2)
+    num, den = _epsilon_pencils(H, 2, 3)
+    phi = vector_state(H, {(0, 0, 0): 1.0}, 2)
+    psi = vector_state(H, {(1, 0, 0): 1.0}, 2)
+    setup_idx, inverse = _distance_setup(phi, psi, 3, 2)[:2]
+    assert kern is trunc and trunc.index_map is idx
+    assert num.idx is idx and den.idx is idx and setup_idx is idx and inverse is trunc.inverse
+    for arr in (trunc.index_map, trunc.inverse, trunc.lengths, trunc.counts):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    calls = []
+    positions = cayley.Ball.positions
+
+    def counted(self, elements):
+        calls.append(len(self))
+        return positions(self, elements)
+
+    monkeypatch.setattr(cayley.Ball, "positions", counted)
+    random_selfadjoint(H, 2, np.random.default_rng(3))
+    # one lookup, the operator's membership check: the inverse table is not looked up again
+    assert calls == [len(trunc.double)]
+
+
+def test_the_kernel_of_a_central_group_builds_no_index_map(monkeypatch):
+    monkeypatch.setattr(groupalg, "_TRUNCATIONS", {})
+    kern = fejer_kernel(H, 3)
+    assert kern is groupalg._truncation(H, 3)
+    assert "counts" in vars(kern) and "index_map" not in vars(kern)
 
 
 def test_double_ball_leads_every_larger_double_ball():
@@ -521,6 +549,31 @@ def test_threads_share_one_enumeration():
         assert ball(group, r).elements == ball(H, r).elements
 
 
+def test_threads_share_one_truncation(monkeypatch):
+    monkeypatch.setattr(groupalg, "_TRUNCATIONS", {})
+    start = threading.Barrier(6, timeout=60)
+    seen = []
+
+    def read():
+        start.wait()
+        seen.append((fejer_kernel(H, 3), symbol_positions(H, 3), groupalg._truncation(H, 3)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(seen) == 6 and not any(t.is_alive() for t in threads)
+    kern, idx = seen[0][:2]
+    assert all(k is kern and i is idx and t is kern for k, i, t in seen)
+    assert list(groupalg._TRUNCATIONS.values()) == [kern]
+
+
 def test_growth_report_keeps_no_element_tuples(monkeypatch):
     monkeypatch.setattr(cayley, "_BALL_CACHE", {})
     monkeypatch.setattr(cayley, "_ENUMERATIONS", {})
@@ -540,7 +593,7 @@ def test_growth_report_keeps_no_element_tuples(monkeypatch):
 def test_counts_lookups_and_walks_build_no_element_tuples(group, monkeypatch):
     monkeypatch.setattr(cayley, "_BALL_CACHE", {})
     monkeypatch.setattr(cayley, "_ENUMERATIONS", {})
-    monkeypatch.setattr(groupalg, "_FEJER_CACHE", {})
+    monkeypatch.setattr(groupalg, "_TRUNCATIONS", {})
     b = ball(group, 4)
     assert len(b) == len(b.coords) == 135
     assert b.positions(b.coords[::-1]).tolist() == list(range(len(b)))[::-1]

@@ -4,7 +4,9 @@ somewhere in the package, every function reads each of its parameters,
 importing the package, and a default ``converge``, ``epsilon`` or
 ``distance`` run, leave the heavy optional modules unloaded, the package
 imports nothing beyond the standard library and numpy, only ``cayley``
-knows the packed-key format of ball lookups or reads a ball's enumeration, and
+knows the packed-key format of ball lookups or reads a ball's enumeration, only
+``cayley`` and ``groupalg`` derive a truncation's arrays (double balls, word
+lengths by position, inverse tables), and
 only ``cayley.ball`` and the enumeration it extends take an element cap: every
 other function reads the cap in force, and no module tells the built-in
 groups apart with ``isinstance``: a group is its contract.
@@ -285,6 +287,41 @@ def test_only_cayley_knows_the_packed_key_format(path):
 @pytest.mark.parametrize("path", OUTSIDE_CAYLEY, ids=lambda p: p.name)
 def test_only_cayley_reads_a_balls_enumeration(path):
     assert cayley_references(path.read_text(), ENUMERATION_NAMES) == []
+
+
+def truncation_derivations(source: str) -> list[int]:
+    """Line numbers of calls that derive a truncation's arrays: ``ball`` with a doubled radius
+    (a product by the constant 2 anywhere in it), ``lengths_at`` and ``inverse_array``."""
+    found = []
+    for n in ast.walk(ast.parse(source)):
+        if not isinstance(n, ast.Call):
+            continue
+        name = getattr(n.func, "id", getattr(n.func, "attr", None))
+        radii = n.args[1:2] + [k.value for k in n.keywords if k.arg == "radius"]
+        doubled = name == "ball" and any(
+            isinstance(b, ast.BinOp) and isinstance(b.op, ast.Mult) and 2 in (
+                getattr(b.left, "value", None), getattr(b.right, "value", None))
+            for r in radii for b in ast.walk(r)
+        )
+        if doubled or name in ("lengths_at", "inverse_array"):
+            found.append(n.lineno)
+    return found
+
+
+def test_the_check_finds_a_truncation_derivation():
+    source = (
+        "ball(g, 2 * lam)\ncayley.ball(g, radius=lam * 2)\nball(g, 2 * R + 2)\n"
+        "b.lengths_at(p)\ng.inverse_array(x)\nball(g, lam + 1)\nb.lengths\nball(g, 2)\n"
+    )
+    assert truncation_derivations(source) == [1, 2, 3, 4, 5]
+
+
+# A truncation's double ball, word lengths and inverse table are derived in one place, the
+# ``groupalg.Truncation`` that every other module reads.
+@pytest.mark.parametrize("path", [p for p in OUTSIDE_CAYLEY if p.name != "groupalg.py"],
+                         ids=lambda p: p.name)
+def test_only_cayley_and_groupalg_derive_a_truncations_arrays(path):
+    assert truncation_derivations(path.read_text()) == []
 
 
 def cap_parameters(module: str, source: str) -> list[str]:

@@ -100,6 +100,9 @@ def test_radius_must_be_positive():
         ToeplitzOperator(Z1, 0, {})
     with pytest.raises(ValueError):
         compress(unit(Z2), 0)
+    for lam in (1.5, 2.0):
+        with pytest.raises(ValueError, match=rf"^truncation radius must be an integer, got {lam}$"):
+            ToeplitzOperator(Z1, lam, {})
 
 
 def test_compress_restricts_to_double_ball():
@@ -326,8 +329,9 @@ def test_defect_and_lipnorm_match_the_exact_references(group, radii):
             assert truncated_lipnorm(exact, s) == pytest.approx(want_lip, rel=1e-12)
 
 
-def test_each_norm_and_evaluation_makes_one_position_lookup(monkeypatch):
+def test_each_norm_and_evaluation_makes_no_position_lookup(monkeypatch):
     T = random_selfadjoint(H3, 2, np.random.default_rng(32))
+    f = random_element(H3, 3, np.random.default_rng(33))
     phi = vector_state(H3, {(0, 0, 0): 1, (1, 0, 0): 1j}, lam=2)
     calls = {
         "truncation_defect": lambda: truncation_defect(T, 2),
@@ -348,7 +352,12 @@ def test_each_norm_and_evaluation_makes_one_position_lookup(monkeypatch):
     for name, call in calls.items():
         lookups.clear()
         call()
-        assert lookups == [len(ball(H3, 4))], name
+        assert lookups == [], name
+    # the operator keeps the positions of its membership check, so only compress's filter
+    # and that check look up the double ball
+    lookups.clear()
+    materialize(compress(f, 2))
+    assert lookups == [len(ball(H3, 4))] * 2
 
 
 def test_defect_vanishes_only_through_kernel_weights():
