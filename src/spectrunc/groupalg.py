@@ -10,12 +10,12 @@ used throughout.  A :class:`Truncation` is the paper's P_lam A P_lam, one
 object per (group, lam): the ball, its double ball and the map x y^-1
 between them, with every array a truncation needs built once, on first
 read: the index map, the inverse table, the word lengths and the overlap
-counts, which make it the overlap kernel too.  The counts run along the
-fibers of a central last coordinate where the group declares one and
-through the index map otherwise.  Every element is found through its ball's
-one lookup, ``Ball.positions``, and the element cap in force
-(``element_cap``) bounds every ball a call enumerates, double balls
-included.
+counts, which make it the overlap kernel too, and its ``sums`` over the
+map's positions.  The counts are the map's bincount once it is built and,
+before that, run along the fibers of a central last coordinate where the
+group declares one.  Every element is found through its ball's one lookup,
+``Ball.positions``, and the element cap in force (``element_cap``) bounds
+every ball a call enumerates, double balls included.
 
 Coefficients may be ints, floats, complexes, or ``fractions.Fraction``
 values.  Arithmetic preserves exact types, so identities that hold in
@@ -32,7 +32,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .cayley import _INT_TYPES, Ball, _position_finder, ball
+from .cayley import _INT_TYPES, Ball, _position_finder, _rows, ball
 
 __all__ = [
     "AlgebraElement",
@@ -172,12 +172,12 @@ def _check_order(s: int) -> None:
         raise ValueError(f"derivative order must be a positive integer, got {s}")
 
 
-def _check_radius(lam: int, least: int = 1) -> None:
-    """Reject a radius that ``ball`` would not take, or below ``least``, naming it as given."""
+def _check_radius(lam: int) -> None:
+    """Reject a radius that is not a positive integer, naming it as given."""
     if not isinstance(lam, _INT_TYPES):
         raise ValueError(f"truncation radius must be an integer, got {lam!r}")
-    if lam < least:
-        raise ValueError(f"truncation radius must be at least {least}, got {lam}")
+    if lam < 1:
+        raise ValueError(f"truncation radius must be at least 1, got {lam}")
 
 
 def derivative(f: AlgebraElement, s: int = 1) -> AlgebraElement:
@@ -291,7 +291,7 @@ def _compression_norm(f: AlgebraElement, radius: int) -> float:
     """
     b = ball(f.group, radius)
     n = len(b)
-    support = np.array(list(f.support))
+    support = _rows(f.support, b.coords.shape[1])  # a coordinate past int64 lies in no ball
     w = np.array([complex(v) for v in f._coeffs.values()])
     into = _product_positions(support, b.coords, b).astype(np.intp)  # gathers read intp uncast
     if n <= _LANCZOS_THRESHOLD:
@@ -439,12 +439,13 @@ class Truncation:
 
     The read-only arrays are built on first read: ``index_map[i, j]`` is the int32 position
     of x_i x_j^-1 in the double ball, so a symbol vector s over it compresses to
-    ``s[index_map]``; ``inverse[k]`` is the position of z_k^-1; ``lengths`` are the double
-    ball's word lengths, the ball's being the first ``size``; and ``counts[k]`` is
-    #(B ∩ z_k B), counted along central fibers (``_fiber_counts``), with no index map, where
-    the group declares them.  So a truncation is also the overlap kernel K = counts / size:
-    calling it on an element, and ``values`` (a dict over the double ball), give exact
-    Fractions, and ``folner_epsilon`` is the worst generator's #(B \\ gB)/#B.
+    ``s[index_map]``, whose adjoint is ``sums``; ``inverse[k]`` is the position of z_k^-1;
+    ``lengths`` are the double ball's word lengths, the ball's being the first ``size``; and
+    ``counts[k]`` is #(B ∩ z_k B), the map's bincount once it is built and, before that,
+    counted along central fibers (``_fiber_counts``) where the group declares them.  So a
+    truncation is also the overlap kernel K = counts / size: calling it on an element, and
+    ``values`` (a dict over the double ball), give exact Fractions, and ``folner_epsilon`` is
+    the worst generator's #(B \\ gB)/#B.
     """
 
     def __init__(self, group, lam: int):
@@ -472,9 +473,23 @@ class Truncation:
 
     @cached_property
     def counts(self) -> np.ndarray:
-        if getattr(self.group, "central_last_coordinate", False):
-            return _read_only(_fiber_counts(self.ball, self.double))
-        return _read_only(np.bincount(self.index_map.ravel(), minlength=len(self.double)))
+        if "index_map" in vars(self) or not getattr(self.group, "central_last_coordinate", False):
+            return _read_only(np.bincount(self.index_map.ravel(), minlength=len(self.double)))
+        return _read_only(_fiber_counts(self.ball, self.double))
+
+    def sums(self, W: np.ndarray) -> np.ndarray:
+        """Sums of each n x n matrix of the stack W at every double-ball position of the map.
+
+        vdot(s[index_map], W) = vdot(s, sums(W)); a real W gets real sums from one ``bincount``.
+        """
+        flat, w, slots = self.index_map.ravel(), W.ravel(), len(self.double)
+        rows = len(w) // len(flat)
+        bins, size = (flat + slots * np.arange(rows)[:, None]).ravel(), rows * slots
+        if np.isrealobj(w):
+            g = np.bincount(bins, w, size)
+        else:
+            g = np.bincount(bins, w.real, size) + 1j * np.bincount(bins, w.imag, size)
+        return g.reshape(*W.shape[:-2], slots)
 
     @cached_property
     def folner_epsilon(self) -> Fraction:
@@ -500,7 +515,7 @@ _TRUNCATIONS: dict = {}
 
 def _truncation(group, lam: int) -> Truncation:
     """The one truncation of (group, lam); the radius and the cap are checked before the cache."""
-    _check_radius(lam, least=0)
+    _check_radius(lam)
     ball(group, 2 * lam)
     key = (group, lam)
     return _TRUNCATIONS.get(key) or _TRUNCATIONS.setdefault(key, Truncation(group, lam))
@@ -513,7 +528,6 @@ def symbol_positions(group, radius: int) -> np.ndarray:
 
 def fejer_kernel(group, lam: int) -> Truncation:
     """Exact overlap kernel of the radius-lam ball: its truncation, with the counts built."""
-    _check_radius(lam)
     kern = _truncation(group, lam)
     kern.counts  # the counts are the kernel's cost, so they are built here, not at first use
     return kern

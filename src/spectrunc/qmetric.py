@@ -16,9 +16,11 @@ epsilon, its exact basis floor, and the truncated one the best of that floor,
 a sign witness (the sign of the defect multiplier, averaged onto symbols) and
 an optional ratio ascent on pencils of ball compressions, each the weight of
 one complex parameter per double-ball element but e.  States, the distance
-solver, the pencils and the witness derive no array of their own: they read
-the index map, the inverse table, the word lengths and the kernel counts of
-their ``groupalg`` truncation, under the element cap in force.
+solver, the pencils and the witness derive no array and count or sum over
+no position of their own: they read the index map, the inverse table, the
+word lengths and the overlap counts of their ``groupalg`` truncation, and
+sum over its positions with ``Truncation.sums``, under the element cap in
+force.
 """
 
 from __future__ import annotations
@@ -60,18 +62,6 @@ __all__ = [
 ]
 
 
-def _position_sums(idx: np.ndarray, W: np.ndarray, slots: int) -> np.ndarray:
-    """Sum of W's entries at each of the slots positions of the index map idx.
-
-    Row b of a stack of matrices sums into its own bins.
-    """
-    flat, w = idx.ravel(), W.ravel()
-    rows = len(w) // len(flat)
-    bins = (flat + slots * np.arange(rows)[:, None]).ravel()
-    g = np.bincount(bins, w.real, rows * slots) + 1j * np.bincount(bins, w.imag, rows * slots)
-    return g.reshape(*W.shape[:-2], slots)
-
-
 @dataclass(frozen=True, eq=False)
 class State:
     """A state phi on the truncation to the radius-lam ball, held by its moments.
@@ -91,8 +81,7 @@ class State:
 
 def _state(group, lam: int, W: np.ndarray) -> State:
     """The state with phi(T) = sum_ij W_ij T_ij, from the sums of W over the index map."""
-    trunc = _truncation(group, lam)
-    return State(group, lam, _position_sums(trunc.index_map, W, len(trunc.double)))
+    return State(group, lam, _truncation(group, lam).sums(W))
 
 
 def vector_state(group, coeffs: Mapping, lam: int) -> State:
@@ -219,28 +208,27 @@ class _Pencil:
 
     Complex parameter k, zeta_k = x[2k] + i x[2k+1], puts zeta_k w[k] at
     position k + 1 of the symbol over the double ball, one parameter per
-    element but e, and M(x) gathers the symbol through the index map.  Points
-    and vectors may be single or stacked along a leading axis.
+    element but e, and M(x) gathers the symbol through the truncation's index
+    map.  Points and vectors may be single or stacked along a leading axis.
     """
 
-    def __init__(self, idx: np.ndarray, w: np.ndarray):
-        self.idx, self.w = idx, w
+    def __init__(self, trunc, w: np.ndarray):
+        self.trunc, self.w = trunc, w
         self.size = 2 * len(w)
-        self._slots = len(w) + 1
 
     def symbol(self, x: np.ndarray) -> np.ndarray:
         """The symbol over the double ball at x."""
-        sym = np.zeros(x.shape[:-1] + (self._slots,), dtype=complex)
+        sym = np.zeros(x.shape[:-1] + (len(self.w) + 1,), dtype=complex)
         sym[..., 1:] = (x[..., 0::2] + 1j * x[..., 1::2]) * self.w
         return sym
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         # an index, not take(): the stack's memory layout sets the rounding of the solves
-        return self.symbol(x)[..., self.idx]
+        return self.symbol(x)[..., self.trunc.index_map]
 
     def grad(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Re(u^H M_k v) for every k: Re sum_z g(z) S_k(z), g the sums of conj(u) v^T."""
-        g = _position_sums(self.idx, u.conj()[..., :, None] * v[..., None, :], self._slots)
+        g = self.trunc.sums(u.conj()[..., :, None] * v[..., None, :])
         return (g[..., 1:].conj() * self.w).view(float)
 
 
@@ -273,12 +261,12 @@ def _top_singular(M: np.ndarray):
 def _norms_and_grads(pencils: list, X: np.ndarray):
     """||p(x)|| and its gradient in x for every pencil p and every row x of X.
 
-    The pencils share one index map.  Their matrices at a chunk of rows are
+    The pencils share one truncation.  Their matrices at a chunk of rows are
     solved as one stack, and the chunk is sized so that the stack, with one
     matrix per pencil and row, stays under ``_STACK_BYTES``.  Returns sigma
     of shape (pencils, rows) and gradients of shape (pencils, rows, m).
     """
-    n, P = len(pencils[0].idx), len(pencils)
+    n, P = pencils[0].trunc.size, len(pencils)
     chunk = max(1, _STACK_BYTES // (16 * n * n * P))
     sigma, grad = [], []
     for lo in range(0, len(X), chunk):
@@ -296,37 +284,34 @@ _GAP_EVERY = 10
 _AA_MEMORY = 10
 
 
-def _trace_norm_dual(idx: np.ndarray, inverse: np.ndarray, t: np.ndarray, params: SolverParams):
+def _trace_norm_dual(trunc, t: np.ndarray, params: SolverParams):
     """Bracket max Re sum_z p(z) t(z) over Hermitian symbols p, p(e) = 0, with ||p[idx]|| <= 1.
 
-    p is Hermitian when p(z^-1) = conj(p(z)), z^-1 at position inverse[z].
-    The dual is min ||Y||_1 (trace norm) over Hermitian Y whose sum over each
-    position z != e of the index map, g_Y(z), is t(z).  Scaled ADMM with
-    rho = 1 / ||Pi(0)|| solves it as a fixed-point iteration on the
-    Douglas-Rachford point s = Y + U.  One evaluation is one ``eigh``: Z is s
-    with its eigenvalues soft-thresholded at 1 / rho, U = s - Z,
-    Y = Pi(Z - U) and the map's output is Y + U, where Pi adds
-    (t - g_Y) / count through the map and leaves the identity position alone.
-    Type-II Anderson mixing (Walker and Ni 2011) extrapolates the next point
-    from the last ``_AA_MEMORY`` differences of the output and of the residual
-    Y - Z.  As a safeguard (Zhang, O'Donoghue and Boyd 2020), a mixed point is
-    taken only if its residual is no larger than the last accepted one;
-    otherwise the plain step is taken and the memory cleared.  Every
-    evaluation, rejected ones included, counts against ``max_iters``.  Every
-    ``_GAP_EVERY`` evaluations, the Hermitian part of the position means of
-    conj(rho U) of the accepted point, with no identity part, rescaled to
-    norm one, is a feasible p and gives the lower bound;
-    ||Y||_1 + sum_{z != e} |t(z) - g_Y(z)| is an upper bound, because every
-    feasible p has |p(z)| <= 1.  Both hold at any point, so mixing cannot
-    weaken them.  Returns the best p and value (p = 0 attains 0), the best
+    idx is the truncation's index map, and p is Hermitian when p(z^-1) = conj(p(z)), z^-1 at
+    position ``trunc.inverse[z]``.  The dual is min ||Y||_1 (trace norm) over Hermitian Y
+    whose sum over each position z != e of the index map, g_Y(z) = ``trunc.sums(Y)``, is
+    t(z).  Scaled ADMM with rho = 1 / ||Pi(0)|| solves it as a fixed-point iteration on the
+    Douglas-Rachford point s = Y + U.  One evaluation is one ``eigh``: Z is s with its
+    eigenvalues soft-thresholded at 1 / rho, U = s - Z, Y = Pi(Z - U) and the map's output
+    is Y + U, where Pi adds (t - g_Y) / ``trunc.counts`` through the map and leaves the
+    identity position alone.  Type-II Anderson mixing (Walker and Ni 2011) extrapolates the
+    next point from the last ``_AA_MEMORY`` differences of the output and of the residual
+    Y - Z.  As a safeguard (Zhang, O'Donoghue and Boyd 2020), a mixed point is taken only if
+    its residual is no larger than the last accepted one; otherwise the plain step is taken
+    and the memory cleared.  Every evaluation, rejected ones included, counts against
+    ``max_iters``.  Every ``_GAP_EVERY`` evaluations, the Hermitian part of the position
+    means of conj(rho U) of the accepted point, with no identity part, rescaled to norm one,
+    is a feasible p and gives the lower bound; ||Y||_1 + sum_{z != e} |t(z) - g_Y(z)| is an
+    upper bound, because every feasible p has |p(z)| <= 1.  Both hold at any point, so
+    mixing cannot weaken them.  Returns the best p and value (p = 0 attains 0), the best
     upper bound and the status.
     """
-    slots = len(t)
+    idx, slots = trunc.index_map, len(t)
     share = np.zeros(slots)
-    share[1:] = 1.0 / np.bincount(idx.ravel(), minlength=slots)[1:]
+    share[1:] = 1.0 / trunc.counts[1:]
 
     def project(Y):
-        return Y + ((t - _position_sums(idx, Y, slots)) * share)[idx]
+        return Y + ((t - trunc.sums(Y)) * share)[idx]
 
     start = project(np.zeros(idx.shape, dtype=complex))
     rho = 1.0 / spectral_norm(start)
@@ -353,10 +338,10 @@ def _trace_norm_dual(idx: np.ndarray, inverse: np.ndarray, t: np.ndarray, params
     while True:
         if evals >= check or evals >= params.max_iters:
             check = evals + _GAP_EVERY
-            residual = np.abs(t - _position_sums(idx, Y, slots))[1:].sum()
+            residual = np.abs(t - trunc.sums(Y))[1:].sum()
             upper = min(upper, float(np.abs(np.linalg.eigvalsh(Y)).sum() + residual))
-            q = (rho * _position_sums(idx, U, slots)).conj() * share
-            p = (q + q[inverse].conj()) / 2
+            q = (rho * trunc.sums(U)).conj() * share
+            p = (q + q[trunc.inverse].conj()) / 2
             norm = spectral_norm(p[idx])
             if norm > 0 and (reached := float((p @ t).real) / norm) > value:
                 value, best = reached, p / norm
@@ -387,7 +372,7 @@ def _trace_norm_dual(idx: np.ndarray, inverse: np.ndarray, t: np.ndarray, params
 
 
 def _distance_setup(phi: State, psi: State, s: int, lam: int):
-    """The index map, the inverse-position table, len(z)^s and t(z) per double-ball position z.
+    """The truncation, len(z)^s and t(z) per double-ball position z.
 
     t(z) is the states' moment difference (phi - psi)(E_z) divided by len(z)^s, so that
     (phi - psi)(a) is Re sum_z p(z) t(z) for the operator a whose derivative has symbol p.
@@ -401,7 +386,7 @@ def _distance_setup(phi: State, psi: State, s: int, lam: int):
     trunc, g = _truncation(phi.group, lam), phi.moments - psi.moments
     weight = trunc.weights(s)
     t = np.divide(g, weight, out=np.zeros_like(g), where=weight > 0)
-    return trunc.index_map, trunc.inverse, weight, t
+    return trunc, weight, t
 
 
 def lip_distance(
@@ -423,15 +408,14 @@ def lip_distance(
     certified upper bound.
     """
     params = params or SolverParams()
-    group = phi.group
-    idx, inverse, weight, t = _distance_setup(phi, psi, s, lam)
+    trunc, weight, t = _distance_setup(phi, psi, s, lam)
     if not t.any():
-        zero = ToeplitzOperator(group, lam, {})
+        zero = ToeplitzOperator(phi.group, lam, {})
         return DistanceResult(value=0.0, witness=zero, status="converged", upper=0.0)
-    p, value, upper, status = _trace_norm_dual(idx, inverse, t, params)
+    p, value, upper, status = _trace_norm_dual(trunc, t, params)
     symbol = np.divide(p, weight, out=np.zeros_like(p), where=weight > 0)
-    elements = map(tuple, _truncation(group, lam).double.coords.tolist())
-    witness = ToeplitzOperator(group, lam, dict(zip(elements, symbol)))
+    elements = map(tuple, trunc.double.coords.tolist())
+    witness = ToeplitzOperator(phi.group, lam, dict(zip(elements, symbol)))
     return DistanceResult(value=value, witness=witness, status=status, upper=upper)
 
 
@@ -513,7 +497,7 @@ def _epsilon_pencils(group, lam: int, s: int):
     """
     kern = fejer_kernel(group, lam)
     wnum = (kern.size - kern.counts[1:]) / kern.size
-    return _Pencil(kern.index_map, wnum), _Pencil(kern.index_map, kern.weights(s)[1:])
+    return _Pencil(kern, wnum), _Pencil(kern, kern.weights(s)[1:])
 
 
 _WITNESS_GROWTH = 4  # the sign witness's ball has at most this many times lam's elements
@@ -535,12 +519,12 @@ def _sign_witness(group, lam: int, s: int, num: _Pencil, den: _Pencil):
             _truncation(group, R + 1)
             R += 1
     wide, m = _truncation(group, R), len(kern.double)
-    idx, weights = wide.index_map, wide.weights(s)
+    weights = wide.weights(s)
     r = np.append(kern.size - kern.counts, np.full(len(wide.double) - m, kern.size)) / kern.size
     r /= np.maximum(weights, 1)  # r(e) = 0, since K(e) = 1
-    mu, V = np.linalg.eigh(r[idx])
+    mu, V = np.linalg.eigh(r[wide.index_map])
     sign = (V * np.sign(mu - (mu[(len(mu) - 1) // 2] + mu[len(mu) // 2]) / 2)) @ V.T
-    p = (np.bincount(idx.ravel(), sign.ravel())[:m] / np.bincount(idx.ravel())[:m])[1:]
+    p = (wide.sums(sign)[:m] / wide.counts[:m])[1:]
     x = (p / weights[1:m]).astype(complex).view(float)  # zero imaginary parts
     sn, sd = _gram_top(np.stack([num(x), den(x)]))[2]
     return (sn / sd if sd > 0 else 0.0), p

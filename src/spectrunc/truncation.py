@@ -109,7 +109,6 @@ def compress(f: AlgebraElement, lam: int) -> ToeplitzOperator:
     ball, so the symbol is the plain restriction of f.  The element cap
     bounds the double ball.
     """
-    _check_radius(lam)
     inside = _truncation(f.group, lam).double.positions(list(f.support)) >= 0
     symbol = {g: v for (g, v), keep in zip(f.items(), inside.tolist()) if keep}
     return ToeplitzOperator(f.group, lam, symbol)
@@ -187,7 +186,6 @@ def random_selfadjoint(group, lam: int, rng: np.random.Generator) -> ToeplitzOpe
     draws one real normal if z is self-inverse, else two, re and im, for
     (re + i im) / sqrt(2) at z and its conjugate at z^{-1}.
     """
-    _check_radius(lam)
     trunc = _truncation(group, lam)
     double, inverse = trunc.double, trunc.inverse
     lead = np.flatnonzero(np.arange(len(double)) <= inverse)

@@ -359,6 +359,15 @@ def test_lipnorm_of_an_element_past_r_max_warns_and_exits_0(capsys, monkeypatch)
     assert err == "warning: the radius scan stopped at r_max = 10 before converging\n"
 
 
+@pytest.mark.parametrize("group,coords", [("heisenberg", f"{10**20} 0 0"), ("z:1", f"{10**20}")])
+def test_lipnorm_of_a_coordinate_past_int64_warns_and_exits_0(capsys, monkeypatch, group, coords):
+    # ||D f||_2 = 10**20 is the certified lower end; the coordinate lies in no ball
+    monkeypatch.setattr(sys, "stdin", io.StringIO(f"1 0 {coords}\n"))
+    code, out, err = _run(capsys, "lipnorm", "--group", group, "--s", "1", "--input", "-")
+    assert (code, out) == (0, "1e+20\n")
+    assert err == "warning: the radius scan stopped at r_max = 10 before converging\n"
+
+
 def test_epsilon_command_output(capsys):
     code, out, _ = _run(
         capsys, "epsilon", "--group", "z:1", "--lambda", "2", "--s", "2",

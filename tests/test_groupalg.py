@@ -326,6 +326,13 @@ def test_opnorm_of_point_mass_is_one():
     assert res.converged
 
 
+def test_opnorm_of_a_point_mass_past_int64_is_its_l2_norm_unconverged():
+    # the coordinate reads as 2**62, in no ball, so every compression is 0 and the scan never
+    # reaches the radius that would see the support
+    res = opnorm(delta(H3, (10**20, 0, 0)))
+    assert (res.estimate, res.converged) == (1.0, False)
+
+
 def test_opnorm_of_scalar():
     res = opnorm(unit(H3) * -2)
     assert res.estimate == 2.0

@@ -11,7 +11,10 @@ epsilon ascent must agree with a per-start reference that runs its starts one
 after another.  Balls and maps built from the array group law must equal a BFS
 and a map built with the scalar law.  The overlap counts taken along central
 fibers must equal the map's bincount, also where fibers are not intervals,
-and a group that declares no central coordinate must count through the map.
+a truncation whose map is built first must bincount it, and a group that
+declares no central coordinate must count through the map.  A truncation's
+position sums must be the adjoint of its gather, and a real stack must sum
+to exactly the real part of the complex path.
 """
 
 import math
@@ -115,7 +118,8 @@ def test_distance_setup_reads_lengths_and_inverses_off_the_double_ball(group, la
     want = np.zeros(len(elements))
     want[[elements.index(g), elements.index(group.inverse(g))]] = -0.5
     for s in (1, 2):
-        idx, inverse, weight, t = _distance_setup(phi, psi, s, lam)
+        trunc, weight, t = _distance_setup(phi, psi, s, lam)
+        idx, inverse = trunc.index_map, trunc.inverse
         assert np.array_equal(idx, symbol_positions(group, lam))
         assert elements[0] == group.identity() and weight[0] == 0
         assert weight.tolist() == [float(word_length(group, z) ** s) for z in elements]
@@ -199,7 +203,7 @@ def test_stack_is_solved_in_chunks_under_the_byte_size(monkeypatch):
     pencil = _case_pencils(H, 1)[-1][0]
     X = rng.standard_normal((7, pencil.size))
     whole = _norms_and_grads([pencil], X)
-    n = len(pencil.idx)
+    n = pencil.trunc.size
     solved = []
 
     def counted(M):
@@ -219,7 +223,7 @@ def test_two_pencils_share_each_chunked_stack_under_the_byte_size(monkeypatch):
     num, den = _epsilon_pencils(H, 1, 2)
     X = rng.standard_normal((7, num.size))
     whole = _norms_and_grads([num, den], X)
-    n = len(num.idx)
+    n = num.trunc.size
     solved = []
 
     def counted(M):
@@ -304,12 +308,46 @@ CENTRAL_GROUPS = [Z1, Z2, FreeAbelian(3), H, EvenPlane()]
 
 
 @pytest.mark.parametrize("group", CENTRAL_GROUPS, ids=lambda g: g.name)
-def test_fiber_counts_equal_the_map_bincount(group):
+def test_fiber_counts_equal_the_map_bincount(group, monkeypatch):
+    # a kernel counts along fibers; a truncation whose map is built first bincounts the map
+    fibers, counted = groupalg._fiber_counts, []
+
+    def counting(b, double):
+        counted.append(len(b))
+        return fibers(b, double)
+
+    monkeypatch.setattr(groupalg, "_fiber_counts", counting)
+    monkeypatch.setattr(groupalg, "_TRUNCATIONS", {})
     for lam in range(1, 7):
-        b, double = ball(group, lam), ball(group, 2 * lam)
-        want = np.bincount(symbol_positions(group, lam).ravel(), minlength=len(double))
-        assert np.array_equal(groupalg._fiber_counts(b, double), want)
-        assert np.array_equal(fejer_kernel(group, lam).counts, want)
+        kern = fejer_kernel(group, lam)
+        assert "index_map" not in vars(kern)
+        mapped = groupalg.Truncation(group, lam)
+        want = np.bincount(mapped.index_map.ravel(), minlength=len(mapped.double))
+        assert np.array_equal(fibers(mapped.ball, mapped.double), want)
+        assert np.array_equal(kern.counts, want) and np.array_equal(mapped.counts, want)
+    assert counted == [len(ball(group, lam)) for lam in range(1, 7)]
+
+
+SUMS_GROUPS = [Z1, Z2, FreeAbelian(3), H]
+
+
+@pytest.mark.parametrize("group", SUMS_GROUPS, ids=lambda g: g.name)
+def test_sums_are_the_adjoint_of_the_gather(group):
+    rng = np.random.default_rng(14)
+    for lam in (1, 2, 3):
+        trunc = groupalg._truncation(group, lam)
+        idx, slots = trunc.index_map, len(trunc.double)
+        W = rng.standard_normal((2, *idx.shape)) + 1j * rng.standard_normal((2, *idx.shape))
+        S = rng.standard_normal((2, slots)) + 1j * rng.standard_normal((2, slots))
+        sums = trunc.sums(W)
+        assert sums.shape == (2, slots)
+        for b in range(2):
+            want = np.vdot(S[b][idx], W[b])
+            assert np.array_equal(sums[b], trunc.sums(W[b]))
+            assert abs(np.vdot(S[b], sums[b]) - want) <= 1e-12 * np.sum(np.abs(S[b][idx] * W[b]))
+        # a real stack sums to exactly the real part of the complex path
+        real = trunc.sums(W.real)
+        assert real.dtype == float and np.array_equal(real, sums.real)
 
 
 def test_a_group_without_a_central_coordinate_counts_through_the_map(monkeypatch):
@@ -383,9 +421,10 @@ def test_index_map_is_shared_and_read_only(monkeypatch):
     num, den = _epsilon_pencils(H, 2, 3)
     phi = vector_state(H, {(0, 0, 0): 1.0}, 2)
     psi = vector_state(H, {(1, 0, 0): 1.0}, 2)
-    setup_idx, inverse = _distance_setup(phi, psi, 3, 2)[:2]
+    setup = _distance_setup(phi, psi, 3, 2)[0]
     assert kern is trunc and trunc.index_map is idx
-    assert num.idx is idx and den.idx is idx and setup_idx is idx and inverse is trunc.inverse
+    assert num.trunc is trunc and den.trunc is trunc and setup is trunc
+    assert num.trunc.index_map is idx and setup.index_map is idx
     for arr in (trunc.index_map, trunc.inverse, trunc.lengths, trunc.counts):
         with pytest.raises(ValueError):
             arr[0] = 0
@@ -474,7 +513,10 @@ def test_balls_and_maps_equal_the_scalar_law(group):
         assert type(b.length_of(b.elements[-1])) is int
         assert type(word_length(group, b.elements[-1])) is int
         assert np.array_equal(b.coords, np.array(b.elements))
-        assert np.array_equal(symbol_positions(group, radius), _scalar_index_map(group, radius))
+        if radius:  # a truncation has radius at least 1
+            assert np.array_equal(symbol_positions(group, radius), _scalar_index_map(group, radius))
+    with pytest.raises(ValueError, match="truncation radius must be at least 1, got 0"):
+        symbol_positions(group, 0)
 
 
 def test_array_law_matches_the_scalar_law():

@@ -6,7 +6,8 @@ importing the package, and a default ``converge``, ``epsilon`` or
 imports nothing beyond the standard library and numpy, only ``cayley``
 knows the packed-key format of ball lookups or reads a ball's enumeration, only
 ``cayley`` and ``groupalg`` derive a truncation's arrays (double balls, word
-lengths by position, inverse tables), and
+lengths by position, inverse tables), only ``groupalg`` calls ``bincount``: every overlap
+count and position sum is its truncation's ``counts`` or ``sums``, and
 only ``cayley.ball`` and the enumeration it extends take an element cap: every
 other function reads the cap in force, and no module tells the built-in
 groups apart with ``isinstance``: a group is its contract.
@@ -322,6 +323,33 @@ def test_the_check_finds_a_truncation_derivation():
                          ids=lambda p: p.name)
 def test_only_cayley_and_groupalg_derive_a_truncations_arrays(path):
     assert truncation_derivations(path.read_text()) == []
+
+
+def bincount_calls(source: str) -> list[int]:
+    """Line numbers of ``bincount`` calls, as ``np.bincount`` or as a bare name, one per call."""
+    calls = [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)]
+    names = [(n.lineno, getattr(n.func, "id", getattr(n.func, "attr", None))) for n in calls]
+    return sorted(line for line, name in names if name == "bincount")
+
+
+def test_the_check_finds_a_bincount_call():
+    # the five calls qmetric made before its position sums and overlap counts were its
+    # truncation's: two in a position sum, a recount in the solver and two in the witness
+    source = (
+        "g = np.bincount(bins, w.real, n) + 1j * np.bincount(bins, w.imag, n)\n"
+        "share[1:] = 1.0 / np.bincount(idx.ravel(), minlength=slots)[1:]\n"
+        "p = (np.bincount(idx.ravel(), sign.ravel())[:m] / np.bincount(idx.ravel())[:m])[1:]\n"
+        "bincount(x)\ncounts = trunc.counts\nnp.add.at(g, idx, w)\n"
+    )
+    assert bincount_calls(source) == [1, 1, 2, 3, 3, 4]
+
+
+# Overlap counts and position sums have one code path, ``Truncation.counts`` and
+# ``Truncation.sums``, and the fiber count that builds the kernel's counts.
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "groupalg.py"],
+                         ids=lambda p: p.name)
+def test_only_groupalg_calls_bincount(path):
+    assert bincount_calls(path.read_text()) == []
 
 
 def cap_parameters(module: str, source: str) -> list[str]:
