@@ -468,8 +468,8 @@ class Truncation:
         return _read_only(self.double.lengths_at(np.arange(len(self.double))))
 
     def weights(self, s: int) -> np.ndarray:
-        """len^s over the double ball, as a new float array: only ``lengths`` is held."""
-        return (self.lengths**s).astype(float)
+        """len^s over the double ball, a new float array powered in floats, so none wraps."""
+        return self.lengths.astype(float) ** s
 
     @cached_property
     def counts(self) -> np.ndarray:

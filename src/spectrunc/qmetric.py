@@ -13,14 +13,14 @@ and a dual certificate.  The solver's budget counts evaluations of the ADMM
 map, one ``eigh`` each.  Of the two Lipschitz approximation constants that
 drive the quantitative convergence bound, the full-algebra one is the Folner
 epsilon, its exact basis floor, and the truncated one the best of that floor,
-a sign witness (the sign of the defect multiplier, averaged onto symbols) and
-an optional ratio ascent on pencils of ball compressions, each the weight of
-one complex parameter per double-ball element but e.  States, the distance
+a sign witness (the sign of the defect multiplier, averaged onto symbols and
+normed as one real stack) and an optional ratio ascent on pencils of ball
+compressions, each the weight of one complex parameter per double-ball
+element but e, built only when the ascent has starts.  States, the distance
 solver, the pencils and the witness derive no array and count or sum over
-no position of their own: they read the index map, the inverse table, the
-word lengths and the overlap counts of their ``groupalg`` truncation, and
-sum over its positions with ``Truncation.sums``, under the element cap in
-force.
+no position of their own: each gets its truncation, with its radius and cap
+checks, from one ``groupalg._truncation`` call and reads its index map,
+inverse table, word lengths, overlap counts and ``Truncation.sums``.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from .groupalg import (
     AlgebraElement,
     fejer_kernel,
     spectral_norm,
+    l2_norm,
     _check_order,
-    _check_radius,
     _gram_top,
     _start_vector,
     _truncation,
@@ -79,48 +79,44 @@ class State:
         return f"State({self.group.name}, lam={self.lam})"
 
 
-def _state(group, lam: int, W: np.ndarray) -> State:
+def _state(trunc, W: np.ndarray) -> State:
     """The state with phi(T) = sum_ij W_ij T_ij, from the sums of W over the index map."""
-    return State(group, lam, _truncation(group, lam).sums(W))
+    return State(trunc.group, trunc.radius, trunc.sums(W))
 
 
 def vector_state(group, coeffs: Mapping, lam: int) -> State:
     """Unit vector state, normalized in l2, from coefficients supported in the radius-lam ball."""
-    _check_radius(lam)
-    clean = {}
-    for g, v in coeffs.items():
-        group.validate(g)
-        if v != 0:
-            clean[g] = complex(v)
-    if not clean:
+    trunc, f = _truncation(group, lam), AlgebraElement(group, coeffs)
+    if not len(f):
         raise ValueError("a vector state needs a nonzero vector")
-    keys = list(clean)
-    b = ball(group, lam)
-    pos = b.positions(keys)
+    keys = list(f.support)
+    pos = trunc.ball.positions(keys)
     outside = np.flatnonzero(pos < 0)
     if len(outside):
         raise ValueError(f"support element {keys[outside[0]]} is outside the radius-{lam} ball")
-    norm = math.sqrt(sum(abs(v) ** 2 for v in clean.values()))
-    v = np.zeros(len(b), dtype=complex)
-    v[pos] = [c / norm for c in clean.values()]
-    return _state(group, lam, np.outer(v.conj(), v))
+    v, norm = np.zeros(trunc.size, dtype=complex), l2_norm(f)
+    v[pos] = [complex(c) / norm for c in f._coeffs.values()]
+    return _state(trunc, np.outer(v.conj(), v))
 
 
-def density_state(group, rho: np.ndarray, lam: int, tol: float = 1e-10) -> State:
+_DENSITY_TOL = 1e-10  # a density matrix is Hermitian and has no eigenvalue below -this
+_TRACE_TOL = 1e-8  # and its trace is 1 to this
+
+
+def density_state(group, rho: np.ndarray, lam: int) -> State:
     """Density-matrix state over the radius-lam ball."""
-    _check_radius(lam)
-    b = ball(group, lam)
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (len(b), len(b)):
-        raise ValueError(f"density matrix must be {len(b)}x{len(b)} for radius {lam}")
-    if not np.allclose(rho, rho.conj().T, atol=tol):
+    trunc = _truncation(group, lam)
+    n, rho = trunc.size, np.asarray(rho, dtype=complex)
+    if rho.shape != (n, n):
+        raise ValueError(f"density matrix must be {n}x{n} for radius {lam}")
+    if not np.allclose(rho, rho.conj().T, atol=_DENSITY_TOL):
         raise ValueError("density matrix must be Hermitian")
     eigs = np.linalg.eigvalsh(rho)
-    if eigs.min() < -tol:
+    if eigs.min() < -_DENSITY_TOL:
         raise ValueError(f"density matrix has a negative eigenvalue {eigs.min():.3e}")
-    if abs(eigs.sum() - 1.0) > max(tol, 1e-8):
+    if abs(eigs.sum() - 1.0) > _TRACE_TOL:
         raise ValueError(f"density matrix trace is {eigs.sum():.12g}, expected 1")
-    return _state(group, lam, rho.T)
+    return _state(trunc, rho.T)
 
 
 def state_eval(state: State, a):
@@ -135,18 +131,12 @@ def state_eval(state: State, a):
 
 
 def random_vector_state(group, lam: int, rng: np.random.Generator) -> State:
-    _check_radius(lam)
-    b = ball(group, lam)
-    coeffs = {}
-    for g in map(tuple, b.coords.tolist()):
-        re, im = rng.standard_normal(2)
-        coeffs[g] = complex(re, im)
-    return vector_state(group, coeffs, lam=lam)
+    elements = map(tuple, _truncation(group, lam).ball.coords.tolist())
+    return vector_state(group, {g: complex(*rng.standard_normal(2)) for g in elements}, lam=lam)
 
 
 def random_density_state(group, lam: int, rng: np.random.Generator) -> State:
-    _check_radius(lam)
-    n = len(ball(group, lam))
+    n = _truncation(group, lam).size
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     rho = A @ A.conj().T
     rho /= np.trace(rho).real
@@ -503,14 +493,15 @@ def _epsilon_pencils(group, lam: int, s: int):
 _WITNESS_GROWTH = 4  # the sign witness's ball has at most this many times lam's elements
 
 
-def _sign_witness(group, lam: int, s: int, num: _Pencil, den: _Pencil):
+def _sign_witness(group, lam: int, s: int):
     """The sign witness's attained ratio and its symbol p over the double ball less e.
 
     r = (1 - K) / len^s, extended by len^-s past the double ball, is compressed to the
     largest radius R >= lam whose ball has at most ``_WITNESS_GROWTH`` times lam's elements
     and whose double ball fits the cap.  p averages onto each symbol the sign matrix of that
-    compression shifted by its median eigenvalue, which minimizes the mean modulus, and the
-    pencils' exact norms, from ``_gram_top`` alone, score the point p / len^s.
+    compression shifted by its median eigenvalue, which minimizes the mean modulus.  The dense
+    ``_gram_top`` of the real stack (r p, p)[idx] over the kernel's map scores p exactly: the
+    Lanczos of ``spectral_norm`` above n = 200 would bound its denominator from below.
     """
     kern, R = fejer_kernel(group, lam), lam
     limit = _WITNESS_GROWTH * kern.size
@@ -519,15 +510,13 @@ def _sign_witness(group, lam: int, s: int, num: _Pencil, den: _Pencil):
             _truncation(group, R + 1)
             R += 1
     wide, m = _truncation(group, R), len(kern.double)
-    weights = wide.weights(s)
     r = np.append(kern.size - kern.counts, np.full(len(wide.double) - m, kern.size)) / kern.size
-    r /= np.maximum(weights, 1)  # r(e) = 0, since K(e) = 1
+    r /= np.maximum(wide.weights(s), 1)  # r(e) = 0, since K(e) = 1
     mu, V = np.linalg.eigh(r[wide.index_map])
     sign = (V * np.sign(mu - (mu[(len(mu) - 1) // 2] + mu[len(mu) // 2]) / 2)) @ V.T
-    p = (wide.sums(sign)[:m] / wide.counts[:m])[1:]
-    x = (p / weights[1:m]).astype(complex).view(float)  # zero imaginary parts
-    sn, sd = _gram_top(np.stack([num(x), den(x)]))[2]
-    return (sn / sd if sd > 0 else 0.0), p
+    p = np.append(0.0, wide.sums(sign)[1:m] / wide.counts[1:m])
+    sn, sd = _gram_top(np.stack([r[:m] * p, p])[:, kern.index_map])[2]
+    return (sn / sd if sd > 0 else 0.0), p[1:]
 
 
 def epsilon_full(group, lam: int, s: int, search: Optional[SearchParams] = None) -> float:
@@ -549,13 +538,12 @@ def epsilon_truncated(group, lam: int, s: int, search: Optional[SearchParams] = 
 
     The best of three attained ratios of exact matrix norms over the radius-lam ball: the basis
     floor, ``_sign_witness`` and the ascent of ``search``, which runs only if it has starts, so
-    a default call draws no random number.
+    a default call builds no pencil and draws no random number.
     """
-    floor = epsilon_full(group, lam, s)
-    num, den = _epsilon_pencils(group, lam, s)
-    witness = _sign_witness(group, lam, s, num, den)[0]
-    ascent = _two_norm_ascent(num, den, search)[0] if search and search.starts else 0.0
-    return max(floor, witness, ascent)
+    floor, witness = epsilon_full(group, lam, s), _sign_witness(group, lam, s)[0]
+    if not (search and search.starts):
+        return max(floor, witness)
+    return max(floor, witness, _two_norm_ascent(*_epsilon_pencils(group, lam, s), search)[0])
 
 
 def gh_bound(eps_full: float, eps_truncated: float) -> float:

@@ -3,14 +3,15 @@
 A :class:`ToeplitzOperator` stores the compression of a convolution operator
 to a ball of radius lam: the matrix entry at (x, y) depends only on
 x y^{-1}, so the whole operator is determined by a symbol supported on the
-double ball.  ``compress`` restricts an algebra element to such a symbol,
-``reconstruct`` maps a truncated operator back to the algebra by weighting
-the symbol with the ball-overlap kernel, and ``truncation_defect`` measures
-how far that round trip moves an operator.  An operator keeps the positions
-its symbol took in the double ball when it was built, so every numeric path
-reads the symbol as one complex vector with no lookup, next to the arrays of
-its ``groupalg`` truncation: the matrix gathers it through the index map, and
-the defect and the Lip-norm norm it times 1 - K and times len^s.
+double ball.  ``compress`` restricts an algebra element to such a symbol by
+word length, ``reconstruct`` maps a truncated operator back to the algebra
+by weighting the symbol with the ball-overlap kernel, and
+``truncation_defect`` measures how far that round trip moves an operator.
+Each reaches its truncation, radius and cap checks included, through
+``groupalg._truncation`` alone.  An operator keeps the double-ball positions
+of its symbol, its one lookup, so every numeric path reads the symbol as one
+complex vector next to the truncation's arrays: the matrix gathers it through
+the index map, and the defect and the Lip-norm norm it times 1 - K and len^s.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .groupalg import (
     spectral_norm,
     symbol_positions,
     _check_order,
-    _check_radius,
     _truncation,
 )
 
@@ -63,10 +63,10 @@ class ToeplitzOperator(AlgebraElement):
     __slots__ = ("radius", "_positions")
 
     def __init__(self, group, radius: int, symbol: Mapping):
-        _check_radius(radius)
+        double = _truncation(group, radius).double
         super().__init__(group, symbol)
         keys = list(symbol)  # the raw keys: a zero value outside the double ball is an error too
-        positions = _truncation(group, radius).double.positions(keys)
+        positions = double.positions(keys)
         outside = np.flatnonzero(positions < 0)
         if len(outside):
             z, r = keys[outside[0]], 2 * radius
@@ -105,12 +105,12 @@ class ToeplitzOperator(AlgebraElement):
 def compress(f: AlgebraElement, lam: int) -> ToeplitzOperator:
     """Compression of a convolution operator to the radius-lam ball.
 
-    The compressed matrix keeps exactly the coefficients of f on the double
-    ball, so the symbol is the plain restriction of f.  The element cap
-    bounds the double ball.
+    The symbol keeps exactly the coefficients of f on the double ball, the
+    terms of word length at most 2 lam, found with no lookup after the radius
+    and the element cap, which bounds the double ball, are checked.
     """
-    inside = _truncation(f.group, lam).double.positions(list(f.support)) >= 0
-    symbol = {g: v for (g, v), keep in zip(f.items(), inside.tolist()) if keep}
+    _truncation(f.group, lam)
+    symbol = {g: v for g, v in f.items() if f.group.length(g) <= 2 * lam}
     return ToeplitzOperator(f.group, lam, symbol)
 
 

@@ -13,6 +13,7 @@ import pytest
 
 from spectrunc import (
     CSV_HEADER,
+    ExperimentConfig,
     FreeAbelian,
     SolverParams,
     compress,
@@ -29,9 +30,10 @@ from spectrunc import (
     random_selfadjoint,
     random_vector_state,
     reconstruct,
+    run_convergence,
     vector_state,
 )
-from spectrunc import cli
+from spectrunc import cli, qmetric
 from spectrunc.cli import run
 from spectrunc.harness import _fmt12
 
@@ -385,6 +387,24 @@ def test_epsilon_command_output(capsys):
     assert vals["gh_bound"] == pytest.approx(
         2 * max(vals["eps_full"], vals["eps_trunc"]), rel=1e-10
     )
+
+
+def test_epsilon_at_sixteenth_order_exits_0(capsys, recwarn):
+    # the double ball reaches length 16 and 16^16 = 2^64, which int64 weights wrapped to 0
+    code, out, err = _run(capsys, "epsilon", "--group", "z:1", "--lambda", "8", "--s", "16")
+    assert (code, err, recwarn.list) == (0, "", [])
+    assert float(out.splitlines()[1].split()[1]) >= 1 / 17
+
+
+def test_only_the_ascent_builds_the_pencils(capsys, monkeypatch):
+    built = []
+    pencils = qmetric._epsilon_pencils
+    monkeypatch.setattr(qmetric, "_epsilon_pencils", lambda *a: built.append(a) or pencils(*a))
+    epsilon_truncated(Z1, 2, 2)
+    run_convergence(ExperimentConfig(group="z:1", lambda_range=(1, 2)))
+    assert built == []
+    assert _run(capsys, "converge", "--group", "z:1", "--lambdas", "1,2", "--trials", "1")[0] == 0
+    assert [lam for _, lam, _ in built] == [1, 2]
 
 
 def test_tuning_defaults_are_the_library_defaults(capsys, tmp_path):

@@ -370,12 +370,12 @@ def test_epsilon_truncated_exact_floor_on_z():
         assert epsilon_truncated(Z1, lam, 2, search=search) >= 1 / (2 * lam + 1) - 1e-12
 
 
-@pytest.mark.parametrize("group, lam, s", [(Z1, 2, 2), (Z2, 2, 2), (H3, 3, 3)], ids=["z1", "z2", "heis"])
+@pytest.mark.parametrize("group, lam, s", [(Z1, 2, 2), (Z2, 2, 2), (H3, 3, 3), (Z1, 8, 16)],
+                         ids=["z1", "z2", "heis", "z1-s16"])
 def test_sign_witness_is_attained_by_its_symbol(group, lam, s):
     # the two symbols r p and p, rebuilt as operators and normed by materialize and
-    # spectral_norm instead of the pencils, reproduce the witness's ratio
-    num, den = qmetric._epsilon_pencils(group, lam, s)
-    value, p = qmetric._sign_witness(group, lam, s, num, den)
+    # spectral_norm, reproduce the witness's ratio; at s = 16 the weights reach 16^16 = 2^64
+    value, p = qmetric._sign_witness(group, lam, s)
     kern, double = fejer_kernel(group, lam), ball(group, 2 * lam)
     assert len(p) == len(double) - 1
     terms = list(zip(double.elements[1:], double.lengths[1:], p))
@@ -389,8 +389,7 @@ def test_sign_witness_is_attained_by_its_symbol(group, lam, s):
 @pytest.mark.parametrize("lam", range(1, 9))
 def test_sign_witness_stays_under_the_exact_constant_on_z_at_first_order(lam):
     # at s = 1 on Z the truncated constant is exactly 1 / (2 lam + 1), the basis floor
-    num, den = qmetric._epsilon_pencils(Z1, lam, 1)
-    value = qmetric._sign_witness(Z1, lam, 1, num, den)[0]
+    value = qmetric._sign_witness(Z1, lam, 1)[0]
     assert value <= (1 + 1e-12) / (2 * lam + 1)
     assert epsilon_truncated(Z1, lam, 1) == pytest.approx(1 / (2 * lam + 1), rel=1e-12)
 
@@ -398,25 +397,25 @@ def test_sign_witness_stays_under_the_exact_constant_on_z_at_first_order(lam):
 @pytest.mark.parametrize("group, s", [(Z1, 2), (Z2, 2), (H3, 3)], ids=["z1", "z2", "heis"])
 @pytest.mark.parametrize("lam", [1, 2, 3])
 def test_sign_witness_score_is_the_ratio_of_the_top_singular_values(group, lam, s):
-    # the witness reads only the top eigenvalues of its Gram stack; the singular-pair
-    # solve of the ascent gives the same sigmas on the same stack, bit for bit
+    # the witness norms its real stack with no pencil; the ascent's singular-pair solve
+    # of the pencils at the point p / len^s gives the same ratio
+    value, p = qmetric._sign_witness(group, lam, s)
     num, den = qmetric._epsilon_pencils(group, lam, s)
-    value, p = qmetric._sign_witness(group, lam, s, num, den)
     lengths = ball(group, 2 * lam).lengths_at(np.arange(1, len(p) + 1))
     x = (p / lengths**s).astype(complex).view(float)
     sn, sd = qmetric._top_singular(np.stack([num(x), den(x)]))[0]
-    assert value == sn / sd
+    assert value == pytest.approx(sn / sd, rel=1e-12)
 
 
 @pytest.mark.parametrize("group, lam, s", [(Z1, 2, 2), (Z2, 2, 2), (H3, 1, 3)], ids=["z1", "z2", "heis"])
 def test_a_search_without_starts_never_enters_the_ascent(monkeypatch, group, lam, s):
-    num, den = qmetric._epsilon_pencils(group, lam, s)
-    want = max(epsilon_full(group, lam, s), qmetric._sign_witness(group, lam, s, num, den)[0])
+    want = max(epsilon_full(group, lam, s), qmetric._sign_witness(group, lam, s)[0])
 
     def entered(*args):
-        raise AssertionError("the ascent ran without starts")
+        raise AssertionError("the ascent or its pencils ran without starts")
 
     monkeypatch.setattr(qmetric, "_two_norm_ascent", entered)
+    monkeypatch.setattr(qmetric, "_epsilon_pencils", entered)
     assert epsilon_truncated(group, lam, s, SearchParams()) == want
     assert epsilon_truncated(group, lam, s) == want
 

@@ -7,7 +7,8 @@ imports nothing beyond the standard library and numpy, only ``cayley``
 knows the packed-key format of ball lookups or reads a ball's enumeration, only
 ``cayley`` and ``groupalg`` derive a truncation's arrays (double balls, word
 lengths by position, inverse tables), only ``groupalg`` calls ``bincount``: every overlap
-count and position sum is its truncation's ``counts`` or ``sums``, and
+count and position sum is its truncation's ``counts`` or ``sums``, only
+``groupalg`` and ``harness`` name ``_check_radius``, and
 only ``cayley.ball`` and the enumeration it extends take an element cap: every
 other function reads the cap in force, and no module tells the built-in
 groups apart with ``isinstance``: a group is its contract.
@@ -323,6 +324,25 @@ def test_the_check_finds_a_truncation_derivation():
                          ids=lambda p: p.name)
 def test_only_cayley_and_groupalg_derive_a_truncations_arrays(path):
     assert truncation_derivations(path.read_text()) == []
+
+
+def test_the_check_finds_a_radius_check():
+    # the calls qmetric and truncation made before every object reached its radius check
+    # through ``_truncation``: a state constructor's and the operator constructor's
+    source = (
+        "from .groupalg import _check_order, _check_radius, _truncation\n"
+        "def vector_state(group, coeffs, lam):\n    _check_radius(lam)\n"
+        "def __init__(self, group, radius, symbol):\n    _check_radius(radius)\n"
+    )
+    assert cayley_references(source, {"_check_radius"}) == ["_check_radius"]
+
+
+# A radius is checked as given in ``groupalg._truncation``, which every object on a
+# truncation reaches, and in ``harness._row``, whose skip reason names the radius-lam ball.
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name not in ("groupalg.py", "harness.py")],
+                         ids=lambda p: p.name)
+def test_only_groupalg_and_harness_check_a_radius(path):
+    assert cayley_references(path.read_text(), {"_check_radius"}) == []
 
 
 def bincount_calls(source: str) -> list[int]:

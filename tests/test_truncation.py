@@ -21,6 +21,7 @@ from spectrunc import (
     dirac_commutator,
     element_cap,
     fejer_apply,
+    fejer_kernel,
     format_toeplitz,
     involution,
     lip_distance,
@@ -43,6 +44,7 @@ from spectrunc import (
 
 from oracles import (
     Cyclic,
+    EvenPlane,
     averaging_check,
     defect_reference,
     dense_matrix,
@@ -111,6 +113,23 @@ def test_compress_restricts_to_double_ball():
     assert T[(1,)] == 2.0
     assert T[(5,)] == 0
     assert T.radius == 2
+
+
+@pytest.mark.parametrize(
+    "group, far",
+    [(Z1, (2**70,)), (Z2, (3, -2**70)), (H3, (1, 0, 2**70)), (Cyclic(7), (3,)),
+     (EvenPlane(), (1, 2**70))],
+    ids=lambda x: getattr(x, "name", None),
+)
+def test_compress_keeps_what_a_double_ball_lookup_keeps(group, far):
+    # word length at most 2 lam is membership in the double ball; a coordinate past int64
+    # lies in no ball and has a word length past every radius
+    rng = np.random.default_rng(34)
+    for lam in (1, 2):
+        f = random_element(group, 2 * lam + 2, rng) + delta(group, far, 0.5)
+        inside = ball(group, 2 * lam).positions(list(f.support)) >= 0
+        want = {g: v for (g, v), keep in zip(f.items(), inside.tolist()) if keep}
+        assert compress(f, lam) == ToeplitzOperator(group, lam, want)
 
 
 def test_operator_arithmetic():
@@ -353,11 +372,28 @@ def test_each_norm_and_evaluation_makes_no_position_lookup(monkeypatch):
         lookups.clear()
         call()
         assert lookups == [], name
-    # the operator keeps the positions of its membership check, so only compress's filter
-    # and that check look up the double ball
+    # compress filters by word length and the operator keeps the positions of its
+    # membership check, so that check is the one lookup of the double ball
     lookups.clear()
     materialize(compress(f, 2))
-    assert lookups == [len(ball(H3, 4))] * 2
+    assert lookups == [len(ball(H3, 4))]
+
+
+def test_weights_are_the_integer_powers_past_int64():
+    # len^s is powered in floats: int64 powers wrap once len^s reaches 2^63
+    for group, lam in ((Z1, 8), (Z1, 40), (H3, 2)):
+        lengths = ball(group, 2 * lam).lengths
+        for s in (1, 3, 10, 16):
+            got = fejer_kernel(group, lam).weights(s)
+            want = [float(n**s) for n in lengths]
+            assert got.tolist() == pytest.approx(want, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("far, lam, s", [(80, 40, 10), (16, 8, 16)])
+def test_truncated_lipnorm_is_exact_past_int64(far, lam, s):
+    # the one symbol term at the edge of the double ball has norm far^s: 80^10 and 2^64
+    T = compress(delta(Z1, (far,)), lam)
+    assert truncated_lipnorm(T, s) == pytest.approx(far**s, rel=1e-15)
 
 
 def test_defect_vanishes_only_through_kernel_weights():
