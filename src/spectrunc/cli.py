@@ -326,7 +326,7 @@ def run(argv=None) -> int:
     except MemoryError:
         print("resource cap: out of memory", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -468,8 +468,20 @@ class Truncation:
         return _read_only(self.double.lengths_at(np.arange(len(self.double))))
 
     def weights(self, s: int) -> np.ndarray:
-        """len^s over the double ball, a new float array powered in floats, so none wraps."""
-        return self.lengths.astype(float) ** s
+        """len^s over the double ball, a new float array powered in floats, so none wraps.
+
+        A power past float64 is inf, with no warning: a caller that divides by it gets 0.
+        """
+        with np.errstate(over="ignore"):
+            return self.lengths.astype(float) ** s
+
+    def finite_weights(self, s: int) -> np.ndarray:
+        """``weights(s)`` for a caller that multiplies by them; ValueError if one is inf."""
+        w = self.weights(s)
+        if np.isinf(w).any():
+            length = int(self.lengths.max())
+            raise ValueError(f"derivative order {s} overflows float64 at word length {length}")
+        return w
 
     @cached_property
     def counts(self) -> np.ndarray:

@@ -14,13 +14,15 @@ map, one ``eigh`` each.  Of the two Lipschitz approximation constants that
 drive the quantitative convergence bound, the full-algebra one is the Folner
 epsilon, its exact basis floor, and the truncated one the best of that floor,
 a sign witness (the sign of the defect multiplier, averaged onto symbols and
-normed as one real stack) and an optional ratio ascent on pencils of ball
-compressions, each the weight of one complex parameter per double-ball
-element but e, built only when the ascent has starts.  States, the distance
-solver, the pencils and the witness derive no array and count or sum over
-no position of their own: each gets its truncation, with its radius and cap
-checks, from one ``groupalg._truncation`` call and reads its index map,
-inverse table, word lengths, overlap counts and ``Truncation.sums``.
+normed as one real stack) and an optional ratio ascent, run one start at a
+time.  Its two pencils of ball compressions weigh one complex parameter per
+double-ball element but e by 1 - K and by len^s, rows of one weight matrix
+built only when the ascent has starts, and each step gathers both through
+the index map as one (2, n, n) stack.  States, the distance solver, the
+ascent and the witness derive no array and count or sum over no position of
+their own: each gets its truncation, with its radius and cap checks, from
+one ``groupalg._truncation`` call and reads its index map, inverse table,
+word lengths, overlap counts and ``Truncation.sums``.
 """
 
 from __future__ import annotations
@@ -193,41 +195,6 @@ class DistanceResult:
     upper: float
 
 
-class _Pencil:
-    """Matrix pencil x -> sum_k x_k M_k of compressions to one ball.
-
-    Complex parameter k, zeta_k = x[2k] + i x[2k+1], puts zeta_k w[k] at
-    position k + 1 of the symbol over the double ball, one parameter per
-    element but e, and M(x) gathers the symbol through the truncation's index
-    map.  Points and vectors may be single or stacked along a leading axis.
-    """
-
-    def __init__(self, trunc, w: np.ndarray):
-        self.trunc, self.w = trunc, w
-        self.size = 2 * len(w)
-
-    def symbol(self, x: np.ndarray) -> np.ndarray:
-        """The symbol over the double ball at x."""
-        sym = np.zeros(x.shape[:-1] + (len(self.w) + 1,), dtype=complex)
-        sym[..., 1:] = (x[..., 0::2] + 1j * x[..., 1::2]) * self.w
-        return sym
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        # an index, not take(): the stack's memory layout sets the rounding of the solves
-        return self.symbol(x)[..., self.trunc.index_map]
-
-    def grad(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Re(u^H M_k v) for every k: Re sum_z g(z) S_k(z), g the sums of conj(u) v^T."""
-        g = self.trunc.sums(u.conj()[..., :, None] * v[..., None, :])
-        return (g[..., 1:].conj() * self.w).view(float)
-
-
-# Largest stacked n x n complex array one ascent step holds: a stack of
-# points, with one matrix per pencil at each point, is solved in chunks of at
-# most this many bytes.
-_STACK_BYTES = 1 << 22
-
-
 def _top_singular(M: np.ndarray):
     """Top singular values and pairs (u, v), Re(u^H M v) = sigma, of a (B, n, n) stack.
 
@@ -246,26 +213,6 @@ def _top_singular(M: np.ndarray):
     Mv = (M @ v[..., None])[..., 0]
     u = np.divide(Mv, sigma[:, None], out=v.copy(), where=sigma[:, None] > 0)
     return sigma, u, v
-
-
-def _norms_and_grads(pencils: list, X: np.ndarray):
-    """||p(x)|| and its gradient in x for every pencil p and every row x of X.
-
-    The pencils share one truncation.  Their matrices at a chunk of rows are
-    solved as one stack, and the chunk is sized so that the stack, with one
-    matrix per pencil and row, stays under ``_STACK_BYTES``.  Returns sigma
-    of shape (pencils, rows) and gradients of shape (pencils, rows, m).
-    """
-    n, P = pencils[0].trunc.size, len(pencils)
-    chunk = max(1, _STACK_BYTES // (16 * n * n * P))
-    sigma, grad = [], []
-    for lo in range(0, len(X), chunk):
-        xs = X[lo : lo + chunk]
-        s, u, v = _top_singular(np.concatenate([p(xs) for p in pencils]))
-        u, v = u.reshape(P, len(xs), n), v.reshape(P, len(xs), n)
-        sigma.append(s.reshape(P, len(xs)))
-        grad.append(np.stack([p.grad(u[k], v[k]) for k, p in enumerate(pencils)]))
-    return np.concatenate(sigma, axis=1), np.concatenate(grad, axis=1)
 
 
 # The duality gap is checked every this many solver evaluations, and Anderson
@@ -437,57 +384,71 @@ class SearchParams:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
-def _two_norm_ascent(num: _Pencil, den: _Pencil, params: SearchParams):
-    """Multi-start ascent on the ratio of two matrix-pencil norms.
+def _ascend(trunc, W: np.ndarray, x: np.ndarray, max_iters: int):
+    """Ratio ascent from the unit point x: its best ratio and the point that attains it.
 
-    All starts advance in lockstep.  Each step solves the numerator and
-    denominator at every live iterate as one stack; their top singular values
-    score the iterate and their singular vectors give its gradient.  A start
-    leaves the stack when it stalls, a pencil vanishes or the gradient does.
+    Complex parameter k, zeta_k = x[2k] + i x[2k+1], puts zeta_k W[:, k] at position k + 1
+    of the numerator's and the denominator's symbols over the double ball, and one gather of
+    both through the truncation's index map gives the (2, n, n) stack (N(x), D(x)).  Their
+    top singular pairs (u, v) score x, and one ``sums`` of the two outer products conj(u) v^T
+    gives both gradients, Re(u^H M_k v) for the matrix M_k of each real parameter.  A step
+    goes ``_STEP0 / (1 + _STEP_DECAY t)`` along the unit gradient of log ||N|| - log ||D||.
+    The ascent stops after 31 steps with no gain, when a pencil or the gradient vanishes, or
+    after ``max_iters`` steps.
+    """
+    sym = np.zeros((2, W.shape[1] + 1), dtype=complex)
+    best, best_x, stall = -math.inf, x, 0
+    for t in range(max_iters + 1):
+        sym[:, 1:] = x.view(complex) * W
+        # an index, not take(): the stack's memory layout sets the rounding of the solves
+        sigma, u, v = _top_singular(sym[:, trunc.index_map])
+        sn, sd = sigma.tolist()
+        val = sn / sd if sd > 0 else 0.0
+        if val > best * (1 + 1e-12):
+            best, best_x, stall = val, x, 0
+        else:
+            stall += 1
+        if stall > 30 or sn == 0 or sd == 0 or t == max_iters:
+            break
+        g = (trunc.sums(u.conj()[:, :, None] * v[:, None, :])[:, 1:].conj() * W).view(float)
+        grad = g[0] / sn - g[1] / sd
+        # norms sum pairwise, as np.linalg.norm does along an axis: the ascent is chaotic in
+        # rounding, so the order of these sums sets its path
+        norm = math.sqrt((grad * grad).sum())
+        if norm < 1e-14:
+            break
+        x = x + _STEP0 / (1.0 + _STEP_DECAY * t) * grad / norm
+        x = x / math.sqrt((x * x).sum())
+    return best, best_x
+
+
+def _two_norm_ascent(trunc, W: np.ndarray, params: SearchParams):
+    """Multi-start ratio ascent: ``_ascend`` from each start in turn.
+
+    The starts are the rows of one standard normal (starts, 2m) draw from ``params.seed``,
+    scaled to unit norm.  Returns the best ratio and the first point to reach it, or
+    (0.0, None) when no start scores above 0.
     """
     rng = np.random.default_rng(params.seed)
-    x = rng.standard_normal((params.starts, num.size))
-    x /= np.linalg.norm(x, axis=1)[:, None]
-
-    best = np.full(len(x), -math.inf)
-    best_x = x.copy()
-    stall = np.zeros(len(x), dtype=int)
-    live = np.arange(len(x))
-    for t in range(params.max_iters + 1):
-        if not live.size:
-            break
-        xl = x[live]
-        (sn, sd), (gnum, gden) = _norms_and_grads([num, den], xl)
-        val = np.divide(sn, sd, out=np.zeros_like(sn), where=sd > 0)
-        up = val > best[live] * (1 + 1e-12)
-        best[live[up]] = val[up]
-        best_x[live[up]] = xl[up]
-        stall[live] = np.where(up, 0, stall[live] + 1)
-        go = (stall[live] <= 30) & (sn > 0) & (sd > 0) & (t < params.max_iters)
-        grad = np.zeros_like(xl)
-        grad[go] = gnum[go] / sn[go, None] - gden[go] / sd[go, None]
-        gn = np.linalg.norm(grad, axis=1)
-        go &= gn >= 1e-14
-        live = live[go]
-        step = _STEP0 / (1.0 + _STEP_DECAY * t)
-        xn = xl[go] + step * grad[go] / gn[go, None]
-        x[live] = xn / np.linalg.norm(xn, axis=1)[:, None]
-    if not best.size or best.max() <= 0:
-        return 0.0, None
-    i = int(np.argmax(best))
-    return float(best[i]), best_x[i]
+    X = rng.standard_normal((params.starts, 2 * W.shape[1]))
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    best, best_x = 0.0, None
+    for x in X:
+        val, at = _ascend(trunc, W, x, params.max_iters)
+        if val > best:
+            best, best_x = val, at
+    return best, best_x
 
 
 def _epsilon_pencils(group, lam: int, s: int):
-    """Numerator and denominator pencils of the truncated search.
+    """The kernel's truncation and the (2, m) weights W of the truncated search's pencils.
 
-    Each pencil runs over complex symbols on the double ball minus the
-    identity, weighted by 1 - K(z) and by len(z)^s, and compresses them to
-    the radius-lam ball.
+    Over the double ball less e, row 0 is 1 - K(z), the weight of the round-trip defect, and
+    row 1 is len(z)^s, the weight of the derivative.  ValueError if len^s overflows float64.
     """
     kern = fejer_kernel(group, lam)
-    wnum = (kern.size - kern.counts[1:]) / kern.size
-    return _Pencil(kern, wnum), _Pencil(kern, kern.weights(s)[1:])
+    W = np.stack([(kern.size - kern.counts[1:]) / kern.size, kern.finite_weights(s)[1:]])
+    return kern, W
 
 
 _WITNESS_GROWTH = 4  # the sign witness's ball has at most this many times lam's elements
@@ -537,8 +498,10 @@ def epsilon_truncated(group, lam: int, s: int, search: Optional[SearchParams] = 
     """Certified lower bound of the Lipschitz constant of the round-trip defect on the truncation.
 
     The best of three attained ratios of exact matrix norms over the radius-lam ball: the basis
-    floor, ``_sign_witness`` and the ascent of ``search``, which runs only if it has starts, so
-    a default call builds no pencil and draws no random number.
+    floor, ``_sign_witness`` and the ascent of ``search``, ``_ascend`` from each of its starts
+    in turn.  The ascent runs only if the search has starts, so a default call builds no pencil
+    weights and draws no random number.  ValueError if the ascent runs and len^s overflows
+    float64; the floor and the witness divide by len^s and read 0 past it.
     """
     floor, witness = epsilon_full(group, lam, s), _sign_witness(group, lam, s)[0]
     if not (search and search.starts):

@@ -127,7 +127,7 @@ def truncated_lipnorm(T: ToeplitzOperator, s: int = 1) -> float:
     """
     _check_order(s)
     trunc = _truncation(T.group, T.radius)
-    return spectral_norm((T._vector() * trunc.weights(s))[trunc.index_map])
+    return spectral_norm((T._vector() * trunc.finite_weights(s))[trunc.index_map])
 
 
 def reconstruct(T: ToeplitzOperator) -> AlgebraElement:

@@ -396,6 +396,25 @@ def test_epsilon_at_sixteenth_order_exits_0(capsys, recwarn):
     assert float(out.splitlines()[1].split()[1]) >= 1 / 17
 
 
+def test_epsilon_at_an_order_past_float64(capsys, recwarn):
+    # 11^300 overflows float64: the floor and the witness divide by len^s and read 0 past
+    # it, while the ascent's denominator multiplies by it, which is a usage error
+    argv = ("epsilon", "--group", "z:1", "--lambda", "8", "--s", "300")
+    code, out, err = _run(capsys, *argv)
+    assert (code, err, recwarn.list) == (0, "", [])
+    assert [line.split()[0] for line in out.splitlines()] == ["eps_full", "eps_trunc", "gh_bound"]
+    code, out, err = _run(capsys, *argv, "--trials", "1")
+    assert (code, out, recwarn.list) == (2, "", [])
+    assert err == "error: derivative order 300 overflows float64 at word length 16\n"
+
+
+def test_lipnorm_of_a_coefficient_past_float64_is_a_usage_error(capsys, monkeypatch):
+    # the derivative's coefficient 16^300 is an int that no float holds
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1 0 16\n"))
+    code, out, err = _run(capsys, "lipnorm", "--group", "z:1", "--s", "300")
+    assert (code, out, err) == (2, "", "error: int too large to convert to float\n")
+
+
 def test_only_the_ascent_builds_the_pencils(capsys, monkeypatch):
     built = []
     pencils = qmetric._epsilon_pencils

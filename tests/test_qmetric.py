@@ -365,7 +365,7 @@ def test_state_proximity_under_smoothing():
 
 def test_epsilon_truncated_exact_floor_on_z():
     # on Z the worst basis direction is the single step: (1 - F(1)) / 1; at
-    # lam 1 the stop of the only start empties the lockstep stack
+    # lam 1 the ascent runs one start
     for lam, search in ((1, SearchParams(starts=1, seed=3)), (2, None), (4, None), (8, None)):
         assert epsilon_truncated(Z1, lam, 2, search=search) >= 1 / (2 * lam + 1) - 1e-12
 
@@ -397,13 +397,14 @@ def test_sign_witness_stays_under_the_exact_constant_on_z_at_first_order(lam):
 @pytest.mark.parametrize("group, s", [(Z1, 2), (Z2, 2), (H3, 3)], ids=["z1", "z2", "heis"])
 @pytest.mark.parametrize("lam", [1, 2, 3])
 def test_sign_witness_score_is_the_ratio_of_the_top_singular_values(group, lam, s):
-    # the witness norms its real stack with no pencil; the ascent's singular-pair solve
-    # of the pencils at the point p / len^s gives the same ratio
+    # the witness norms its real stack with no pencil; the ascent's singular-pair solve of
+    # the search weights W gathered at the point p / len^s gives the same ratio
     value, p = qmetric._sign_witness(group, lam, s)
-    num, den = qmetric._epsilon_pencils(group, lam, s)
+    trunc, W = qmetric._epsilon_pencils(group, lam, s)
     lengths = ball(group, 2 * lam).lengths_at(np.arange(1, len(p) + 1))
-    x = (p / lengths**s).astype(complex).view(float)
-    sn, sd = qmetric._top_singular(np.stack([num(x), den(x)]))[0]
+    sym = np.zeros((2, len(p) + 1), dtype=complex)
+    sym[:, 1:] = p / lengths**s * W
+    sn, sd = qmetric._top_singular(sym[:, trunc.index_map])[0]
     assert value == pytest.approx(sn / sd, rel=1e-12)
 
 

@@ -396,6 +396,22 @@ def test_truncated_lipnorm_is_exact_past_int64(far, lam, s):
     assert truncated_lipnorm(T, s) == pytest.approx(far**s, rel=1e-15)
 
 
+def test_weights_past_float64_are_inf_with_no_warning(recwarn):
+    # 10^300 fits in float64 and 11^300 does not
+    w = fejer_kernel(Z1, 8).weights(300)
+    assert recwarn.list == []
+    assert w[:3].tolist() == [0.0, 1.0, 1.0] and np.isfinite(w[19]) and np.isinf(w[21:]).all()
+
+
+@pytest.mark.parametrize("call", [truncated_lipnorm, truncation_defect])
+def test_an_order_whose_weights_overflow_float64_is_rejected(call, recwarn):
+    T = compress(delta(Z1, (16,)), 8)
+    message = "^derivative order 300 overflows float64 at word length 16$"
+    with pytest.raises(ValueError, match=message):
+        call(T, 300)
+    assert recwarn.list == []
+
+
 def test_defect_vanishes_only_through_kernel_weights():
     rng = np.random.default_rng(27)
     T = random_selfadjoint(Z2, 2, rng)
