@@ -57,7 +57,10 @@ Element = tuple
 DEFAULT_BALL_CAP = 200_000
 _ELEMENT_CAP: ContextVar = ContextVar("element_cap", default=DEFAULT_BALL_CAP)
 
-_INT_TYPES = (int, np.integer)
+
+def _is_int(x) -> bool:
+    """An int or a numpy integer, never a bool: ``True`` is no radius, dimension or coordinate."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 class ResourceCapError(RuntimeError):
@@ -73,7 +76,7 @@ class FreeAbelian:
     central_last_coordinate = True
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dim, _INT_TYPES) or self.dim < 1:
+        if not _is_int(self.dim) or self.dim < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.dim!r}")
 
     @property
@@ -114,7 +117,7 @@ class FreeAbelian:
         if (
             not isinstance(g, tuple)
             or len(g) != self.dim
-            or not all(isinstance(a, _INT_TYPES) for a in g)
+            or not all(_is_int(a) for a in g)
         ):
             raise ValueError(f"{g!r} is not a valid element of {self.name}")
 
@@ -184,7 +187,7 @@ class Heisenberg:
         return 2 * half - a - b
 
     def validate(self, g) -> None:
-        if not isinstance(g, tuple) or len(g) != 3 or not all(isinstance(a, _INT_TYPES) for a in g):
+        if not isinstance(g, tuple) or len(g) != 3 or not all(_is_int(a) for a in g):
             raise ValueError(f"{g!r} is not a valid element of heisenberg")
 
 
@@ -382,7 +385,7 @@ class Ball:
     def _position(self, g) -> int:
         """Position of one element, or -1 for a nonmember or anything not an element."""
         k = self.coords.shape[1]
-        if isinstance(g, tuple) and len(g) == k and all(isinstance(a, _INT_TYPES) for a in g):
+        if isinstance(g, tuple) and len(g) == k and all(_is_int(a) for a in g):
             return int(self.positions([g])[0])
         return -1
 
@@ -435,7 +438,7 @@ def ball(group, radius: int, cap: Optional[int] = None) -> Ball:
     below 1 is a ValueError, and so is a generating set not closed under
     inversion.  Results are cached per (group, radius).
     """
-    if not isinstance(radius, _INT_TYPES) or radius < 0:
+    if not _is_int(radius) or radius < 0:
         raise ValueError(f"radius must be a nonnegative integer, got {radius!r}")
     cap = _ELEMENT_CAP.get() if cap is None else cap
     if cap < 1:

@@ -204,10 +204,8 @@ def _cmd_epsilon(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    keys = ("group", "s", "seed", "trials", "output", "format", "ball_cap")
+    keys = ("group", "lambda_range", "s", "seed", "trials", "output", "format", "ball_cap")
     merged = _merged_config(args, keys)
-    if args.lambdas is not None:
-        merged["lambda_range"] = args.lambdas
     if "lambda_range" not in merged:
         raise ValueError("a lambda range is required (--lambdas or config lambda_range)")
     config = ExperimentConfig.from_mapping(merged)
@@ -298,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("converge", help="full convergence sweep over a radius range")
     p.add_argument("--group", default=None)
     p.add_argument("--s", default=None)
-    p.add_argument("--lambdas", default=None, help="comma-separated radii, e.g. '2,4,8,16'")
+    p.add_argument("--lambdas", dest="lambda_range", help="comma-separated radii, e.g. '2,4,8,16'")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--output", default=None)

@@ -32,7 +32,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .cayley import _INT_TYPES, Ball, _position_finder, _rows, ball
+from .cayley import Ball, _is_int, _position_finder, _rows, ball
 
 __all__ = [
     "AlgebraElement",
@@ -174,7 +174,7 @@ def _check_order(s: int) -> None:
 
 def _check_radius(lam: int) -> None:
     """Reject a radius that is not a positive integer, naming it as given."""
-    if not isinstance(lam, _INT_TYPES):
+    if not _is_int(lam):
         raise ValueError(f"truncation radius must be an integer, got {lam!r}")
     if lam < 1:
         raise ValueError(f"truncation radius must be at least 1, got {lam}")
@@ -444,8 +444,8 @@ class Truncation:
     ``counts[k]`` is #(B ∩ z_k B), the map's bincount once it is built and, before that,
     counted along central fibers (``_fiber_counts``) where the group declares them.  So a
     truncation is also the overlap kernel K = counts / size: calling it on an element, and
-    ``values`` (a dict over the double ball), give exact Fractions, and ``folner_epsilon`` is
-    the worst generator's #(B \\ gB)/#B.
+    ``values`` (a dict over the double ball), give exact Fractions, ``defect`` is the float
+    1 - K, and ``folner_epsilon`` is the worst generator's #(B \\ gB)/#B.
     """
 
     def __init__(self, group, lam: int):
@@ -488,6 +488,10 @@ class Truncation:
         if "index_map" in vars(self) or not getattr(self.group, "central_last_coordinate", False):
             return _read_only(np.bincount(self.index_map.ravel(), minlength=len(self.double)))
         return _read_only(_fiber_counts(self.ball, self.double))
+
+    @cached_property
+    def defect(self) -> np.ndarray:
+        return _read_only((self.size - self.counts) / self.size)
 
     def sums(self, W: np.ndarray) -> np.ndarray:
         """Sums of each n x n matrix of the stack W at every double-ball position of the map.

@@ -4,7 +4,7 @@ A sweep evaluates, for each truncation radius in a range, the ball size, the
 worst single-generator boundary ratio, the two approximation constants, and
 the resulting distance bound; the ``epsilon`` command prints the same row.
 The truncated constant's optional ascent draws its randomness from a seed
-derived by hashing (seed, radius, stage), so any subset of radii reproduces
+derived by hashing (seed, radius), so any subset of radii reproduces
 the same rows in any order.  One growth fit per sweep picks the derivative
 order under ``s = auto`` and is the one the report's metadata carries.  One
 type rule, ``qmetric._typed``, checks every config value, whether a sweep's
@@ -49,7 +49,7 @@ _CONFIG_TYPES = {"seed": int, "trials": int, "max_iters": int, "ball_cap": int, 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated description of one convergence sweep, each field typed by ``_typed``."""
+    """One convergence sweep, each field typed by ``_typed``; radii are an iterable or a string."""
 
     group: str
     lambda_range: tuple
@@ -67,7 +67,10 @@ class ExperimentConfig:
             if key not in unset or value != unset[key]:
                 object.__setattr__(self, key, _typed(key, value, _CONFIG_TYPES[key]))
         group_from_key(self.group)
-        lams = tuple(_typed("lambda_range", x, int) for x in self.lambda_range)
+        lams = self.lambda_range
+        if isinstance(lams, str) or not hasattr(lams, "__iter__"):  # split on , and whitespace
+            lams = _typed("lambda_range", lams, str).replace(",", " ").split()
+        lams = tuple(_typed("lambda_range", x, int) for x in lams)
         if not lams:
             raise ValueError("lambda_range must be nonempty")
         if any(l < 1 for l in lams):
@@ -85,14 +88,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, data: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        lams = data.get("lambda_range", ())
-        if not isinstance(lams, (list, tuple)):
-            lams = _typed("lambda_range", lams, str).replace(",", " ").split()
-        return cls(**{**data, "lambda_range": lams})
+        return cls(**{"lambda_range": (), **data})
 
 
 @dataclass(frozen=True)
@@ -113,8 +112,8 @@ class ConvergenceReport:
     metadata: dict
 
 
-def _derived_seed(seed: int, lam: int, stage: str) -> int:
-    digest = hashlib.blake2b(f"{seed}:{lam}:{stage}".encode(), digest_size=8).digest()
+def _derived_seed(seed: int, lam: int) -> int:
+    digest = hashlib.blake2b(f"{seed}:{lam}:eps-trunc".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 
@@ -160,13 +159,13 @@ def _row(group, lam: int, s: int, search: SearchParams):
     """The row at radius lam, for a sweep and the ``epsilon`` command alike.
 
     The ascent of ``search``, if it has starts, draws from the seed derived from
-    (search.seed, lam, "eps-trunc").  Raises ResourceCapError when the cap stops the row.
+    (search.seed, lam).  Raises ResourceCapError when the cap stops the row.
     """
     _check_order(s)
     _check_radius(lam)
     size = len(ball(group, lam))
     ef = epsilon_full(group, lam, s)
-    search = replace(search, seed=_derived_seed(search.seed, lam, "eps-trunc"))
+    search = replace(search, seed=_derived_seed(search.seed, lam))
     et = epsilon_truncated(group, lam, s, search)
     return ConvergenceRow(
         lam=lam,

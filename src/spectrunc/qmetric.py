@@ -447,7 +447,7 @@ def _epsilon_pencils(group, lam: int, s: int):
     row 1 is len(z)^s, the weight of the derivative.  ValueError if len^s overflows float64.
     """
     kern = fejer_kernel(group, lam)
-    W = np.stack([(kern.size - kern.counts[1:]) / kern.size, kern.finite_weights(s)[1:]])
+    W = np.stack([kern.defect[1:], kern.finite_weights(s)[1:]])
     return kern, W
 
 
@@ -457,12 +457,12 @@ _WITNESS_GROWTH = 4  # the sign witness's ball has at most this many times lam's
 def _sign_witness(group, lam: int, s: int):
     """The sign witness's attained ratio and its symbol p over the double ball less e.
 
-    r = (1 - K) / len^s, extended by len^-s past the double ball, is compressed to the
-    largest radius R >= lam whose ball has at most ``_WITNESS_GROWTH`` times lam's elements
-    and whose double ball fits the cap.  p averages onto each symbol the sign matrix of that
-    compression shifted by its median eigenvalue, which minimizes the mean modulus.  The dense
-    ``_gram_top`` of the real stack (r p, p)[idx] over the kernel's map scores p exactly: the
-    Lanczos of ``spectral_norm`` above n = 200 would bound its denominator from below.
+    r = ``defect`` / len^s (0 at e), extended by len^-s past the double ball, is compressed to
+    the largest radius R >= lam whose ball has at most ``_WITNESS_GROWTH`` times lam's
+    elements and whose double ball fits the cap.  p averages onto each symbol the sign matrix
+    of that compression shifted by its median eigenvalue, which minimizes the mean modulus.
+    The dense ``_gram_top`` of the real stack (r p, p)[idx] over the kernel's map scores p
+    exactly: the Lanczos of ``spectral_norm`` above n = 200 would bound its denominator below.
     """
     kern, R = fejer_kernel(group, lam), lam
     limit = _WITNESS_GROWTH * kern.size
@@ -471,8 +471,7 @@ def _sign_witness(group, lam: int, s: int):
             _truncation(group, R + 1)
             R += 1
     wide, m = _truncation(group, R), len(kern.double)
-    r = np.append(kern.size - kern.counts, np.full(len(wide.double) - m, kern.size)) / kern.size
-    r /= np.maximum(wide.weights(s), 1)  # r(e) = 0, since K(e) = 1
+    r = np.append(kern.defect, np.ones(len(wide.double) - m)) / np.maximum(wide.weights(s), 1)
     mu, V = np.linalg.eigh(r[wide.index_map])
     sign = (V * np.sign(mu - (mu[(len(mu) - 1) // 2] + mu[len(mu) // 2]) / 2)) @ V.T
     p = np.append(0.0, wide.sums(sign)[1:m] / wide.counts[1:m])

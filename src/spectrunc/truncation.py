@@ -173,8 +173,7 @@ def truncation_defect(T: ToeplitzOperator, s: int = 1) -> DefectResult:
     if all(z == ident for z in T.support):
         raise ValueError("defect ratio is undefined for scalar operators")
     kern = fejer_kernel(T.group, T.radius)
-    residual = T._vector() * ((kern.size - kern.counts) / kern.size)
-    defect = spectral_norm(residual[kern.index_map])
+    defect = spectral_norm((T._vector() * kern.defect)[kern.index_map])
     lip = truncated_lipnorm(T, s)
     return DefectResult(defect_norm=defect, lipnorm=lip, ratio=defect / lip)
 

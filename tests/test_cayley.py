@@ -14,8 +14,11 @@ from spectrunc import (
     Heisenberg,
     ResourceCapError,
     ball,
+    compress,
+    delta,
     derivative,
     element_cap,
+    fejer_kernel,
     group_from_key,
     growth_report,
     word_length,
@@ -299,6 +302,28 @@ def test_lengths_at_rejects_a_position_outside_the_ball():
 def test_ball_rejects_negative_radius():
     with pytest.raises(ValueError):
         ball(Z1, -1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: FreeAbelian(True), "dimension must be a positive integer, got True"),
+        (lambda: ball(Z1, True), "radius must be a nonnegative integer, got True"),
+        (lambda: Z1.validate((True,)), r"\(True,\) is not a valid element of z:1"),
+        (lambda: H3.validate((0, True, 0)), r"\(0, True, 0\) is not a valid element of heisenberg"),
+        (lambda: fejer_kernel(Z1, True), "truncation radius must be an integer, got True"),
+        (lambda: compress(delta(Z1, (1,)), True), "truncation radius must be an integer, got True"),
+    ],
+    ids=["dimension", "radius", "z-element", "heisenberg-element", "kernel", "compress"],
+)
+def test_a_bool_is_never_an_integer(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_a_bool_is_no_coordinate_and_a_numpy_integer_is_an_integer():
+    assert (True,) not in ball(Z1, 2) and (np.int64(1),) in ball(Z1, 2)
+    assert FreeAbelian(np.int64(2)) == Z2 and len(ball(Z1, np.int32(2))) == 5
 
 
 class ForwardLine:

@@ -89,6 +89,22 @@ def test_config_reads_whole_floats_as_integers():
     assert all(type(v) is int for v in (*cfg.lambda_range, cfg.s, cfg.seed, cfg.trials))
 
 
+@pytest.mark.parametrize("radii, lams", [("16", (16,)), ("2, 4 8", (2, 4, 8))])
+def test_config_splits_a_string_of_radii(radii, lams):
+    assert ExperimentConfig(group="z:1", lambda_range=radii).lambda_range == lams
+
+
+def test_config_rejects_radii_that_are_neither_a_string_nor_an_iterable():
+    with pytest.raises(ValueError) as err:
+        ExperimentConfig(group="z:1", lambda_range=16)
+    assert str(err.value) == "config key 'lambda_range' must be of type str, got 16"
+
+
+def test_config_from_mapping_reads_a_missing_range_as_empty():
+    with pytest.raises(ValueError, match="^lambda_range must be nonempty$"):
+        ExperimentConfig.from_mapping({"group": "z:1"})
+
+
 def test_config_from_mapping():
     cfg = ExperimentConfig.from_mapping(
         {"group": "z:2", "lambda_range": "2, 4 8", "seed": 5}

@@ -17,7 +17,7 @@ where fibers are not intervals, a truncation whose map is built first must
 bincount it, and a group that declares no central coordinate must count
 through the map.  A truncation's position sums must be the adjoint of its
 gather, and a real stack must sum to exactly the real part of the complex
-path.
+path.  Its read-only ``defect`` must be the float of 1 - K at every element.
 """
 
 import math
@@ -399,6 +399,16 @@ def test_kernel_counts_equal_ball_overlaps(group, lam):
     assert kern.folner_epsilon == max(
         Fraction(size - ball_overlap(group, g, lam), size) for g in group.generators
     )
+
+
+@pytest.mark.parametrize("group", [Z1, Z2, FreeAbelian(3), H], ids=lambda g: g.name)
+@pytest.mark.parametrize("lam", [1, 2, 3])
+def test_defect_is_one_minus_the_kernel_and_read_only(group, lam):
+    kern = fejer_kernel(group, lam)
+    assert kern.defect is kern.defect and kern.defect.dtype == float
+    with pytest.raises(ValueError):
+        kern.defect[0] = 1.0
+    assert kern.defect.tolist() == [float(1 - kern(z)) for z in kern.double.elements]
 
 
 @pytest.mark.parametrize("group,radius", [(Z1, 3), (Z2, 2), (H, 2)])

@@ -7,7 +7,8 @@ imports nothing beyond the standard library and numpy, only ``cayley``
 knows the packed-key format of ball lookups or reads a ball's enumeration, only
 ``cayley`` and ``groupalg`` derive a truncation's arrays (double balls, word
 lengths by position, inverse tables), only ``groupalg`` calls ``bincount``: every overlap
-count and position sum is its truncation's ``counts`` or ``sums``, only
+count and position sum is its truncation's ``counts`` or ``sums``, only ``groupalg``
+combines a truncation's ``size`` with its ``counts``: 1 - K is its ``defect``, only
 ``groupalg`` and ``harness`` name ``_check_radius``, and
 only ``cayley.ball`` and the enumeration it extends take an element cap: every
 other function reads the cap in force, and no module tells the built-in
@@ -370,6 +371,39 @@ def test_the_check_finds_a_bincount_call():
                          ids=lambda p: p.name)
 def test_only_groupalg_calls_bincount(path):
     assert bincount_calls(path.read_text()) == []
+
+
+def kernel_derivations(source: str) -> list[int]:
+    """Line numbers of arithmetic that reads both a ``.size`` and a ``.counts``, one per BinOp."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp):
+            attrs = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            if {"size", "counts"} <= attrs:
+                found.append(node.lineno)
+    return found
+
+
+def test_the_check_finds_a_kernel_derivation():
+    # the three derivations of 1 - K outside groupalg before it was ``Truncation.defect``: the
+    # search weights, the witness's multiplier and the round-trip residual; the solver's and
+    # the witness's reads of the counts alone are not derivations
+    source = (
+        "W = np.stack([(kern.size - kern.counts[1:]) / kern.size, kern.finite_weights(s)[1:]])\n"
+        "r = np.append(kern.size - kern.counts, np.full(len(wide.double) - m, kern.size)) / kern.size\n"
+        "residual = T._vector() * ((kern.size - kern.counts) / kern.size)\n"
+        "share[1:] = 1.0 / trunc.counts[1:]\n"
+        "p = np.append(0.0, wide.sums(sign)[1:m] / wide.counts[1:m])\n"
+    )
+    assert sorted(set(kernel_derivations(source))) == [1, 2, 3]
+
+
+# The kernel defect 1 - K has one definition, ``Truncation.defect``: no other module turns
+# a truncation's overlap counts and size into kernel values.
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "groupalg.py"],
+                         ids=lambda p: p.name)
+def test_only_groupalg_derives_the_kernel_from_its_counts(path):
+    assert kernel_derivations(path.read_text()) == []
 
 
 def cap_parameters(module: str, source: str) -> list[str]:
